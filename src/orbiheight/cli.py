@@ -354,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.prec is not None and not args.prec > 0.0:
+            raise ValueError(f"--prec must be positive, got {args.prec!r}")
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,8 @@ class FermatSpec:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError(f"degree must be >= 3, got {self.m!r}")
+        if len(self.a) != 3:
+            raise ValueError(f"a twist has exactly three coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):
             raise ValueError("twist coefficients must be nonzero")
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _WALL_TOL = 1e-12
+_V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt margin below weight 1
 
 
 @dataclass(frozen=True)
@@ -243,10 +244,12 @@ def faltings_log_cy(w) -> EvalResult:
     the second power coming from the inversion z -> 1/z of the exterior.
     """
     wv = _weights(w)
-    if abs(wv.volume) > 1e-9:
+    if abs(wv.volume) > _V0_TOL:
         raise ValueError(f"faltings_log_cy requires V = 0, got V = {wv.volume!r}")
     w1, w2, w3 = wv.w
-    if max(w1, w2, w3) >= 1.0:
+    # w3 = 2 - w1 - w2 can land within rounding of 1 (e.g. w = (0.1, 0.9,
+    # 0.9999999999999999)), where the integral is as divergent as at 1.
+    if max(w1, w2, w3) >= 1.0 - _V0_TOL:
         raise ValueError("normalization integral diverges: a weight reaches 1 (pair is not klt)")
 
     def radial(r: float) -> float:

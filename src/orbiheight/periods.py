@@ -331,6 +331,8 @@ def mc_oracle_z(
         raise ValueError("canonical polarity requires V > 0")
     if polarity == "anticanonical" and v >= 0:
         raise ValueError("anticanonical polarity requires V < 0")
+    if budget is not None and budget < 1:
+        raise ValueError(f"the oracle budget must be at least 1, got {budget!r}")
     coupling = v / (n_points - 1)
     if scheme == "quadrature":
         if n_points != 2:

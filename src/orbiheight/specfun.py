@@ -14,18 +14,21 @@ makes the closed-form height formulas on the projective line possible: the
 integral of ln(Gamma(x)/Gamma(1-x)) over [a, b] collapses to four evaluations
 of it (``loggamma_ratio_integral``).
 
-Every kernel returns an :class:`EvalResult` carrying an absolute error
+At s = -1 the zeta value itself is the polynomial -B_2(x)/2, so the
+primitive needs the Euler-Maclaurin sum only for the s-derivative; the
+general-s ``hurwitz_zeta`` stays as the reference the tests compare against.
+Every public kernel returns an :class:`EvalResult` carrying an absolute error
 estimate.  All functions are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from scipy import integrate, special
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
     "loggamma_ratio_integral_quad",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 # B_2, B_4, ..., B_26 (even-index Bernoulli numbers, exact).
 _BERNOULLI_EVEN = [
@@ -61,6 +64,10 @@ _BERNOULLI_EVEN = [
     Fraction(8553103, 6),
 ]
 _B_OVER_FACT = [float(b) / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_EVEN, start=1)]
+# B_2j (2j-3)!/(2j)! for j = 2, ..., 13: the coefficients of -y^(2-2j) in the
+# s-derivative of the Euler-Maclaurin tail at s = -1.
+_DS_COEF = [float(b * math.factorial(2 * j - 3) / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI_EVEN[1:], start=2)]
+_DS_COEF_HORNER = _DS_COEF[-2::-1]  # j = 12 down to 2; j = 13 only feeds the error estimate
 
 # Shift the argument until x + M >= _SHIFT_TARGET, then use Bernoulli terms
 # through B_24 (the B_26 entry only feeds the error estimate).
@@ -132,17 +139,18 @@ def bernoulli2(a: float) -> float:
 
 def _em_split(x: float) -> tuple[int, float]:
     """Number of explicitly summed terms M and the shifted point y = x + M."""
-    m = max(0, int(math.ceil(_SHIFT_TARGET - x)))
+    m = max(0, math.ceil(_SHIFT_TARGET - x))
     return m, x + m
 
 
-@lru_cache(maxsize=1 << 15)
 def hurwitz_zeta(s: float, x: float) -> EvalResult:
     """Analytically continued Hurwitz zeta zeta(s, x), s != 1, x > 0.
 
     Euler-Maclaurin with the argument shifted to x + M >= 12 and correction
     terms through B_24; the reported error is the first omitted term plus a
-    rounding floor.  Results are memoized (pure function of its arguments).
+    rounding floor.  The height formulas need only s = -1, where
+    zeta(-1, x) = -B_2(x)/2 exactly; they use :func:`bernoulli2`, and this
+    general-s kernel is the independent reference the tests check them against.
     """
     if not (math.isfinite(s) and math.isfinite(x)):
         raise ValueError("hurwitz_zeta requires finite arguments")
@@ -152,28 +160,46 @@ def hurwitz_zeta(s: float, x: float) -> EvalResult:
         raise ValueError(f"hurwitz_zeta requires x > 0, got {x!r}")
 
     m, y = _em_split(x)
-    n_plus_x = x + np.arange(m, dtype=float)
-    head = float(np.sum(n_plus_x ** (-s))) if m else 0.0
-    scale = abs(head)
-
-    ly = math.log(y)
-    main = math.exp((1.0 - s) * ly) / (s - 1.0)
-    half = 0.5 * math.exp(-s * ly)
-    scale = max(scale, abs(main), abs(half))
-
-    total = head + main + half
-    for j in range(1, _N_TAIL + 1):
-        poch = float(np.prod(s + np.arange(2 * j - 1, dtype=float)))
-        total += _B_OVER_FACT[j - 1] * poch * math.exp((-s - 2 * j + 1) * ly)
-    # First omitted term (j = _N_TAIL + 1) bounds the truncation error.
-    j = _N_TAIL + 1
-    poch = float(np.prod(s + np.arange(2 * j - 1, dtype=float)))
-    omitted = abs(_B_OVER_FACT[j - 1] * poch * math.exp((-s - 2 * j + 1) * ly))
-    err = omitted + 8.0 * _EPS * max(scale, abs(total)) * (m + 4)
+    try:
+        head = sum((x + n) ** -s for n in range(m))
+        ly = math.log(y)
+        main = math.exp((1.0 - s) * ly) / (s - 1.0)
+        half = 0.5 * math.exp(-s * ly)
+        total = head + main + half
+        poch = s  # the Pochhammer factor s (s+1) ... (s+2j-2)
+        for j in range(1, _N_TAIL + 1):
+            total += _B_OVER_FACT[j - 1] * poch * math.exp((-s - 2 * j + 1) * ly)
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+        # First omitted term (j = _N_TAIL + 1) bounds the truncation error.
+        j = _N_TAIL + 1
+        omitted = abs(_B_OVER_FACT[j - 1] * poch * math.exp((-s - 2 * j + 1) * ly))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"hurwitz_zeta({s!r}, {x!r}) cannot be evaluated in double precision")
+    scale = max(abs(head), abs(main), abs(half), abs(total))
+    err = omitted + 8.0 * _EPS * scale * (m + 4)
     return EvalResult(total, err)
 
 
-@lru_cache(maxsize=1 << 15)
+def _zeta_ds_m1(x: float) -> tuple[float, float]:
+    """(d/ds zeta(s, x) at s = -1, absolute error bound) for x > 0; see hurwitz_zeta_ds."""
+    m, y = _em_split(x)
+    head = 0.0
+    for n in range(m):
+        t = x + n
+        head -= t * math.log(t)
+    ly = math.log(y)
+    main = y * y * (0.5 * ly - 0.25)
+    iy2 = 1.0 / (y * y)
+    tail = 0.0  # sum over j = 2.._N_TAIL of c_j y^(2-2j), by Horner in 1/y^2
+    for c in _DS_COEF_HORNER:
+        tail = (tail + c) * iy2
+    total = head + main - 0.5 * y * ly + (1.0 + ly) / 12.0 - tail
+    omitted = abs(_DS_COEF[-1]) * iy2**_N_TAIL
+    return total, omitted + 8.0 * _EPS * (abs(head) + abs(main)) * (m + 4)
+
+
 def hurwitz_zeta_ds(x: float) -> EvalResult:
     """d/ds zeta(s, x) at s = -1, for x > 0.
 
@@ -190,23 +216,25 @@ def hurwitz_zeta_ds(x: float) -> EvalResult:
         raise ValueError("hurwitz_zeta_ds requires a finite argument")
     if x <= 0.0:
         raise ValueError(f"hurwitz_zeta_ds requires x > 0, got {x!r}")
+    value, err = _zeta_ds_m1(x)
+    if not math.isfinite(value):
+        raise ValueError(f"hurwitz_zeta_ds({x!r}) cannot be evaluated in double precision")
+    return EvalResult(value, err)
 
-    m, y = _em_split(x)
-    n_plus_x = x + np.arange(m, dtype=float)
-    head = -float(np.sum(n_plus_x * np.log(n_plus_x))) if m else 0.0
 
-    ly = math.log(y)
-    main = y * y * (0.5 * ly - 0.25)
-    half = -0.5 * y * ly
-    first = (1.0 + ly) / 12.0
+@lru_cache(maxsize=1 << 12)
+def _primitive(x: float) -> tuple[float, float]:
+    """(loggamma_primitive(x), absolute error bound) for x in [0, 1].
 
-    total = head + main + half + first
-    for j in range(2, _N_TAIL + 1):
-        total -= _B_OVER_FACT[j - 1] * math.factorial(2 * j - 3) * y ** (2 - 2 * j)
-    j = _N_TAIL + 1
-    omitted = abs(_B_OVER_FACT[j - 1] * math.factorial(2 * j - 3) * y ** (2 - 2 * j))
-    err = omitted + 8.0 * _EPS * (abs(head) + abs(main)) * (m + 4)
-    return EvalResult(total, err)
+    zeta(-1, x) = -B_2(x)/2 exactly (a few ulps of rounding), so only the
+    s-derivative needs the Euler-Maclaurin sum.  Plain floats keep result
+    objects off the per-point path; the cache stays small because the
+    arguments of a sweep of fresh weights never repeat.
+    """
+    if x == 0.0:
+        x = 1.0
+    ds, err = _zeta_ds_m1(x)
+    return ds - 0.5 * bernoulli2(x), err + 4.0 * _EPS
 
 
 def loggamma_primitive(x: float) -> EvalResult:
@@ -218,11 +246,7 @@ def loggamma_primitive(x: float) -> EvalResult:
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"loggamma_primitive is defined on [0, 1], got {x!r}")
-    if x == 0.0:
-        x = 1.0
-    zv = hurwitz_zeta(-1.0, x)
-    zd = hurwitz_zeta_ds(x)
-    return EvalResult(zv.value + zd.value, zv.err + zd.err)
+    return EvalResult(*_primitive(x))
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
@@ -233,9 +257,11 @@ def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")
-    parts = [loggamma_primitive(t) for t in (b, 1.0 - b, a, 1.0 - a)]
-    value = parts[0].value + parts[1].value - parts[2].value - parts[3].value
-    return EvalResult(value, sum(p.err for p in parts))
+    pb, eb = _primitive(b)
+    qb, fb = _primitive(1.0 - b)
+    pa, ea = _primitive(a)
+    qa, fa = _primitive(1.0 - a)
+    return EvalResult(pb + qb - pa - qa, eb + fb + ea + fa)
 
 
 def _lgamma_int(lo: float, hi: float) -> tuple[float, float]:

@@ -104,6 +104,22 @@ def test_specfun_kernels(capsys):
     assert code == 1 and "argument" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("specfun", "hurwitz_zeta", "-1", "1e308"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "0"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--prec", "0"),
+        ("fermat", "--m", "4", "--a", "1,2"),
+    ],
+)
+def test_invalid_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "shimura")
     assert code == 0

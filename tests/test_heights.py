@@ -163,6 +163,10 @@ def test_faltings_log_cy():
     assert h_can_positive((t, t, t)).value == pytest.approx(r.value, abs=1e-5)
     with pytest.raises(ValueError):
         faltings_log_cy((0.5, 0.5, 1.0))  # non-klt: divergent
+    w = (0.1, 0.9, 2.0 - 0.1 - 0.9)
+    assert w[2] < 1.0  # 0.9999999999999999: within rounding of the klt wall
+    with pytest.raises(ValueError):
+        faltings_log_cy(w)
     with pytest.raises(ValueError):
         faltings_log_cy((0.5, 0.5, 0.5))  # V != 0
 

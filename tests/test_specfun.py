@@ -1,16 +1,22 @@
 """Special-function kernels against independent oracles.
 
-Expected values come from three places only: exact classical identities
+Expected values come from four places only: exact classical identities
 (factorials, Bernoulli polynomials), brute-force limits computed inside the
-test (harmonic sums, Richardson-extrapolated finite differences), and the
-quadrature twin.  Nothing is asserted that was not computed here.
+test (harmonic sums, Richardson-extrapolated finite differences), the
+quadrature twin and the general-s zeta kernel, and mpmath at 30 digits.
+Nothing is asserted that was not computed here.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orbiheight import specfun
+from orbiheight.heights import h_can_fano, h_can_positive, k_semistable
 from orbiheight.specfun import (
     EvalResult,
     SignedLog,
@@ -152,6 +158,46 @@ def test_loggamma_primitive():
     for x in (0.2, 0.5, 0.8):
         fd = (loggamma_primitive(x + h).value - loggamma_primitive(x - h).value) / (2.0 * h)
         assert fd == pytest.approx(log_gamma(x).value - 0.5 * math.log(2.0 * math.pi), abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(1.0)
+@example(1e-300)
+@example(1.0 - 2.0**-53)
+def test_loggamma_primitive_error_bound_against_mpmath(x):
+    r = loggamma_primitive(x)
+    t = x if x > 0.0 else 1.0  # x = 0 continues by the value at 1
+    with mpmath.workdps(30):
+        exact = mpmath.zeta(-1, t) + mpmath.zeta(-1, t, 1)
+        assert abs(mpmath.mpf(r.value) - exact) <= r.err
+
+
+def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
+    # The same height formulas, once through the exact -B_2/2 kernel and once
+    # with zeta(-1, x) from the general-s Euler-Maclaurin kernel.  Both sit
+    # inside a bracket divided by V, so they agree to 1e-12 before that division.
+    rng = np.random.default_rng(2024)
+    sample = []
+    while len(sample) < 200:
+        w = tuple(float(t) for t in rng.uniform(0.0, 1.0, size=3))
+        if k_semistable(w) and abs(sum(w) - 2.0) > 1e-3:
+            sample.append(w)
+
+    def height(w):
+        return (h_can_positive if sum(w) > 2.0 else h_can_fano)(w).value
+
+    hot = [height(w) for w in sample]
+
+    def general_s_primitive(x):
+        t = x if x > 0.0 else 1.0
+        z, zd = hurwitz_zeta(-1.0, t), hurwitz_zeta_ds(t)
+        return z.value + zd.value, z.err + zd.err
+
+    monkeypatch.setattr(specfun, "_primitive", general_s_primitive)
+    for w, h in zip(sample, hot):
+        assert abs(height(w) - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
 
 
 def test_loggamma_ratio_integral_closed_vs_quadrature():
