@@ -63,7 +63,7 @@ print("The signed height +-h extends real-analytically across V = 0; the wall")
 print("value is the log-Calabi-Yau normalization integral, and it equals")
 print("-(1/2) ln pi + (3/2) ln(Gamma(2/3)/Gamma(1/3)):")
 target = -0.5 * math.log(math.pi) + 1.5 * (math.lgamma(2 / 3) - math.lgamma(1 / 3))
-print(f"  quadrature: {faltings_log_cy((2/3, 2/3, 2/3)).value:.10f}   closed form: {target:.10f}")
+print(f"  Dotsenko-Fateev product: {faltings_log_cy((2/3, 2/3, 2/3)).value:.10f}   sharp-bound constant: {target:.10f}")
 print()
 
 # ---------------------------------------------------------------------------

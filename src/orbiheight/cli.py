@@ -212,7 +212,19 @@ def _workers() -> int:
     return max(1, int(os.environ.get("ORBIHEIGHT_WORKERS", "1")))
 
 
+def _check_oracle_options(args) -> None:
+    """--budget and --prec size the Monte-Carlo oracle and nothing else."""
+    given = [name for name, v in (("--budget", args.budget), ("--prec", args.prec)) if v is not None]
+    if len(given) == 2:
+        raise ValueError("--budget and --prec both set the Monte-Carlo sample budget; give one")
+    if given and not (args.oracle and args.scheme == "monte-carlo"):
+        raise ValueError(f"{given[0]} applies only to --oracle --scheme monte-carlo")
+    if args.prec is not None and not args.prec > 0.0:
+        raise ValueError(f"--prec must be positive, got {args.prec!r}")
+
+
 def _cmd_periods(args) -> int:
+    _check_oracle_options(args)
     wv = _parse_weights(args.weights)
     n_list = [int(x) for x in args.n_list.split(",")]
     rows = pd.convergence_report(wv, args.polarity, n_list)
@@ -223,7 +235,7 @@ def _cmd_periods(args) -> int:
     }
     if args.oracle:
         budget = args.budget
-        if budget is None and args.prec is not None and args.scheme == "monte-carlo":
+        if args.prec is not None:
             # relative Monte-Carlo error scales like ~2/sqrt(budget)
             budget = int(min(5e7, max(1e5, 4.0 / args.prec**2)))
         est = pd.mc_oracle_z(
@@ -287,13 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="orbiheight", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
-    common.add_argument(
-        "--prec",
-        type=float,
-        default=None,
-        help="precision target for oracle estimates (closed forms already reach ~1e-12;"
-        " for the Monte-Carlo oracle this scales the sample budget)",
-    )
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     p = sub.add_parser("specfun", help="evaluate one special-function kernel")
@@ -338,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
     p.add_argument("--oracle-n", type=int, default=2, choices=(2, 3))
     p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default="quadrature")
-    p.add_argument("--budget", type=int, default=None, help="oracle evaluation/sample budget")
+    p.add_argument("--budget", type=int, default=None, help="Monte-Carlo oracle sample budget")
+    p.add_argument(
+        "--prec",
+        type=float,
+        default=None,
+        help="relative precision target of the Monte-Carlo oracle; sets the sample budget",
+    )
     p.set_defaults(fn=_cmd_periods)
 
     p = sub.add_parser("faltings", help="log-Calabi-Yau height (V = 0)")
@@ -354,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.prec is not None and not args.prec > 0.0:
-            raise ValueError(f"--prec must be positive, got {args.prec!r}")
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

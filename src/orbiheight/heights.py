@@ -11,16 +11,16 @@ the volume-1 Kahler-Einstein metric, is given in closed form through
 evaluated via the Hurwitz-zeta primitive in :mod:`orbiheight.specfun`.  The
 wall V = 0 is excluded from the two closed-form branches; its value is the
 log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
-closed forms approach as one-sided limits.
+closed forms approach as one-sided limits.  That integral is the N = 1 case
+of the Dotsenko-Fateev Gamma product behind the period route, so it too is
+a closed form in ln Gamma; the nested quadrature of the integral lives in
+the tests as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .specfun import EvalResult, digamma, log_gamma, loggamma_ratio_integral
 
@@ -43,6 +43,7 @@ __all__ = [
 
 _WALL_TOL = 1e-12
 _V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt margin below weight 1
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -213,58 +214,32 @@ def fujita_height_pn(n: int) -> float:
     return 0.5 * (n + 1) ** (n + 1) * ((n + 1) * harmonic - n + math.log(math.pi**n / math.factorial(n)))
 
 
-def _angular_ring_integral(t: float, wexp: float) -> float:
-    """2 * integral over [0, pi] of (1 - 2 t cos(theta) + t^2)^(-wexp) d theta."""
-    if t == 0.0:
-        return 2.0 * math.pi
-
-    def f(theta: float) -> float:
-        return (1.0 - 2.0 * t * math.cos(theta) + t * t) ** (-wexp)
-
-    # near t = 1 the integrand is close to divergent at theta = 0; QUADPACK
-    # still resolves it to ~1e-10, so its roundoff warnings carry no signal
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        v, _ = integrate.quad(f, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 2.0 * v
-
-
 def faltings_log_cy(w) -> EvalResult:
     """Normalization-integral height of a log Calabi-Yau pair (V = 0).
 
     Computes -(1/2) ln I for I = integral over C of
     |z|^(-2 w1) |z - 1|^(-2 w2) dA(z), which is finite exactly when all
     weights are < 1 (klt); w3 = 2 - w1 - w2 governs the decay at infinity.
+    I is the N = 1 case of the complex Selberg (Dotsenko-Fateev) product,
 
-    In polar coordinates the plane folds onto the unit disk: with
-    G(r) = angular integral of |r e^{i theta} - 1|^(-2 w2),
+        I = pi / (l(w1) l(w2) l(w3)),   l(x) = Gamma(x) / Gamma(1 - x),
 
-        I = integral_0^1 (r^(1-2 w1) + r^(1-2 w3)) G(r) dr,
-
-    the second power coming from the inversion z -> 1/z of the exterior.
+    so the value is -(1/2) (ln pi - sum_i [ln Gamma(w_i) - ln Gamma(1 - w_i)]).
+    err bounds the rounding of the six ln Gamma terms and their sum; the
+    tests check the product against nested quadrature of I and against a
+    2F1 radial reduction.
     """
     wv = _weights(w)
     if abs(wv.volume) > _V0_TOL:
         raise ValueError(f"faltings_log_cy requires V = 0, got V = {wv.volume!r}")
-    w1, w2, w3 = wv.w
     # w3 = 2 - w1 - w2 can land within rounding of 1 (e.g. w = (0.1, 0.9,
     # 0.9999999999999999)), where the integral is as divergent as at 1.
-    if max(w1, w2, w3) >= 1.0 - _V0_TOL:
+    if max(wv.w) >= 1.0 - _V0_TOL:
         raise ValueError("normalization integral diverges: a weight reaches 1 (pair is not klt)")
-
-    def radial(r: float) -> float:
-        return (r ** (1.0 - 2.0 * w1) + r ** (1.0 - 2.0 * w3)) * _angular_ring_integral(r, w2)
-
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for lo, hi in ((0.0, 0.5), (0.5, 0.9), (0.9, 1.0)):
-            v, e = integrate.quad(radial, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-            total += v
-            err += e
-    value = -0.5 * math.log(total)
-    return EvalResult(value, err / (2.0 * total) + 1e-9)
+    lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in wv]
+    value = -0.5 * (math.log(math.pi) - math.fsum(a - b for a, b in lg))
+    err = 8.0 * _EPS * (1.0 + math.fsum(abs(a) + abs(b) for a, b in lg))
+    return EvalResult(value, err)
 
 
 def bound_linear_fano(w) -> float:

@@ -104,11 +104,18 @@ class SignedLog:
             raise ValueError("sign 0 requires log_abs = -inf")
 
 
+def _finite(v: float, name: str, x: float) -> float:
+    """v itself, or ValueError when name(x) overflowed double precision."""
+    if not math.isfinite(v):
+        raise ValueError(f"{name}({x!r}) cannot be evaluated in double precision")
+    return v
+
+
 def log_gamma(x: float) -> EvalResult:
     """ln Gamma(x) for x > 0."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    v = float(special.gammaln(x))
+    v = _finite(float(special.gammaln(x)), "log_gamma", x)
     return EvalResult(v, 4.0 * _EPS * max(1.0, abs(v)))
 
 
@@ -121,20 +128,20 @@ def log_gamma_signed(x: float) -> SignedLog:
         raise ValueError(f"log_gamma_signed requires finite x, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"Gamma has a pole at x = {x!r}")
-    return SignedLog(float(special.gammaln(x)), int(special.gammasgn(x)))
+    return SignedLog(_finite(float(special.gammaln(x)), "log_gamma_signed", x), int(special.gammasgn(x)))
 
 
 def digamma(x: float) -> EvalResult:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"digamma requires finite x > 0, got {x!r}")
-    v = float(special.digamma(x))
+    v = _finite(float(special.digamma(x)), "digamma", x)
     return EvalResult(v, 4.0 * _EPS * max(1.0, abs(v)))
 
 
 def bernoulli2(a: float) -> float:
     """Second Bernoulli polynomial B_2(a) = a^2 - a + 1/6."""
-    return a * a - a + 1.0 / 6.0
+    return _finite(a * a - a + 1.0 / 6.0, "bernoulli2", a)
 
 
 def _em_split(x: float) -> tuple[int, float]:
@@ -217,9 +224,7 @@ def hurwitz_zeta_ds(x: float) -> EvalResult:
     if x <= 0.0:
         raise ValueError(f"hurwitz_zeta_ds requires x > 0, got {x!r}")
     value, err = _zeta_ds_m1(x)
-    if not math.isfinite(value):
-        raise ValueError(f"hurwitz_zeta_ds({x!r}) cannot be evaluated in double precision")
-    return EvalResult(value, err)
+    return EvalResult(_finite(value, "hurwitz_zeta_ds", x), err)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -199,7 +199,8 @@ def test_criterion_08c_bound_chain():
         if lhs > rhs + 1e-9:
             failures.append((m, lhs - rhs))
     assert not failures, (
-        "chain inequality fails (documented inconsistency of the printed chain; see README): "
+        "chain inequality fails with the shipped second-bound constant "
+        "f((3/4)^3) + (1/2) ln pi (arakelov_upper_bound(m).second_constant, the validated (4,4,4) value): "
         + ", ".join(f"m={m}: excess {d:.6f}" for m, d in failures[:4])
         + f" ... ({len(failures)} degrees total)"
     )

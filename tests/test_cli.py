@@ -108,9 +108,18 @@ def test_specfun_kernels(capsys):
     "argv",
     [
         ("specfun", "hurwitz_zeta", "-1", "1e308"),
+        ("specfun", "log_gamma", "1e308"),
+        ("specfun", "digamma", "1e-320"),
+        ("specfun", "bernoulli2", "1e200"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "0"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--prec", "0"),
         ("fermat", "--m", "4", "--a", "1,2"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--prec", "0.01"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--budget", "1000"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--budget", "1000"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "quadrature", "--prec", "0.01"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo",
+         "--budget", "1000", "--prec", "0.01"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -136,3 +145,6 @@ def test_verify_suite_exit_codes(capsys):
 def test_usage_error_prints_flags():
     with pytest.raises(SystemExit):
         main(["height"])  # missing required group
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--weights", "0.8,0.8,0.8", "--prec", "0.01"])  # --prec belongs to periods
+    assert exc.value.code == 2

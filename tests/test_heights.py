@@ -1,9 +1,14 @@
 """Closed-form heights: classical values, symmetries, bounds, the V = 0 wall."""
 
+import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orbiheight.fields import dedekind_log_deriv, get_field
 from orbiheight.heights import (
@@ -186,6 +191,91 @@ def test_faltings_radial_reduction_cross_check():
     for lo, hi in ((0.0, 0.5), (0.5, 0.95), (0.95, 1.0)):
         total += quad(radial, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=300)[0]
     assert faltings_log_cy((w1, w2, w3)).value == pytest.approx(-0.5 * LN(total), abs=1e-7)
+
+
+def _wall_mp(w) -> mpmath.mpf:
+    """-(1/2) ln(pi / (l(w1) l(w2) l(w3))), l(x) = Gamma(x)/Gamma(1-x), at 30 digits."""
+    with mpmath.workdps(30):
+        w = [mpmath.mpf(x) for x in w]
+        return -(mpmath.log(mpmath.pi) - sum(mpmath.loggamma(x) - mpmath.loggamma(1 - x) for x in w)) / 2
+
+
+_KLT_MARGIN = 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=_KLT_MARGIN, max_value=1.0 - _KLT_MARGIN),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example(2.0 * _KLT_MARGIN, 0.5)
+@example(1.0 - _KLT_MARGIN, 0.0)
+@example(1.0 - _KLT_MARGIN, 1.0)
+@example(2.0 / 3.0, 0.5)
+def test_faltings_log_cy_error_bound_against_mpmath(w1, u):
+    # w2 sweeps the segment of the V = 0 slice where all weights lie in
+    # [1e-8, 1 - 1e-8]; w3 closes the sum to 2
+    lo, hi = max(_KLT_MARGIN, 1.0 - w1 + _KLT_MARGIN), 1.0 - _KLT_MARGIN
+    w2 = lo + u * (hi - lo)
+    w = (w1, w2, 2.0 - w1 - w2)
+    assume(max(w) < 1.0 - 1e-9 and min(w) > 0.0)
+    r = faltings_log_cy(w)
+    d = abs(mpmath.mpf(r.value) - _wall_mp(w))
+    assert d <= r.err
+    # err is not wildly pessimistic: within 10^3 of the actual error, which a
+    # double result can promise no better than to half an ulp
+    assert r.err <= 1e3 * max(d, math.ulp(r.value) / 2.0) + 1e-15
+
+
+def test_faltings_log_cy_on_tenths_lattice():
+    points = [k for k in itertools.product(range(1, 10), repeat=3) if sum(k) == 20]
+    assert len(points) == 36
+    for k in points:
+        r = faltings_log_cy(tuple(x / 10 for x in k))
+        with mpmath.workdps(30):
+            exact = _wall_mp([mpmath.mpf(x) / 10 for x in k])
+            assert abs(mpmath.mpf(r.value) - exact) <= r.err, k
+
+
+def test_faltings_log_cy_is_the_sharp_bound_constant():
+    const = -0.5 * LN(math.pi) + 1.5 * (log_gamma(2.0 / 3.0).value - log_gamma(1.0 / 3.0).value)
+    assert abs(faltings_log_cy((2.0 / 3.0,) * 3).value - const) <= 1e-14
+
+
+def _normalization_integral_quad(w1, w2, w3) -> float:
+    """I = integral over C of |z|^(-2 w1) |z - 1|^(-2 w2) dA(z) by nested quadrature.
+
+    In polar coordinates the plane folds onto the unit disk (the exterior by
+    z -> 1/z): I = integral_0^1 (r^(1-2 w1) + r^(1-2 w3)) G(r) dr, with G(r)
+    the angular integral of |r e^{i theta} - 1|^(-2 w2).
+    """
+    from scipy import integrate
+
+    def ring(t):
+        if t == 0.0:
+            return 2.0 * math.pi
+        v, _ = integrate.quad(
+            lambda th: (1.0 - 2.0 * t * math.cos(th) + t * t) ** (-w2),
+            0.0, math.pi, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        return 2.0 * v
+
+    def radial(r):
+        return (r ** (1.0 - 2.0 * w1) + r ** (1.0 - 2.0 * w3)) * ring(r)
+
+    total = 0.0
+    # near r = 1 the angular integrand is close to divergent at theta = 0;
+    # QUADPACK still resolves it, so its roundoff warnings carry no signal
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for lo, hi in ((0.0, 0.5), (0.5, 0.9), (0.9, 1.0)):
+            total += integrate.quad(radial, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
+    return total
+
+
+@pytest.mark.parametrize("w", [(2.0 / 3.0,) * 3, (0.5, 0.75, 0.75), (0.75, 0.6, 0.65)])
+def test_faltings_nested_quadrature_cross_check(w):
+    assert faltings_log_cy(w).value == pytest.approx(-0.5 * LN(_normalization_integral_quad(*w)), abs=1e-7)
 
 
 def test_permutation_symmetry():

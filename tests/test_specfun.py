@@ -74,6 +74,8 @@ def test_log_gamma_signed():
     for pole in (0.0, -1.0, -7.0):
         with pytest.raises(ValueError):
             log_gamma_signed(pole)
+    with pytest.raises(ValueError):
+        log_gamma_signed(1e308)  # ln Gamma overflows double precision
 
 
 def test_digamma_against_harmonic_oracle():
