@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import fermat as fm
@@ -36,14 +35,14 @@ from .fields import dedekind_log_deriv, get_field
 from .lcombo import LogCombo
 
 _KERNELS = {
-    "log_gamma": (1, lambda a: sf.log_gamma(a)),
-    "digamma": (1, lambda a: sf.digamma(a)),
+    "log_gamma": (1, sf.log_gamma),
+    "digamma": (1, sf.digamma),
     "bernoulli2": (1, lambda a: sf.EvalResult(sf.bernoulli2(a), 0.0)),
-    "hurwitz_zeta": (2, lambda s, x: sf.hurwitz_zeta(s, x)),
-    "hurwitz_zeta_ds": (1, lambda x: sf.hurwitz_zeta_ds(x)),
-    "loggamma_primitive": (1, lambda x: sf.loggamma_primitive(x)),
-    "loggamma_ratio_integral": (2, lambda a, b: sf.loggamma_ratio_integral(a, b)),
-    "loggamma_ratio_integral_quad": (2, lambda a, b: sf.loggamma_ratio_integral_quad(a, b)),
+    "hurwitz_zeta": (2, sf.hurwitz_zeta),
+    "hurwitz_zeta_ds": (1, sf.hurwitz_zeta_ds),
+    "loggamma_primitive": (1, sf.loggamma_primitive),
+    "loggamma_ratio_integral": (2, sf.loggamma_ratio_integral),
+    "loggamma_ratio_integral_quad": (2, sf.loggamma_ratio_integral_quad),
     "dedekind_log_deriv": (0, None),
 }
 
@@ -123,7 +122,7 @@ def _cmd_height(args) -> int:
     return 0
 
 
-def _table_rows(table, pet: bool):
+def _table_rows(table):
     from .tables import TABLE1, TABLE2
 
     rows = []
@@ -142,7 +141,7 @@ def _table_rows(table, pet: bool):
 
 
 def _cmd_table(args, which: int) -> int:
-    rows = _table_rows(which, pet=which == 1)
+    rows = _table_rows(which)
     lines = []
     csv_lines = ["indices,field,value"] if which == 1 else ["indices,value"]
     for r in rows:
@@ -208,12 +207,13 @@ def _cmd_fermat(args) -> int:
     return 0
 
 
-def _workers() -> int:
-    return max(1, int(os.environ.get("ORBIHEIGHT_WORKERS", "1")))
-
-
 def _check_oracle_options(args) -> None:
-    """--budget and --prec size the Monte-Carlo oracle and nothing else."""
+    """--seed, --oracle-n and --scheme belong to --oracle; --budget and --prec
+    size the Monte-Carlo oracle and nothing else."""
+    if not args.oracle:
+        for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
+            if v is not None:
+                raise ValueError(f"{flag} applies only to --oracle")
     given = [name for name, v in (("--budget", args.budget), ("--prec", args.prec)) if v is not None]
     if len(given) == 2:
         raise ValueError("--budget and --prec both set the Monte-Carlo sample budget; give one")
@@ -234,22 +234,22 @@ def _cmd_periods(args) -> int:
         "rows": [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows],
     }
     if args.oracle:
+        n = args.oracle_n or 2
         budget = args.budget
         if args.prec is not None:
             # relative Monte-Carlo error scales like ~2/sqrt(budget)
             budget = int(min(5e7, max(1e5, 4.0 / args.prec**2)))
         est = pd.mc_oracle_z(
-            args.oracle_n,
+            n,
             wv,
-            scheme=args.scheme,
+            scheme=args.scheme or "quadrature",
             budget=budget,
-            seed=args.seed,
+            seed=args.seed or 0,
             polarity=args.polarity,
-            workers=_workers(),
         )
-        cfg = pd.PeriodConfig(N=args.oracle_n, w=wv, polarity=args.polarity)
+        cfg = pd.PeriodConfig(N=n, w=wv, polarity=args.polarity)
         z_closed = math.exp(pd.df_log_z(cfg).value)
-        payload["oracle"] = {"N": args.oracle_n, "estimate": est.value, "err": est.err, "closed_form": z_closed}
+        payload["oracle"] = {"N": n, "estimate": est.value, "err": est.err, "closed_form": z_closed}
     csv_text = pd.report_to_csv(rows).rstrip("\n")
     lines = csv_text.split("\n")
     if args.oracle:
@@ -333,16 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
         "periods",
         help="Vandermonde-limit convergence table",
         epilog="CSV columns: N (number of points), estimate (+-(1/2N) log Z_N), "
-        "gap (estimate minus the closed form). ORBIHEIGHT_WORKERS sets the "
-        "default worker hint (results are independent of it).",
+        "gap (estimate minus the closed form).",
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
     p.add_argument("--polarity", choices=("canonical", "anticanonical"), default="canonical")
-    p.add_argument("--seed", type=int, default=0, help="seed for the Monte-Carlo oracle")
+    p.add_argument("--seed", type=int, default=None, help="seed for the Monte-Carlo oracle (default 0)")
     p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
-    p.add_argument("--oracle-n", type=int, default=2, choices=(2, 3))
-    p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default="quadrature")
+    p.add_argument("--oracle-n", type=int, default=None, choices=(2, 3), help="oracle N (default 2)")
+    p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature)")
     p.add_argument("--budget", type=int, default=None, help="Monte-Carlo oracle sample budget")
     p.add_argument(
         "--prec",

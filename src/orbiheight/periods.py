@@ -12,10 +12,10 @@ h = V / (2(N-1)))
     Z_N = N! (pi / l(h))^N  prod_{j=0}^{N-1}
               l((j+1) h) / [ l(w1 - j h) l(w2 - j h) l(w3 - j h) ],
 
-and -(1/2N) log Z_N converges, at rate O(log N / N), to the canonical height
-of the log canonical bundle; for the Fano polarity (V < 0) the analogous
-product uses -l(-x) on the negative axis and +(1/2N) log Z_N converges to
-the canonical height of the dual.  ``df_log_z`` evaluates the product
+and -(1/2N) log Z_N converges, with gap c_1/N + O(1/N^2), to the canonical
+height of the log canonical bundle; for the Fano polarity (V < 0) the
+analogous product uses -l(-x) on the negative axis and +(1/2N) log Z_N
+converges to the canonical height of the dual.  ``df_log_z`` evaluates the product
 entirely in log-gamma space with exact sign bookkeeping (no overflow up to
 N = 10^6); ``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
 integration, independent of everything gamma.
@@ -38,7 +38,6 @@ from .specfun import EvalResult
 __all__ = [
     "PeriodConfig",
     "df_log_z",
-    "df_log_z_compensated",
     "height_from_periods",
     "mc_oracle_z",
     "convergence_report",
@@ -132,60 +131,24 @@ def _df_terms(cfg: PeriodConfig) -> tuple[float, np.ndarray, int]:
     return prefactor, terms, int(sign)
 
 
-def _pairwise_chunked_sum(terms: np.ndarray, chunk: int = 4096) -> float:
-    """Deterministic pairwise reduction with a fixed chunk layout.
-
-    The chunk boundaries depend only on the length, so parallel callers that
-    split the same chunks across workers reproduce this value bit-for-bit.
-    """
-    partials = [float(np.sum(terms[i : i + chunk])) for i in range(0, len(terms), chunk)]
-    while len(partials) > 1:
-        partials = [sum(partials[i : i + 2]) for i in range(0, len(partials), 2)]
-    return partials[0] if partials else 0.0
-
-
-def df_log_z(cfg: PeriodConfig, workers: int = 1) -> EvalResult:
-    """log Z_N via the closed-form Gamma-ratio product, in log space.
-
-    `workers` is a parallelism hint; the fixed-chunk pairwise reduction makes
-    the result independent of it, so it only affects scheduling (the sums here
-    are cheap enough that we always reduce serially).
-    """
-    del workers
+def df_log_z(cfg: PeriodConfig) -> EvalResult:
+    """log Z_N via the closed-form Gamma-ratio product, in log space."""
     prefactor, terms, sign = _df_terms(cfg)
     if sign != 1:
         raise ValueError("sign bookkeeping yields Z_N <= 0: configuration is unstable")
-    total = prefactor + _pairwise_chunked_sum(terms)
+    total = prefactor + float(np.sum(terms))
     err = 1e-15 * (abs(prefactor) + float(np.sum(np.abs(terms))) + 1.0)
     return EvalResult(total, err)
 
 
-def df_log_z_compensated(cfg: PeriodConfig) -> float:
-    """log Z_N summed Kahan-compensated over the reversed term order.
-
-    Exists as an independent accumulation order to cross-check `df_log_z`.
-    """
-    prefactor, terms, sign = _df_terms(cfg)
-    if sign != 1:
-        raise ValueError("sign bookkeeping yields Z_N <= 0: configuration is unstable")
-    total = 0.0
-    comp = 0.0
-    for t in terms[::-1]:
-        y = float(t) - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return prefactor + total
-
-
-def height_from_periods(cfg: PeriodConfig, workers: int = 1) -> EvalResult:
+def height_from_periods(cfg: PeriodConfig) -> EvalResult:
     """-(1/2N) log Z_N for the canonical polarity, +(1/2N) for the Fano one.
 
-    Converges to the closed-form canonical height as N grows, at rate
-    O(log N / N); the free module of integer sections makes the lattice index
-    factor 1, so log Z_N is the whole story.
+    Converges to the closed-form canonical height as N grows, with gap
+    c_1/N + O(1/N^2); the free module of integer sections makes the lattice
+    index factor 1, so log Z_N is the whole story.
     """
-    lz = df_log_z(cfg, workers=workers)
+    lz = df_log_z(cfg)
     scale = -1.0 if cfg.polarity == "canonical" else 1.0
     return EvalResult(scale * lz.value / (2.0 * cfg.N), lz.err / (2.0 * cfg.N))
 
@@ -310,7 +273,6 @@ def mc_oracle_z(
     budget: int | None = None,
     seed: int = 0,
     polarity: Polarity = "canonical",
-    workers: int = 1,
 ) -> EvalResult:
     """Independent estimate of Z_N (N in {2, 3}) by direct 2N-dimensional
     integration of the Vandermonde integral.
@@ -318,8 +280,8 @@ def mc_oracle_z(
     scheme "quadrature" (N = 2 only) uses tensorized polar tanh-sinh patches
     with the plane split around the punctures {0, 1, infinity}; scheme
     "monte-carlo" uses importance sampling from a singularity-matched mixture
-    with a counter-based generator (reproducible for a fixed seed, and
-    independent of `workers` by chunked streams).  The reported err is a
+    with a counter-based generator (reproducible for a fixed seed).  The
+    reported err is a
     quadrature refinement bound or the statistical standard error.
     """
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
@@ -353,7 +315,6 @@ def mc_oracle_z(
 
     chunk = 1 << 15
     n_chunks = max(1, (budget + chunk - 1) // chunk)
-    del workers  # chunked streams make the result worker-count independent
     total = 0.0
     total_sq = 0.0
     count = 0

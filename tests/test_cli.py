@@ -120,6 +120,9 @@ def test_specfun_kernels(capsys):
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "quadrature", "--prec", "0.01"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo",
          "--budget", "1000", "--prec", "0.01"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--seed", "5"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle-n", "3"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--scheme", "monte-carlo"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

