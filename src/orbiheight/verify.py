@@ -444,6 +444,7 @@ def _fermat_reduction(ms):
 
 @_register("fermat", "eps_4 = ln 2 + 1/4", 0.0, "08b")
 def _eps4():
+    # (m-1)(m-2) - 2 = 4 at m = 4: eps_4 = (4 ln 4 + 1)/4 + ln(4/16)/2 = ln 2 + 1/4
     return fm.epsilon_m(4) - (math.log(2.0) + 0.25)
 
 
