@@ -18,6 +18,7 @@ from orbiheight import (
     bound_linear_fano,
     bound_semiample,
     faltings_log_cy,
+    h_can,
     h_can_fano,
     h_can_positive,
     h_pet,
@@ -51,11 +52,8 @@ for t in (0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.8, 0.9):
     if abs(v) < 1e-12:
         val = faltings_log_cy((t, t, t)).value
         tag = "  <- V = 0: normalization integral"
-    elif v > 0:
-        val = h_can_positive((t, t, t)).value
-        tag = ""
     else:
-        val = -h_can_fano((t, t, t)).value
+        val = math.copysign(1.0, v) * h_can((t, t, t)).value
         tag = ""
     print(f"{t:8.4f} {v:8.4f} {val:15.9f}{tag}")
 print()
@@ -75,7 +73,7 @@ for _ in range(20000):
     w = tuple(rng.uniform(0, 1, size=3))
     if not k_semistable(w) or abs(volume(w)) < 1e-6:
         continue
-    signed = h_can_positive(w).value if volume(w) > 0 else -h_can_fano(w).value
+    signed = math.copysign(1.0, volume(w)) * h_can(w).value
     worst = max(worst, signed)
 print(f"max of +-h over 20000 random stable weights: {worst:.9f}")
 print(f"the bound -(1 + ln pi)/2                   : {upper:.9f}  (equality only at w = 0)")

@@ -18,6 +18,7 @@ from .heights import (
     faltings_log_cy,
     four_point_h_can,
     fujita_height_pn,
+    h_can,
     h_can_fano,
     h_can_positive,
     h_pet,
@@ -31,13 +32,11 @@ from .periods import PeriodConfig, convergence_report, df_log_z, height_from_per
 from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_degree, optimal_pet_height, yuan_height
 from .specfun import (
     EvalResult,
-    SignedLog,
     bernoulli2,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_gamma,
-    log_gamma_signed,
     loggamma_primitive,
     loggamma_ratio_integral,
     loggamma_ratio_integral_quad,

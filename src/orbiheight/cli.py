@@ -102,17 +102,15 @@ def _cmd_height(args) -> int:
     wv = _parse_ram(args.ram).weights() if args.ram else _parse_weights(args.weights)
     if not hg.k_semistable(wv):
         v = wv.volume
-        bad = [i for i, x in enumerate(wv) if x > v / 2.0 + 1.0 + 1e-12]
+        bad = [i for i, x in enumerate(wv) if x - v / 2.0 > 1.0]
         raise ValueError(f"weights {wv.w} violate K-semistability (w_i <= V/2 + 1 fails at index {bad})")
     v = wv.volume
     if args.kind == "pet":
         r = hg.h_pet(wv)
     elif args.kind == "pi":
         r = hg.h_pi_normalized(wv)
-    elif v > 0:
-        r = hg.h_can_positive(wv)
     else:
-        r = hg.h_can_fano(wv)
+        r = hg.h_can(wv)
     _emit(
         args,
         {"weights": list(wv.w), "V": v, "kind": args.kind, "value": r.value, "err": r.err},
@@ -208,46 +206,38 @@ def _cmd_fermat(args) -> int:
 
 
 def _check_oracle_options(args) -> None:
-    """--seed, --oracle-n and --scheme belong to --oracle; --budget and --prec
-    size the Monte-Carlo oracle and nothing else."""
+    """--seed, --oracle-n and --scheme belong to --oracle; --budget sizes the
+    Monte-Carlo oracle and nothing else."""
     if not args.oracle:
         for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
             if v is not None:
                 raise ValueError(f"{flag} applies only to --oracle")
-    given = [name for name, v in (("--budget", args.budget), ("--prec", args.prec)) if v is not None]
-    if len(given) == 2:
-        raise ValueError("--budget and --prec both set the Monte-Carlo sample budget; give one")
-    if given and not (args.oracle and args.scheme == "monte-carlo"):
-        raise ValueError(f"{given[0]} applies only to --oracle --scheme monte-carlo")
-    if args.prec is not None and not args.prec > 0.0:
-        raise ValueError(f"--prec must be positive, got {args.prec!r}")
+    if args.budget is not None and not (args.oracle and args.scheme == "monte-carlo"):
+        raise ValueError("--budget applies only to --oracle --scheme monte-carlo")
 
 
 def _cmd_periods(args) -> int:
     _check_oracle_options(args)
     wv = _parse_weights(args.weights)
     n_list = [int(x) for x in args.n_list.split(",")]
-    rows = pd.convergence_report(wv, args.polarity, n_list)
+    polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
+    rows = pd.convergence_report(wv, polarity, n_list)
     payload = {
         "weights": list(wv.w),
-        "polarity": args.polarity,
+        "polarity": polarity,
         "rows": [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows],
     }
     if args.oracle:
         n = args.oracle_n or 2
-        budget = args.budget
-        if args.prec is not None:
-            # relative Monte-Carlo error scales like ~2/sqrt(budget)
-            budget = int(min(5e7, max(1e5, 4.0 / args.prec**2)))
         est = pd.mc_oracle_z(
             n,
             wv,
             scheme=args.scheme or "quadrature",
-            budget=budget,
+            budget=args.budget,
             seed=args.seed or 0,
-            polarity=args.polarity,
+            polarity=polarity,
         )
-        cfg = pd.PeriodConfig(N=n, w=wv, polarity=args.polarity)
+        cfg = pd.PeriodConfig(N=n, w=wv, polarity=polarity)
         z_closed = math.exp(pd.df_log_z(cfg).value)
         payload["oracle"] = {"N": n, "estimate": est.value, "err": est.err, "closed_form": z_closed}
     csv_text = pd.report_to_csv(rows).rstrip("\n")
@@ -332,23 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "periods",
         help="Vandermonde-limit convergence table",
-        epilog="CSV columns: N (number of points), estimate (+-(1/2N) log Z_N), "
+        epilog="The polarity is read from the weights: canonical when V > 0, anticanonical when V < 0. "
+        "CSV columns: N (number of points), estimate (+-(1/2N) log Z_N), "
         "gap (estimate minus the closed form).",
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
-    p.add_argument("--polarity", choices=("canonical", "anticanonical"), default="canonical")
     p.add_argument("--seed", type=int, default=None, help="seed for the Monte-Carlo oracle (default 0)")
     p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
     p.add_argument("--oracle-n", type=int, default=None, choices=(2, 3), help="oracle N (default 2)")
     p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature)")
     p.add_argument("--budget", type=int, default=None, help="Monte-Carlo oracle sample budget")
-    p.add_argument(
-        "--prec",
-        type=float,
-        default=None,
-        help="relative precision target of the Monte-Carlo oracle; sets the sample budget",
-    )
     p.set_defaults(fn=_cmd_periods)
 
     p = sub.add_parser("faltings", help="log-Calabi-Yau height (V = 0)")

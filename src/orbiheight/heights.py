@@ -4,14 +4,15 @@ The boundary divisor sits at {0, 1, infinity} with weights w = (w1, w2, w3)
 in [0, 1]^3, and V = w1 + w2 + w3 - 2 is the degree of the log canonical
 bundle.  Inside the stability region (0 <= w_i <= 1, w_i <= V/2 + 1) the
 height of the log canonical bundle (V > 0) or its dual (V < 0), normalized by
-the volume-1 Kahler-Einstein metric, is given in closed form through
+the volume-1 Kahler-Einstein metric, is one closed form, :func:`h_can`, in
+which the sign of V picks the polarity.  It is built from
 
     gamma(a, b) = integral over [a, b] of ln(Gamma(x)/Gamma(1-x)) dx,
 
 evaluated via the Hurwitz-zeta primitive in :mod:`orbiheight.specfun`.  The
-wall V = 0 is excluded from the two closed-form branches; its value is the
+wall V = 0 is excluded from the closed form; its value is the
 log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
-closed forms approach as one-sided limits.  That integral is the N = 1 case
+signed height approaches from both sides.  That integral is the N = 1 case
 of the Dotsenko-Fateev Gamma product behind the period route, so it too is
 a closed form in ln Gamma; the nested quadrature of the integral lives in
 the tests as an independent oracle.
@@ -20,7 +21,7 @@ the tests as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .specfun import EvalResult, digamma, log_gamma, loggamma_ratio_integral
 
@@ -29,6 +30,7 @@ __all__ = [
     "RamIndices",
     "volume",
     "k_semistable",
+    "h_can",
     "h_can_positive",
     "h_can_fano",
     "h_pet",
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 _WALL_TOL = 1e-12
-_V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt margin below weight 1
+_V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt distance below weight 1
 _EPS = math.ulp(1.0)
 
 
@@ -51,6 +53,7 @@ class WeightVector:
     """Weights of the divisor components at {0, 1, infinity}."""
 
     w: tuple[float, float, float]
+    volume: float = field(init=False, repr=False, compare=False)  # V = w1 + w2 + w3 - 2
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.w)
@@ -60,10 +63,7 @@ class WeightVector:
             if not (0.0 <= x <= 1.0):
                 raise ValueError(f"weights must lie in [0, 1], got {x!r}")
         object.__setattr__(self, "w", w)
-
-    @property
-    def volume(self) -> float:
-        return math.fsum(self.w) - 2.0
+        object.__setattr__(self, "volume", math.fsum(w) - 2.0)
 
     def __iter__(self):
         return iter(self.w)
@@ -100,50 +100,64 @@ def volume(w) -> float:
 
 
 def k_semistable(w) -> bool:
-    """0 <= w_i <= 1 and w_i <= V/2 + 1 (the latter is automatic once V >= 0)."""
+    """0 <= w_i <= 1 and w_i <= V/2 + 1 (the latter is automatic once V >= 0).
+
+    The wall is tested as w_i - V/2 <= 1, the upper end of the Gamma integral
+    the closed form evaluates, so every K-semistable point has a height.
+    """
     try:
         wv = _weights(w)
     except ValueError:
         return False
-    bound = wv.volume / 2.0 + 1.0
-    return all(x <= bound + _WALL_TOL for x in wv)
+    half = wv.volume / 2.0
+    return all(x - half <= 1.0 for x in wv)
+
+
+def h_can(w) -> EvalResult:
+    """Normalized canonical height of the log canonical bundle K when V > 0,
+    and of its dual -K when V < 0.
+
+    With s = sign V, the signed height s h is one closed form on both sides,
+
+        s h = -(1/2) ln pi + (s/2)(1 - ln(|V|/2))
+              - [gamma(0, |V|/2) + sum_i gamma(w_i, w_i - V/2)] / V,
+
+    which tends to the log Calabi-Yau value (:func:`faltings_log_cy`) from
+    either side.  err is the sum of the four gamma errors over |V|, plus
+    rounding.  Cusp weights w_i = 1 are allowed; V = 0 is not.
+    """
+    wv = _weights(w)
+    v = wv.volume
+    if abs(v) <= _WALL_TOL:
+        raise ValueError(f"the closed-form height requires V != 0, got V = {v!r} (V = 0 is the faltings height)")
+    if not k_semistable(wv):
+        raise ValueError(f"weights {wv.w} are not K-semistable")
+    s = math.copysign(1.0, v)
+    w1, w2, w3 = wv.w
+    half = v / 2.0
+    bracket = err = 0.0
+    for a, b in ((0.0, abs(half)), (w1, w1 - half), (w2, w2 - half), (w3, w3 - half)):
+        g = loggamma_ratio_integral(a, b)
+        bracket += g.value
+        err += g.err
+    signed = -0.5 * math.log(math.pi) + 0.5 * s * (1.0 - math.log(abs(half))) - bracket / v
+    return EvalResult(s * signed, err / abs(v) + 4e-16)
 
 
 def h_can_positive(w) -> EvalResult:
-    """Normalized canonical height of the log canonical bundle, V > 0.
-
-    f(w) = (1 - ln(pi V/2))/2 - [gamma(0, V/2) - sum_i gamma(w_i - V/2, w_i)] / V.
-    Cusp weights w_i = 1 are allowed.
-    """
+    """:func:`h_can` of the log canonical bundle; requires V > 0."""
     wv = _weights(w)
-    v = wv.volume
-    if v <= _WALL_TOL:
-        raise ValueError(f"h_can_positive requires V > 0, got V = {v!r}")
-    if not k_semistable(wv):
-        raise ValueError(f"weights {wv.w} are not K-semistable")
-    g0 = loggamma_ratio_integral(0.0, v / 2.0)
-    gi = [loggamma_ratio_integral(x - v / 2.0, x) for x in wv]
-    value = 0.5 * (1.0 - math.log(math.pi * v / 2.0)) - (g0.value - sum(g.value for g in gi)) / v
-    err = (g0.err + sum(g.err for g in gi)) / v + 4e-16
-    return EvalResult(value, err)
+    if wv.volume <= _WALL_TOL:
+        raise ValueError(f"h_can_positive requires V > 0, got V = {wv.volume!r}")
+    return h_can(wv)
 
 
 def h_can_fano(w) -> EvalResult:
-    """Normalized canonical height of the anti-log-canonical bundle, V < 0.
-
-    (1 + ln(pi/(-V/2)))/2 + [gamma(0, -V/2) + sum_i gamma(w_i, w_i - V/2)] / V.
-    """
+    """:func:`h_can` of the anti-log-canonical bundle; requires V < 0."""
     wv = _weights(w)
-    v = wv.volume
-    if v >= -_WALL_TOL:
-        raise ValueError(f"h_can_fano requires V < 0, got V = {v!r}")
-    if not k_semistable(wv):
-        raise ValueError(f"weights {wv.w} are not K-semistable")
-    g0 = loggamma_ratio_integral(0.0, -v / 2.0)
-    gi = [loggamma_ratio_integral(x, x - v / 2.0) for x in wv]
-    value = 0.5 * (1.0 + math.log(math.pi / (-v / 2.0))) + (g0.value + sum(g.value for g in gi)) / v
-    err = (g0.err + sum(g.err for g in gi)) / (-v) + 4e-16
-    return EvalResult(value, err)
+    if wv.volume >= -_WALL_TOL:
+        raise ValueError(f"h_can_fano requires V < 0, got V = {wv.volume!r}")
+    return h_can(wv)
 
 
 def h_pet(w) -> EvalResult:
@@ -163,14 +177,8 @@ def h_pi_normalized(w) -> EvalResult:
     + for the log canonical side (V > 0), - for the Fano side (V < 0).
     """
     wv = _weights(w)
-    v = wv.volume
-    if v > _WALL_TOL:
-        h = h_can_positive(wv)
-        return EvalResult(h.value + 0.5 * math.log(math.pi), h.err)
-    if v < -_WALL_TOL:
-        h = h_can_fano(wv)
-        return EvalResult(h.value - 0.5 * math.log(math.pi), h.err)
-    raise ValueError("pi-normalized height is undefined at V = 0")
+    h = h_can(wv)
+    return EvalResult(h.value + math.copysign(0.5 * math.log(math.pi), wv.volume), h.err)
 
 
 def four_point_h_can(w0: float, w1: float, winf: float) -> EvalResult:
@@ -249,25 +257,19 @@ def bound_linear_fano(w) -> float:
     return 0.5 * (1.0 + math.log(math.pi)) + 0.25 * (1.0 + math.log(0.75)) * math.fsum(wv.w)
 
 
-def bound_semiample(w, literal: bool = False) -> float:
+def bound_semiample(w) -> float:
     """Linear upper bound for the semi-ample-side height, touching at w = (2/3)^3:
 
         -(1/2) ln pi + (3/2) ln(Gamma(2/3)/Gamma(1/3)) + slope * (w1+w2+w3-2),
 
     slope = (1/4) (euler_gamma + (psi(2/3) + psi(1/3))/2) per unit of V.
     The touching-point derivative along the diagonal (t, t, t) in t is three
-    times that; one printed form applies the t-derivative to V = 3(t - 2/3)
-    directly and writes Gamma'(1/3)/Gamma(2/3) for psi(1/3), which makes the
-    claimed bound fail numerically just past the wall.  `literal=True`
-    reproduces that display verbatim for comparison; the default is the
-    variant that actually majorizes the height (checked on a grid in tests).
+    times that.  One printed form applies the t-derivative to V = 3(t - 2/3)
+    directly and writes Gamma'(1/3)/Gamma(2/3) for psi(1/3); that slope fails
+    as a bound just past the wall (the tests keep it as a counterexample).
     """
     wv = _weights(w)
     const = -0.5 * math.log(math.pi) + 1.5 * (log_gamma(2.0 / 3.0).value - log_gamma(1.0 / 3.0).value)
     euler_gamma = -digamma(1.0).value
-    if literal:
-        second = digamma(1.0 / 3.0).value * math.exp(log_gamma(1.0 / 3.0).value - log_gamma(2.0 / 3.0).value)
-        slope = 0.75 * (euler_gamma + 0.5 * (digamma(2.0 / 3.0).value + second))
-    else:
-        slope = 0.25 * (euler_gamma + 0.5 * (digamma(2.0 / 3.0).value + digamma(1.0 / 3.0).value))
+    slope = 0.25 * (euler_gamma + 0.5 * (digamma(2.0 / 3.0).value + digamma(1.0 / 3.0).value))
     return const + slope * (math.fsum(wv.w) - 2.0)

@@ -13,9 +13,10 @@ h = V / (2(N-1)))
               l((j+1) h) / [ l(w1 - j h) l(w2 - j h) l(w3 - j h) ],
 
 and -(1/2N) log Z_N converges, with gap c_1/N + O(1/N^2), to the canonical
-height of the log canonical bundle; for the Fano polarity (V < 0) the
-analogous product uses -l(-x) on the negative axis and +(1/2N) log Z_N
-converges to the canonical height of the dual.  ``df_log_z`` evaluates the product
+height of the log canonical bundle.  The same product with h < 0 serves the
+Fano polarity (V < 0), where each l at a negative argument enters as -l
+(positive on (-1, 0)), and +(1/2N) log Z_N converges to the canonical height
+of the dual; the sign of V picks the polarity.  ``df_log_z`` evaluates the product
 entirely in log-gamma space with exact sign bookkeeping (no overflow up to
 N = 10^6); ``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
 integration, independent of everything gamma.
@@ -32,7 +33,7 @@ from typing import Literal, Sequence
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from .heights import WeightVector, h_can_fano, h_can_positive, k_semistable
+from .heights import WeightVector, h_can
 from .specfun import EvalResult
 
 __all__ = [
@@ -47,44 +48,39 @@ __all__ = [
 Polarity = Literal["canonical", "anticanonical"]
 
 
+_WALL_DISTANCE = 1e-3
+
+
 @dataclass(frozen=True)
 class PeriodConfig:
     """Input bundle for the period formulas.
 
-    `margin` is the required distance of every Gamma-ratio argument from the
-    poles/zeros at 0 and 1; configurations closer than that to a stability
-    wall are rejected rather than regularized.
+    The denominator arguments w_i - j h of the product run from w_i to
+    w_i - V/2; every one of them must stay at least ``_WALL_DISTANCE`` from
+    the poles and zeros of l at 0 and 1, and |V| at least twice that.  Configurations closer than that
+    to a stability wall are rejected rather than regularized.  The polarity
+    must match the sign of V.
     """
 
     N: int
     w: WeightVector
     polarity: Polarity = "canonical"
-    margin: float = 1e-3
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N!r}")
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
         if self.polarity not in ("canonical", "anticanonical"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
         wv = self.w if isinstance(self.w, WeightVector) else WeightVector(tuple(self.w))
         object.__setattr__(self, "w", wv)
-        if not k_semistable(wv):
-            raise ValueError(f"weights {wv.w} are not K-semistable")
         v = wv.volume
-        if self.polarity == "canonical":
-            if v < 2.0 * self.margin:
-                raise ValueError(f"canonical polarity needs V > 0 with margin, got V = {v!r}")
-            if max(wv) > 1.0 - self.margin:
-                raise ValueError("a weight is within margin of 1 (not klt with margin)")
-        else:
-            if v > -2.0 * self.margin:
-                raise ValueError(f"anticanonical polarity needs V < 0 with margin, got V = {v!r}")
-            if min(wv) < self.margin:
-                raise ValueError("a weight is within margin of 0 (not K-stable with margin)")
-            if max(wv) > v / 2.0 + 1.0 - self.margin:
-                raise ValueError("weights are within margin of the stability wall")
+        d = _WALL_DISTANCE
+        if (v if self.polarity == "canonical" else -v) < 2.0 * d:
+            side = ">" if self.polarity == "canonical" else "<"
+            raise ValueError(f"{self.polarity} polarity needs V {side} 0 by at least {2.0 * d}, got V = {v!r}")
+        # w_i and w_i - V/2 in [d, 1 - d], the latter read as a range for w_i
+        if not all(d <= x <= 1.0 - d and v / 2.0 + d <= x <= v / 2.0 + 1.0 - d for x in wv):
+            raise ValueError(f"weights {wv.w} are within {d} of a stability wall")
 
 
 def _log_l(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,28 +96,25 @@ def _log_l(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _df_terms(cfg: PeriodConfig) -> tuple[float, np.ndarray, int]:
     """(prefactor, per-j terms, sign) of log Z_N; terms has length N.
 
-    prefactor = log N! + N (log pi - log l(+-h)); term_j = numerator - the
-    three denominator factors.  The overall sign of Z_N must come out +1.
+    prefactor = log N! + N (log pi - log |l(h)|); term_j = numerator - the
+    three denominator factors.  h = V/(2(N-1)) carries the sign of V, so one
+    set of arguments serves both polarities; the Fano product reads -l(x) for
+    each l at a negative argument (positive on (-1, 0)).  The overall sign of
+    Z_N must come out +1.
     """
     n = cfg.N
     v = cfg.w.volume
     j = np.arange(n, dtype=float)
-    fano = cfg.polarity == "anticanonical"
-    h = abs(v) / (2.0 * (n - 1))
-    if fano:
-        num, s_num = _log_l(-(j + 1.0) * h)
-        s_num = -s_num  # the Fano product uses -l(-x), positive on (-1, 0)
-        first, s_first = _log_l(np.array([-h]))
-        s_first = -s_first
-        den_args = [cfg.w.w[k] + j * h for k in range(3)]
-    else:
-        num, s_num = _log_l((j + 1.0) * h)
-        first, s_first = _log_l(np.array([h]))
-        den_args = [cfg.w.w[k] - j * h for k in range(3)]
+    h = v / (2.0 * (n - 1))
+    num, s_num = _log_l((j + 1.0) * h)
+    first, s_first = _log_l(np.array([h]))
     sign = float(np.prod(s_num))
+    if v < 0.0:  # -l in each of the N numerator factors and in the prefactor
+        sign *= (-1.0) ** n
+        s_first = -s_first
     dens = []
-    for arg in den_args:
-        d, s = _log_l(arg)
+    for x in cfg.w:
+        d, s = _log_l(x - j * h)
         dens.append(d)
         sign *= float(np.prod(s))
     if s_first[0] <= 0.0:
@@ -160,13 +153,13 @@ class ConvergenceRow:
     gap: float
 
 
-def convergence_report(w, polarity: Polarity, n_list: Sequence[int], margin: float = 1e-3) -> list[ConvergenceRow]:
+def convergence_report(w, polarity: Polarity, n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Rows (N, height estimate, gap to the closed form) for each N."""
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
-    closed = h_can_positive(wv) if polarity == "canonical" else h_can_fano(wv)
+    closed = h_can(wv)
     rows = []
     for n in n_list:
-        est = height_from_periods(PeriodConfig(N=int(n), w=wv, polarity=polarity, margin=margin))
+        est = height_from_periods(PeriodConfig(N=int(n), w=wv, polarity=polarity))
         rows.append(ConvergenceRow(N=int(n), estimate=est.value, gap=est.value - closed.value))
     return rows
 

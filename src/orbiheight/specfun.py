@@ -33,9 +33,7 @@ from scipy import integrate, special
 
 __all__ = [
     "EvalResult",
-    "SignedLog",
     "log_gamma",
-    "log_gamma_signed",
     "digamma",
     "bernoulli2",
     "hurwitz_zeta",
@@ -90,20 +88,6 @@ class EvalResult:
         return self.value
 
 
-@dataclass(frozen=True)
-class SignedLog:
-    """log |y| together with sign(y); sign 0 encodes y = 0 (log_abs = -inf)."""
-
-    log_abs: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0 and self.log_abs != -math.inf:
-            raise ValueError("sign 0 requires log_abs = -inf")
-
-
 def _finite(v: float, name: str, x: float) -> float:
     """v itself, or ValueError when name(x) overflowed double precision."""
     if not math.isfinite(v):
@@ -117,18 +101,6 @@ def log_gamma(x: float) -> EvalResult:
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
     v = _finite(float(special.gammaln(x)), "log_gamma", x)
     return EvalResult(v, 4.0 * _EPS * max(1.0, abs(v)))
-
-
-def log_gamma_signed(x: float) -> SignedLog:
-    """(ln |Gamma(x)|, sign Gamma(x)) for real x away from the poles 0, -1, -2, ...
-
-    For x < 0 the sign is (-1)^ceil(-x), equivalently the sign of sin(pi x).
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"log_gamma_signed requires finite x, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"Gamma has a pole at x = {x!r}")
-    return SignedLog(_finite(float(special.gammaln(x)), "log_gamma_signed", x), int(special.gammasgn(x)))
 
 
 def digamma(x: float) -> EvalResult:

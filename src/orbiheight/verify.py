@@ -214,7 +214,7 @@ def semistable_grid(n: int):
 
 
 def _signed_height(w) -> float:
-    return hg.h_can_positive(w).value if hg.volume(w) > 0 else -hg.h_can_fano(w).value
+    return math.copysign(1.0, hg.volume(w)) * hg.h_can(w).value
 
 
 _SHARP_BOUND = -0.5 * (1.0 + math.log(math.pi))
@@ -248,12 +248,9 @@ def _concavity(seed, n):
             continue
         mid = tuple(0.5 * (a + b) for a, b in zip(wa, wb))
         va, vb = hg.volume(wa), hg.volume(wb)
-        if va > 1e-3 and vb > 1e-3:
-            ha, hb, hm = (hg.h_can_positive(x).value for x in (wa, wb, mid))
-        elif va < -1e-3 and vb < -1e-3:
-            ha, hb, hm = (-hg.h_can_fano(x).value for x in (wa, wb, mid))
-        else:
+        if not (min(va, vb) > 1e-3 or max(va, vb) < -1e-3):
             continue
+        ha, hb, hm = (_signed_height(x) for x in (wa, wb, mid))
         worst = max(worst, 0.5 * (ha + hb) - hm)
         done += 1
     return worst
@@ -275,9 +272,8 @@ def _permutation_symmetry(seed, n, perms):
         w = tuple(rng.uniform(0.0, 1.0, size=3).tolist())
         if not hg.k_semistable(w) or abs(hg.volume(w)) < 1e-2:
             continue
-        fn = hg.h_can_positive if hg.volume(w) > 0 else hg.h_can_fano
-        ref = fn(w).value
-        worst = max([worst, *(abs(fn(tuple(w[i] for i in p)).value - ref) for p in perms)])
+        ref = hg.h_can(w).value
+        worst = max([worst, *(abs(hg.h_can(tuple(w[i] for i in p)).value - ref) for p in perms)])
         done += 1
     return worst
 
@@ -291,8 +287,8 @@ def _continuation(above, below):
     # the signed height +-h extends across V = 0 with the V = 0 value given
     # by the normalization integral: lim h_can(K) = lim -h_can(-K) = h_CY
     limits = (hg.faltings_log_cy((2.0 / 3.0,) * 3).value, _log_cy_constant())
-    his = [hg.h_can_positive((2.0 / 3.0 + v / 3.0,) * 3).value for v in above]
-    los = [-hg.h_can_fano((2.0 / 3.0 - v / 3.0,) * 3).value for v in below]
+    his = [_signed_height((2.0 / 3.0 + v / 3.0,) * 3) for v in above]
+    los = [_signed_height((2.0 / 3.0 - v / 3.0,) * 3) for v in below]
     return max([*(abs(h - c) for h in his + los for c in limits), *(abs(a - b) for a in his for b in los)])
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from orbiheight import verify as vf
 from orbiheight.cli import main
 from orbiheight.lcombo import LogCombo
 
@@ -35,6 +36,9 @@ def test_invalid_weights_exit_code(capsys):
     assert "K-semistability" in err
     code, _, err = run(capsys, "height", "--weights", "0.5,0.5")
     assert code == 1
+    code, _, err = run(capsys, "height", "--weights", "0.5000000000005,0.25,0.25")  # just past the wall
+    assert code == 1
+    assert "K-semistability" in err and "index [0]" in err
 
 
 def test_shimura_json(capsys):
@@ -104,6 +108,8 @@ def test_specfun_kernels(capsys):
     assert code == 1 and "argument" in err
 
 
+# Case ids are positional (argv0, argv1, ...): replace a retired case in
+# place or append a new one at the end, so the ids of the others stay put.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -112,14 +118,13 @@ def test_specfun_kernels(capsys):
         ("specfun", "digamma", "1e-320"),
         ("specfun", "bernoulli2", "1e200"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "0"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--prec", "0"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "0"),
         ("fermat", "--m", "4", "--a", "1,2"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--prec", "0.01"),
+        ("shimura", "--case", "nosuch"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--budget", "1000"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--budget", "1000"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "quadrature", "--prec", "0.01"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo",
-         "--budget", "1000", "--prec", "0.01"),
+        ("specfun", "dedekind_log_deriv", "--field", "Qsqrt99"),
+        ("height", "--ram", "2,3"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--seed", "5"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle-n", "3"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--scheme", "monte-carlo"),
@@ -132,22 +137,31 @@ def test_invalid_input_is_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_verify_suite_exit_codes(capsys):
+def test_verify_suite_exit_codes(capsys, monkeypatch):
+    # the plumbing only, on a stand-in registry of one passing and one
+    # failing check; the real checks run in test_acceptance.py
+    checks = [vf.Check("shimura", "passes", lambda: 0.0, 0.0), vf.Check("fermat", "fails", lambda: (False, "by design"))]
+    monkeypatch.setattr(vf, "CHECKS", checks)
     code, out, _ = run(capsys, "verify", "--suite", "shimura")
     assert code == 0
-    assert "PASS" in out and "FAIL" not in out
-    # the fermat suite includes the bound-chain inequality, which passes
+    assert out.splitlines() == ["PASS  passes  [max residual 0.000e+00 (tol 0.0e+00)]", "1/1 checks passed"]
     code, out, _ = run(capsys, "verify", "--suite", "fermat", "--format", "json")
-    assert code == 0
+    assert code == 2
+    fails = {"name": "fails", "passed": False, "detail": "by design"}
+    assert json.loads(out) == {"suite": "fermat", "passed": 0, "failed": 1, "checks": [fails]}
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 2
     doc = json.loads(out)
-    by_name = {c["name"]: c["passed"] for c in doc["checks"]}
-    assert by_name["bound chain h_can + gap <= second bound on [4, 60]"] is True
-    assert all(by_name.values())
+    assert (doc["suite"], doc["passed"], doc["failed"]) == ("all", 1, 1)
+    assert [c["name"] for c in doc["checks"]] == ["passes", "fails"]
 
 
 def test_usage_error_prints_flags():
     with pytest.raises(SystemExit):
         main(["height"])  # missing required group
     with pytest.raises(SystemExit) as exc:
-        main(["height", "--weights", "0.8,0.8,0.8", "--prec", "0.01"])  # --prec belongs to periods
+        main(["height", "--weights", "0.8,0.8,0.8", "--prec", "0.01"])  # no subcommand takes --prec
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--prec", "0.01"])
     assert exc.value.code == 2

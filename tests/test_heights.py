@@ -19,6 +19,7 @@ from orbiheight.heights import (
     faltings_log_cy,
     four_point_h_can,
     fujita_height_pn,
+    h_can,
     h_can_fano,
     h_can_positive,
     h_pet,
@@ -27,7 +28,7 @@ from orbiheight.heights import (
     shift_by_a,
     volume,
 )
-from orbiheight.specfun import hurwitz_zeta_ds, log_gamma
+from orbiheight.specfun import digamma, hurwitz_zeta_ds, log_gamma
 
 LN = math.log
 HALF_1_LNPI = 0.5 * (1.0 + LN(math.pi))
@@ -51,6 +52,11 @@ def test_volume_and_types():
 def test_k_semistable():
     assert k_semistable((0.0, 0.0, 0.0))  # V = -2, bound 0, all weights 0
     assert not k_semistable((0.9, 0.0, 0.0))  # bound 0.45 < 0.9
+    assert k_semistable((0.5, 0.25, 0.25))  # on the wall w1 = V/2 + 1
+    # 5e-14 past the wall: outside, as the closed form sees it (w3 - V/2 > 1)
+    assert not k_semistable((0.0, 0.0, 1e-13))
+    with pytest.raises(ValueError, match="K-semistable"):
+        h_can((0.0, 0.0, 1e-13))
     rng = np.random.default_rng(5)
     for _ in range(50):
         w = tuple(rng.uniform(0.0, 1.0, size=3))
@@ -80,6 +86,60 @@ def test_h_can_fano_values():
     assert h_can_fano(w).value == pytest.approx(0.5 + 0.5 * LN(math.pi) + LN(48.0) / 8.0, abs=1e-9)
     with pytest.raises(ValueError):
         h_can_fano((5 / 6, 5 / 6, 5 / 6))
+
+
+def _h_can_mp(w) -> mpmath.mpf:
+    """The two closed forms of the height, each side as its own formula, at 20
+    digits from the primitive P(x) = zeta(-1, x) + zeta'(-1, x):
+
+        V > 0:  (1 - ln(pi V/2))/2 - [gamma(0, V/2) - sum_i gamma(w_i - V/2, w_i)] / V
+        V < 0:  (1 + ln(pi/(-V/2)))/2 + [gamma(0, -V/2) + sum_i gamma(w_i, w_i - V/2)] / V
+    """
+    with mpmath.workdps(20):
+        w = [mpmath.mpf(x) for x in w]
+        v = sum(w) - 2
+
+        def prim(x):  # continued to x = 0 by its value at 1
+            x = x if x > 0 else mpmath.mpf(1)
+            return mpmath.zeta(-1, x) + mpmath.zeta(-1, x, 1)
+
+        def gamma(a, b):
+            return prim(b) + prim(1 - b) - prim(a) - prim(1 - a)
+
+        if v > 0:
+            bracket = gamma(0, v / 2) - sum(gamma(x - v / 2, x) for x in w)
+            return (1 - mpmath.log(mpmath.pi * v / 2)) / 2 - bracket / v
+        bracket = gamma(0, -v / 2) + sum(gamma(x, x - v / 2) for x in w)
+        return (1 + mpmath.log(mpmath.pi / (-v / 2))) / 2 + bracket / v
+
+
+@st.composite
+def _stable_weights(draw):
+    """A point of the stability region, drawn directly rather than filtered
+    out of the unit cube, where Hypothesis's lean to edge values such as 0
+    puts most draws outside it. There w_i <= V/2 + 1 reads w_i <= w_j + w_k,
+    so w = (b + c, a + c, a + b) with a, b, c >= 0, and w_i <= 1 bounds each
+    pairwise sum by 1."""
+    a = draw(st.floats(min_value=0.0, max_value=1.0))
+    b = draw(st.floats(min_value=0.0, max_value=1.0 - a))
+    c = draw(st.floats(min_value=0.0, max_value=1.0 - max(a, b)))
+    return (min(b + c, 1.0), min(a + c, 1.0), min(a + b, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_weights())
+@example((1.0, 0.9, 1.0))
+@example((0.0, 0.0, 0.0))
+@example((0.75, 0.75, 0.75))
+@example((0.5, 0.5, 0.5))
+@example((0.75, 0.75, math.nextafter(0.501, 1.0)))  # V = +1e-3
+@example((0.75, 0.75, math.nextafter(0.499, 0.0)))  # V = -1e-3
+def test_h_can_against_mpmath(w):
+    # both polarities of the stability region, |V| >= 1e-3; the guard
+    # drops only float-rounding strays off the wall and the band |V| < 1e-3
+    assume(k_semistable(w) and abs(volume(w)) >= 1e-3)
+    r = h_can(w)
+    assert abs(mpmath.mpf(r.value) - _h_can_mp(w)) <= r.err
 
 
 def test_two_point_identity():
@@ -278,12 +338,19 @@ def test_linear_bounds():
     w23 = (2.0 / 3.0,) * 3
     const = -0.5 * LN(math.pi) + 1.5 * (log_gamma(2.0 / 3.0).value - log_gamma(1.0 / 3.0).value)
     assert bound_semiample(w23) == pytest.approx(const, abs=1e-12)
-    assert bound_semiample(w23, literal=True) == pytest.approx(const, abs=1e-12)
-    # the literal printed slope differs away from the touching point (and
-    # fails as a bound just past the wall, which is why it is not the default)
+    # the printed slope applies the t-derivative to V directly and writes
+    # Gamma'(1/3)/Gamma(2/3) for psi(1/3); it differs away from the touching
+    # point and fails as a bound just past the wall, which is why it is not shipped
+    ratio = math.exp(log_gamma(1.0 / 3.0).value - log_gamma(2.0 / 3.0).value)
+    second = digamma(1.0 / 3.0).value * ratio
+    printed_slope = 0.75 * (-digamma(1.0).value + 0.5 * (digamma(2.0 / 3.0).value + second))
+
+    def printed(w):
+        return const + printed_slope * (math.fsum(w) - 2.0)
+
     w = (0.8, 0.8, 0.8)
-    assert abs(bound_semiample(w) - bound_semiample(w, literal=True)) > 1e-3
-    assert h_can_positive((0.67,) * 3).value > bound_semiample((0.67,) * 3, literal=True)
+    assert abs(bound_semiample(w) - printed(w)) > 1e-3
+    assert h_can_positive((0.67,) * 3).value > printed((0.67,) * 3)
     # the default slope is the actual touching-point derivative per unit V
     t0 = 2.0 / 3.0
     num_slope = (h_can_positive((t0 + 4e-4,) * 3).value - h_can_positive((t0 + 2e-4,) * 3).value) / 6e-4

@@ -16,16 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiheight import specfun
-from orbiheight.heights import h_can_fano, h_can_positive, k_semistable
+from orbiheight.heights import h_can, k_semistable
 from orbiheight.specfun import (
     EvalResult,
-    SignedLog,
     bernoulli2,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_gamma,
-    log_gamma_signed,
     loggamma_primitive,
     loggamma_ratio_integral,
     loggamma_ratio_integral_quad,
@@ -60,22 +58,6 @@ def test_log_gamma_classical_values():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-1.5)
-
-
-def test_log_gamma_signed():
-    # Gamma(-1/2) = -2 sqrt(pi), Gamma(-3/2) = 4 sqrt(pi) / 3
-    r = log_gamma_signed(-0.5)
-    assert r.sign == -1
-    assert r.log_abs == pytest.approx(math.log(2.0 * math.sqrt(math.pi)), rel=1e-14)
-    assert log_gamma_signed(2.0) == SignedLog(0.0, 1)
-    r = log_gamma_signed(-1.5)
-    assert r.sign == 1
-    assert r.log_abs == pytest.approx(math.log(4.0 * math.sqrt(math.pi) / 3.0), rel=1e-13)
-    for pole in (0.0, -1.0, -7.0):
-        with pytest.raises(ValueError):
-            log_gamma_signed(pole)
-    with pytest.raises(ValueError):
-        log_gamma_signed(1e308)  # ln Gamma overflows double precision
 
 
 def test_digamma_against_harmonic_oracle():
@@ -147,7 +129,7 @@ def test_loggamma_primitive_error_bound_against_mpmath(x):
 
 
 def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
-    # The same height formulas, once through the exact -B_2/2 kernel and once
+    # The same height formula, once through the exact -B_2/2 kernel and once
     # with zeta(-1, x) from the general-s Euler-Maclaurin kernel.  Both sit
     # inside a bracket divided by V, so they agree to 1e-12 before that division.
     rng = np.random.default_rng(2024)
@@ -157,10 +139,7 @@ def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
         if k_semistable(w) and abs(sum(w) - 2.0) > 1e-3:
             sample.append(w)
 
-    def height(w):
-        return (h_can_positive if sum(w) > 2.0 else h_can_fano)(w).value
-
-    hot = [height(w) for w in sample]
+    hot = [h_can(w).value for w in sample]
 
     def general_s_primitive(x):
         t = x if x > 0.0 else 1.0
@@ -169,7 +148,7 @@ def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
 
     monkeypatch.setattr(specfun, "_primitive", general_s_primitive)
     for w, h in zip(sample, hot):
-        assert abs(height(w) - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
+        assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
 
 
 def test_loggamma_ratio_integral_closed_vs_quadrature():
@@ -184,5 +163,3 @@ def test_eval_result_invariants():
     assert float(r) == r.value
     with pytest.raises(ValueError):
         EvalResult(1.0, -1e-3)
-    with pytest.raises(ValueError):
-        SignedLog(0.5, 0)
