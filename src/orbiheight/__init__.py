@@ -28,7 +28,6 @@ from .heights import (
     volume,
 )
 from .lcombo import LogCombo, Rational, rationalize
-from .periods import PeriodConfig, convergence_report, df_log_z, height_from_periods, mc_oracle_z
 from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_degree, optimal_pet_height, yuan_height
 from .specfun import (
     EvalResult,
@@ -44,3 +43,19 @@ from .specfun import (
 from .tables import TABLE1, TABLE2
 
 __version__ = "0.1.0"
+
+# The period route is the one public layer that needs numpy and scipy; its
+# names load it on first use (PEP 562), so importing the package does not.
+_PERIODS_NAMES = ("PeriodConfig", "convergence_report", "df_log_z", "height_from_periods", "mc_oracle_z")
+
+
+def __getattr__(name):
+    if name in _PERIODS_NAMES:
+        from . import periods
+
+        return getattr(periods, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_PERIODS_NAMES])

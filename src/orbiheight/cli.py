@@ -27,10 +27,8 @@ import sys
 
 from . import fermat as fm
 from . import heights as hg
-from . import periods as pd
 from . import shimura as sh
 from . import specfun as sf
-from . import verify as vf
 from .fields import dedekind_log_deriv, get_field
 from .lcombo import LogCombo
 
@@ -217,6 +215,8 @@ def _check_oracle_options(args) -> None:
 
 
 def _cmd_periods(args) -> int:
+    from . import periods as pd  # numpy and scipy load here, not at start-up
+
     _check_oracle_options(args)
     wv = _parse_weights(args.weights)
     n_list = [int(x) for x in args.n_list.split(",")]
@@ -262,6 +262,8 @@ def _cmd_faltings(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as vf  # numpy and scipy load here, not at start-up
+
     results = vf.run_suite(args.suite)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_faltings)
 
     p = sub.add_parser("verify", help="run an invariant suite (exit 2 on failure)")
-    p.add_argument("--suite", default="all", help="all | " + " | ".join(vf.SUITES))
+    p.add_argument("--suite", default="all", help="one invariant suite, or all of them (default: all)")
     p.set_defaults(fn=_cmd_verify)
     return ap
 

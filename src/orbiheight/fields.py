@@ -13,7 +13,9 @@ where each L-value comes from the finite Hurwitz-zeta sum
 
 at the character's own conductor f.  Using each character's conductor (the
 trivial character has conductor 1) is what removes the spurious Euler
-factors an imprimitive evaluation would introduce.
+factors an imprimitive evaluation would introduce.  At s = -1 the zeta
+values are the exact rationals zeta(-1, a/f) = -B_2(a/f)/2, so the
+general-s Hurwitz kernel runs only for other s.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
     "get_field",
     "load_fields",
 ]
+
+_EPS = math.ulp(1.0)
 
 
 _EXACT_ROOTS = {
@@ -143,6 +147,13 @@ class FieldSpec:
             pool.remove(match)
 
 
+def _zeta_m1(a: int, f: int) -> EvalResult:
+    """zeta(-1, a/f) = -B_2(a/f)/2, rounded once from the exact rational."""
+    t = Fraction(a, f)
+    v = float((t - t * t - Fraction(1, 6)) / 2)
+    return EvalResult(v, _EPS * abs(v))
+
+
 def dirichlet_L(s: float, chi: Character) -> ComplexEvalResult:
     """L(s, chi) by the finite Hurwitz sum at the character's modulus."""
     if s == 1.0 and chi.is_trivial:
@@ -152,7 +163,7 @@ def dirichlet_L(s: float, chi: Character) -> ComplexEvalResult:
     err = 0.0
     for a, ang in chi.angles.items():
         aa = a if f > 1 else 1
-        z = hurwitz_zeta(s, aa / f)
+        z = _zeta_m1(aa, f) if s == -1.0 else hurwitz_zeta(s, aa / f)
         w = _root_of_unity(ang)
         total += w * z.value
         err += z.err
@@ -172,7 +183,7 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     err = 0.0
     for a, ang in chi.angles.items():
         aa = a if f > 1 else 1
-        z = hurwitz_zeta(-1.0, aa / f)
+        z = _zeta_m1(aa, f)
         zd = hurwitz_zeta_ds(aa / f)
         w = _root_of_unity(ang)
         s_sum += w * z.value

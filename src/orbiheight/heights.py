@@ -56,12 +56,13 @@ class WeightVector:
     volume: float = field(init=False, repr=False, compare=False)  # V = w1 + w2 + w3 - 2
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
+        w = tuple(map(float, self.w))
         if len(w) != 3:
             raise ValueError("a weight vector has exactly three components")
-        for x in w:
-            if not (0.0 <= x <= 1.0):
-                raise ValueError(f"weights must lie in [0, 1], got {x!r}")
+        a, b, c = w
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):  # false for NaN too
+            bad = next(x for x in w if not 0.0 <= x <= 1.0)
+            raise ValueError(f"weights must lie in [0, 1], got {bad!r}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "volume", math.fsum(w) - 2.0)
 
@@ -91,7 +92,7 @@ def _weights(w) -> WeightVector:
         return w
     if isinstance(w, RamIndices):
         return w.weights()
-    return WeightVector(tuple(w))
+    return WeightVector(w)
 
 
 def volume(w) -> float:

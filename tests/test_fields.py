@@ -4,8 +4,10 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from orbiheight import fields
 from orbiheight.fields import (
     Character,
     builtin_fields,
@@ -15,7 +17,9 @@ from orbiheight.fields import (
     get_field,
     load_fields,
 )
+from orbiheight.lcombo import NAMED_CONSTANTS
 from orbiheight.specfun import hurwitz_zeta, hurwitz_zeta_ds
+from orbiheight.tables import TABLE1
 
 
 def test_builtin_fields_shape():
@@ -105,6 +109,49 @@ def test_dedekind_cubic_fields_real():
     for fid in ("Qcos7", "Qcos9"):
         r = dedekind_log_deriv(get_field(fid))
         assert math.isfinite(r.value)  # construction enforces Im < 1e-10
+
+
+def test_dedekind_log_deriv_runs_no_general_s_zeta(monkeypatch):
+    # at s = -1 the zeta values are exact rationals -B_2(a/f)/2
+    def general_s(s, x):
+        raise AssertionError(f"hurwitz_zeta({s}, {x}) called")
+
+    monkeypatch.setattr(fields, "hurwitz_zeta", general_s)
+    monkeypatch.setattr(fields, "_DD_CACHE", {})
+    for fs in builtin_fields().values():
+        assert math.isfinite(dedekind_log_deriv(fs).value)
+
+
+def _dedekind_log_deriv_mp(fs) -> mpmath.mpf:
+    """sum over characters of L'(-1)/L(-1), each L from mpmath's Hurwitz zeta."""
+    total = 0
+    for chi in fs.characters:
+        f = chi.modulus
+        terms = [(a if f > 1 else 1, mpmath.expjpi(2 * mpmath.mpf(k.numerator) / k.denominator)) for a, k in chi.angles.items()]
+
+        def L(s):
+            return mpmath.mpf(f) ** -s * sum(w * mpmath.zeta(s, mpmath.mpf(a) / f) for a, w in terms)
+
+        total += mpmath.diff(L, -1) / L(-1)
+    return total.real
+
+
+def test_table1_against_mpmath():
+    def q(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(30):
+        named = {"logGammaRatio23": mpmath.loggamma(mpmath.mpf(2) / 3) - mpmath.loggamma(mpmath.mpf(1) / 3), "EulerGamma": mpmath.euler}
+        assert set(named) == set(NAMED_CONSTANTS)
+        dd = {fid: _dedekind_log_deriv_mp(fs) / fs.degree for fid, fs in builtin_fields().items()}
+        for row in TABLE1:  # each row's Petersson height carries its field's zeta term
+            c = row.pet_height()
+            ref = q(c.q0) + q(c.c_logpi) * mpmath.log(mpmath.pi)
+            ref += sum(q(k) * mpmath.log(p) for p, k in c.logs.items())
+            ref += sum(q(k) * dd[fid] for fid, k in c.zeta_terms.items())
+            ref += sum(q(k) * named[n] for n, k in c.named.items())
+            r = c.evaluate()
+            assert abs(mpmath.mpf(r.value) - ref) <= r.err, row.indices
 
 
 def test_field_json_round_trip():

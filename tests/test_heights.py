@@ -43,8 +43,17 @@ def test_volume_and_types():
     assert volume((1.0, 1.0, 1.0)) == 1.0
     assert volume((5 / 6, 5 / 6, 5 / 6)) == pytest.approx(0.5, abs=1e-15)
     assert RamIndices((2, 3, math.inf)).weights().w == (0.5, 1.0 - 1.0 / 3.0, 1.0)
-    with pytest.raises(ValueError):
-        WeightVector((1.2, 0.0, 0.0))
+    assert WeightVector([1, 0.5, 0]).w == (1.0, 0.5, 0.0)  # any iterable, converted to floats
+    assert WeightVector(iter((0.25, 0.5, 0.75))).volume == -0.5
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="exactly three components"):
+            WeightVector((0.5,) * n)
+    for bad in (1.2, -0.1, math.nan, math.inf, -math.inf):  # NaN too, which a min/max test lets through
+        for i in range(3):
+            w = [0.5, 0.5, 0.5]
+            w[i] = bad
+            with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {bad!r}"):
+                WeightVector(tuple(w))
     with pytest.raises(ValueError):
         RamIndices((2, 3, 2.5))
 

@@ -60,6 +60,34 @@ def test_log_gamma_classical_values():
         log_gamma(-1.5)
 
 
+# log-uniform over the whole double range, plus uniform on [1e-300, 40], where math.lgamma's
+# Lanczos terms are largest against the result
+_GAMMA_ARGS = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    st.floats(min_value=1e-300, max_value=40.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GAMMA_ARGS)
+@example(1.0)
+@example(1.0 / 3.0)
+@example(2.0 / 3.0)
+@example(1.4616)  # near the root of psi
+@example(9.999)
+@example(10.0)
+@example(11.999)  # either side of the shift target of the psi series
+@example(12.0)
+@example(1e305)
+@example(3.176616773975298)  # the largest log_gamma error seen in dense scans, 7.1 eps
+@example(0.8270733956130889)  # the largest digamma error seen, 3.0 eps
+@example(0.8502022793849939)  # a left-to-right sum of the psi terms loses 8 eps here
+def test_log_gamma_and_digamma_error_bounds_against_mpmath(x):
+    with mpmath.workdps(30):
+        for r, exact in ((log_gamma(x), mpmath.loggamma(x)), (digamma(x), mpmath.digamma(x))):
+            assert abs(mpmath.mpf(r.value) - exact) <= r.err
+
+
 def test_digamma_against_harmonic_oracle():
     gamma_e = euler_gamma_oracle()
     assert digamma(1.0).value == pytest.approx(-gamma_e, abs=1e-11)
