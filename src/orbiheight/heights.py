@@ -9,7 +9,7 @@ which the sign of V picks the polarity.  It is built from
 
     gamma(a, b) = integral over [a, b] of ln(Gamma(x)/Gamma(1-x)) dx,
 
-evaluated via the Hurwitz-zeta primitive in :mod:`orbiheight.specfun`.  The
+evaluated via the odd-zeta series of :mod:`orbiheight.specfun`.  The
 wall V = 0 is excluded from the closed form; its value is the
 log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
 signed height approaches from both sides.  That integral is the N = 1 case
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import EvalResult, digamma, log_gamma, loggamma_ratio_integral
+from .specfun import EvalResult, _q, digamma, log_gamma
 
 __all__ = [
     "WeightVector",
@@ -124,8 +124,19 @@ def h_can(w) -> EvalResult:
               - [gamma(0, |V|/2) + sum_i gamma(w_i, w_i - V/2)] / V,
 
     which tends to the log Calabi-Yau value (:func:`faltings_log_cy`) from
-    either side.  err is the sum of the four gamma errors over |V|, plus
-    rounding.  Cusp weights w_i = 1 are allowed; V = 0 is not.
+    either side; each gamma(a, b) is Q(b) - Q(a) from the series of
+    :func:`orbiheight.specfun.loggamma_ratio_integral`.  Cusp weights
+    w_i = 1 are allowed; V = 0 is not.
+
+    err, over |V|, adds the eight series bounds, the rounding of the bracket's
+    additions and the rounding of each upper end b: fsum(w) - 2 is off V by
+    at most 2 eps, and b = w_i - V/2 by eps b plus half that.  A shift d of b
+    moves gamma by at most d (3 + |ln max(b, d)| + |ln max(1 - b, d)|), since
+    |ln(Gamma(x)/Gamma(1-x))| <= |ln x| + |ln(1-x)| + 0.13 and within d of b
+    a log term exceeds its value at b by at most ln 2, or integrates to at
+    most d (1 + |ln d|) next to its singularity.  The shift of V also enters
+    ln|V| and 1/V directly; a relative floor covers the rounding of the
+    outer sum.
     """
     wv = _weights(w)
     v = wv.volume
@@ -136,13 +147,20 @@ def h_can(w) -> EvalResult:
     s = math.copysign(1.0, v)
     w1, w2, w3 = wv.w
     half = v / 2.0
-    bracket = err = 0.0
+    bracket = mag = err = 0.0
     for a, b in ((0.0, abs(half)), (w1, w1 - half), (w2, w2 - half), (w3, w3 - half)):
-        g = loggamma_ratio_integral(a, b)
-        bracket += g.value
-        err += g.err
-    signed = -0.5 * math.log(math.pi) + 0.5 * s * (1.0 - math.log(abs(half))) - bracket / v
-    return EvalResult(s * signed, err / abs(v) + 4e-16)
+        qb, eb = _q(b)
+        qa, ea = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
+        err += eb + ea + d * (3.0 + abs(math.log(max(b, d))) + abs(math.log(max(1.0 - b, d))))
+    log_half = math.log(abs(half))
+    tail = bracket / v
+    signed = -0.5 * math.log(math.pi) + 0.5 * s * (1.0 - log_half) - tail
+    # eight additions of at most half an ulp of mag each; dV moves ln|V|/2 and bracket/V
+    err = (err + 4.0 * _EPS * mag + 2.0 * _EPS * (0.5 + abs(tail))) / abs(v)
+    return EvalResult(s * signed, err + 4.0 * _EPS * (1.0 + abs(log_half) + abs(tail)))
 
 
 def h_can_positive(w) -> EvalResult:

@@ -11,12 +11,17 @@ at s = -1.  The combination
 
 is an antiderivative of ln Gamma(x) - (1/2) ln 2pi on (0, 1), which is what
 makes the closed-form height formulas on the projective line possible: the
-integral of ln(Gamma(x)/Gamma(1-x)) over [a, b] collapses to four evaluations
-of it (``loggamma_ratio_integral``).
+integral of ln(Gamma(x)/Gamma(1-x)) over [a, b] is Q(b) - Q(a) with the
+symmetric sum Q(x) = P(x) + P(1-x), so it collapses to two evaluations of Q
+(``loggamma_ratio_integral``).  The Maclaurin series of ln Gamma(1 + t) and
+ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a short series in x^2
+with odd zeta values as coefficients, summed on [0, 1/2] and reflected by
+Q(x) = Q(1 - x).
 
 At s = -1 the zeta value itself is the polynomial -B_2(x)/2, so the
-primitive needs the Euler-Maclaurin sum only for the s-derivative; the
-general-s ``hurwitz_zeta`` stays as the reference the tests compare against.
+primitive needs the Euler-Maclaurin sum only for the s-derivative; it stays
+public as the reference the tests check the Q series against, and the
+general-s ``hurwitz_zeta`` as the reference for both.
 The kernels are plain ``math`` on floats (``log_gamma`` is ``math.lgamma``,
 ``digamma`` a recurrence plus its asymptotic series); only the quadrature
 twin ``loggamma_ratio_integral_quad`` imports scipy, when it is called, so
@@ -76,6 +81,39 @@ _N_TAIL = 12
 # B_2j/(2j) for j = _N_TAIL down to 1: the coefficients of y^(-2j) in the
 # asymptotic series of digamma (DLMF 5.11.2), in Horner order.
 _PSI_COEF_HORNER = [float(b / (2 * j)) for j, b in enumerate(_BERNOULLI_EVEN[:_N_TAIL], start=1)][::-1]
+
+_EULER_GAMMA = 0.5772156649015329
+# zeta(3), zeta(5), ..., zeta(45), each the double nearest the true value.
+_ZETA_ODD = (
+    1.2020569031595942,
+    1.03692775514337,
+    1.008349277381923,
+    1.0020083928260821,
+    1.0004941886041194,
+    1.0001227133475785,
+    1.000030588236307,
+    1.0000076371976379,
+    1.0000019082127165,
+    1.0000004769329869,
+    1.000000119219926,
+    1.0000000298035034,
+    1.0000000074507118,
+    1.0000000018626598,
+    1.0000000004656628,
+    1.0000000001164155,
+    1.0000000000291038,
+    1.000000000007276,
+    1.000000000001819,
+    1.0000000000004547,
+    1.0000000000001137,
+    1.0000000000000284,
+)
+# 2 zeta(k) / (k (k+1)), the coefficient of -x^(k+1) in the Q series, for odd
+# k = 45 down to 3: Horner order in x^2.
+_Q_COEF_HORNER = [2.0 * z / (k * (k + 1)) for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
+# On [0, 1/2] the omitted terms k >= 47 sum to at most _Q_TAIL x^48: the first,
+# 2 zeta(47) / (47 * 48) with zeta(47) < 1 + 1e-14, over 1 - x^2 >= 3/4.
+_Q_TAIL = 8.0 / (3.0 * 47 * 48) * (1.0 + 1e-14)
 
 
 @dataclass(frozen=True)
@@ -228,46 +266,71 @@ def hurwitz_zeta_ds(x: float) -> EvalResult:
     return EvalResult(_finite(value, "hurwitz_zeta_ds", x), err)
 
 
-@lru_cache(maxsize=1 << 12)
-def _primitive(x: float) -> tuple[float, float]:
-    """(loggamma_primitive(x), absolute error bound) for x in [0, 1].
-
-    zeta(-1, x) = -B_2(x)/2 exactly (a few ulps of rounding), so only the
-    s-derivative needs the Euler-Maclaurin sum.  Plain floats keep result
-    objects off the per-point path; the cache stays small because the
-    arguments of a sweep of fresh weights never repeat.
-    """
-    if x == 0.0:
-        x = 1.0
-    ds, err = _zeta_ds_m1(x)
-    return ds - 0.5 * bernoulli2(x), err + 4.0 * _EPS
-
-
 def loggamma_primitive(x: float) -> EvalResult:
     """zeta(-1, x) + d/ds zeta(s, x)|_{s=-1}, continued to x = 0 by the value at 1.
 
     On (0, 1) its x-derivative is ln Gamma(x) - (1/2) ln 2pi, so differences of
     this function integrate ln Gamma exactly.  Weights equal to 1 (cusps) use
     the x = 0 continuation, which keeps the height formulas uniform.
+    zeta(-1, x) = -B_2(x)/2 exactly, so only the s-derivative needs the
+    Euler-Maclaurin sum; err is its truncation and rounding bound, about
+    1e-11, plus 4 eps for the Bernoulli term.  The heights do not call it:
+    it is the reference the Q series of :func:`loggamma_ratio_integral` is
+    tested against.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"loggamma_primitive is defined on [0, 1], got {x!r}")
-    return EvalResult(*_primitive(x))
+    if x == 0.0:
+        x = 1.0
+    ds, err = _zeta_ds_m1(x)
+    return EvalResult(ds - 0.5 * bernoulli2(x), err + 4.0 * _EPS)
+
+
+@lru_cache(maxsize=1 << 12)
+def _q(x: float) -> tuple[float, float]:
+    """(Q(x) - Q(0), absolute error bound) for x in [0, 1], Q(x) = P(x) + P(1 - x).
+
+    Q' = ln Gamma(x) - ln Gamma(1 - x) = -ln x - 2 euler_gamma x
+    - 2 sum_{k odd >= 3} zeta(k) x^k / k on (0, 1) (DLMF 5.7.3), so for
+    0 <= x <= 1/2
+
+        Q(x) - Q(0) = x - x ln x - euler_gamma x^2 - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)),
+
+    summed through k = 45 by Horner in x^2 <= 1/4; x > 1/2 uses
+    Q(x) = Q(1 - x), where 1 - x is exact.  err: 4 eps (x - x ln x) bounds the
+    rounding of the log, the products and the two subtractions, since every
+    partial sum and euler_gamma x^2 are at most x - x ln x; 40 eps the
+    series' Horner steps and rounded coefficients; _Q_TAIL x^48 the omitted
+    terms.  Plain floats keep result objects off the per-point path; the cache
+    serves repeated weights (grids, tables), not a sweep of fresh ones.
+    """
+    if x > 0.5:
+        x = 1.0 - x
+    if x == 0.0:
+        return 0.0, 0.0
+    x2 = x * x
+    series = 0.0
+    for c in _Q_COEF_HORNER:
+        series = series * x2 + c
+    series *= x2 * x2
+    main = x - x * math.log(x)
+    return main - _EULER_GAMMA * x2 - series, _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
     """Closed form of the integral of ln(Gamma(x)/Gamma(1-x)) over [a, b].
 
-    Equals P(b) + P(1-b) - P(a) - P(1-a) with P = loggamma_primitive;
-    endpoints 0 and 1 are allowed (the log singularity is integrable).
+    Equals Q(b) - Q(a) for Q(x) = P(x) + P(1-x), P = loggamma_primitive, with
+    Q from its odd-zeta series; endpoints 0 and 1 are allowed (the log
+    singularity is integrable).  err is the two series bounds plus the
+    rounding of the difference.
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")
-    pb, eb = _primitive(b)
-    qb, fb = _primitive(1.0 - b)
-    pa, ea = _primitive(a)
-    qa, fa = _primitive(1.0 - a)
-    return EvalResult(pb + qb - pa - qa, eb + fb + ea + fa)
+    qb, eb = _q(b)
+    qa, ea = _q(a)
+    d = qb - qa
+    return EvalResult(d, eb + ea + 0.5 * _EPS * abs(d))
 
 
 def _lgamma_int(lo: float, hi: float) -> tuple[float, float]:
@@ -303,8 +366,8 @@ def loggamma_ratio_integral_quad(a: float, b: float) -> EvalResult:
     """Quadrature twin of :func:`loggamma_ratio_integral`.
 
     Integrates ln Gamma(x) - ln Gamma(1-x) by adaptive Gauss-Kronrod, with the
-    u^2 endpoint substitution at both ends; independent of the Hurwitz-zeta
-    route, so the pair forms a two-sided check.
+    u^2 endpoint substitution at both ends; independent of the odd-zeta
+    series, so the pair forms a two-sided check.
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")

@@ -15,12 +15,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import fermat as fm
 from . import fields as fl
 from . import heights as hg
-from . import periods as pd
 from . import shimura as sh
 from . import specfun as sf
 from . import tables as tb
@@ -63,6 +60,19 @@ class Check:
 CHECKS: list[Check] = []
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) bitwise, as a list: i * step + start, then stop."""
+    step = (stop - start) / (num - 1)
+    return [*(i * step + start for i in range(num - 1)), stop]
+
+
+def _rng(seed: int):
+    # numpy loads only in the checks that draw seeded samples
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def _register(suite: str, name: str, tol: float | None = None, criterion: str | None = None, **inputs):
     def add(fn):
         CHECKS.append(Check(suite, name, fn, tol, criterion, inputs))
@@ -76,7 +86,7 @@ def _register(suite: str, name: str, tol: float | None = None, criterion: str | 
 # ---------------------------------------------------------------------------
 
 # the 15-, 23- and 25-point grids on [0.05, 5], merged
-_RECURRENCE_XS = tuple(sorted({float(x) for k in (15, 23, 25) for x in np.linspace(0.05, 5.0, k)}))
+_RECURRENCE_XS = tuple(sorted({x for k in (15, 23, 25) for x in _linspace(0.05, 5.0, k)}))
 
 
 @_register("specfun", "hurwitz recurrence", 1e-11, "09", s_values=(-3.0, -1.0, 0.5, 2.0), xs=_RECURRENCE_XS)
@@ -99,7 +109,7 @@ def _ds_recurrence(xs):
 
 @_register("specfun", "Bernoulli identity zeta(-1,x) = -B2(x)/2", 1e-13, "09", seed=2024, n=200)
 def _bernoulli_identity(seed, n):
-    xs = np.random.default_rng(seed).uniform(1e-6, 2.0, size=n)
+    xs = _rng(seed).uniform(1e-6, 2.0, size=n)
     return max(abs(sf.hurwitz_zeta(-1.0, float(x)).value + sf.bernoulli2(float(x)) / 2.0) for x in xs)
 
 
@@ -137,13 +147,13 @@ def _primitive_derivative(xs, h):
 
 @_register("specfun", "closed form vs quadrature", 1e-9, "09", seed=42, n=100, fixed=((0.1, 0.7),))
 def _closed_vs_quadrature(seed, n, fixed):
-    pairs = [*fixed, *np.random.default_rng(seed).uniform(0.02, 0.98, size=(n, 2)).tolist()]
+    pairs = [*fixed, *_rng(seed).uniform(0.02, 0.98, size=(n, 2)).tolist()]
     return max(abs(sf.loggamma_ratio_integral(a, b).value - sf.loggamma_ratio_integral_quad(a, b).value) for a, b in pairs)
 
 
 @_register("specfun", "two-point identity gamma(0,V/2) + gamma(1-V/2,1) = 0", 1e-10, "09", seed=7, n=50)
 def _two_point(seed, n):
-    vs = np.random.default_rng(seed).uniform(1e-3, 2.0 - 1e-3, size=n).tolist()
+    vs = _rng(seed).uniform(1e-3, 2.0 - 1e-3, size=n).tolist()
     return max(
         abs(sf.loggamma_ratio_integral(0.0, v / 2.0).value + sf.loggamma_ratio_integral(1.0 - v / 2.0, 1.0).value)
         for v in vs
@@ -207,7 +217,7 @@ def _table2_rows():
 
 def semistable_grid(n: int):
     """K-semistable points of the n^3 grid on [0, 1]^3, with V off the wall."""
-    vals = np.linspace(0.0, 1.0, n).tolist()
+    vals = _linspace(0.0, 1.0, n)
     for w in ((a, b, c) for a in vals for b in vals for c in vals):
         if hg.k_semistable(w) and abs(hg.volume(w)) >= 1e-9:
             yield w
@@ -239,7 +249,7 @@ def _semiample_bound(n):
 
 @_register("heights", "midpoint concavity (100 segments)", 1e-9, "10", seed=31415, n=100)
 def _concavity(seed, n):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst = 0.0
     done = 0
     while done < n:
@@ -265,7 +275,7 @@ def _concavity(seed, n):
     perms=((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)),
 )
 def _permutation_symmetry(seed, n, perms):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst = 0.0
     done = 0
     while done < n:
@@ -306,6 +316,8 @@ _W_FANO = (0.5, 0.5, 0.5)
 
 
 def _canonical_gaps(ns) -> list[float]:
+    from . import periods as pd
+
     f_ref = hg.h_can_positive(_W_CAN).value
     return [
         abs(pd.height_from_periods(pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN))).value - f_ref) for n in ns
@@ -332,11 +344,15 @@ def _canonical_rate(ns):
 
 @_register("periods", "anticanonical gap at N = 10^4", 1e-2, "05", n=10000)
 def _anticanonical_gap(n):
+    from . import periods as pd
+
     cfg = pd.PeriodConfig(N=n, w=hg.WeightVector(_W_FANO), polarity="anticanonical")
     return pd.height_from_periods(cfg).value - hg.h_can_fano(_W_FANO).value
 
 
-def _random_period_config(rng, n: int, polarity: str, lo: float, hi: float) -> pd.PeriodConfig:
+def _random_period_config(rng, n: int, polarity: str, lo: float, hi: float):
+    from . import periods as pd
+
     while True:
         try:
             return pd.PeriodConfig(N=n, w=hg.WeightVector(tuple(rng.uniform(lo, hi, size=3).tolist())), polarity=polarity)
@@ -356,7 +372,9 @@ def _df_sum(seed, ns, fixed_ns):
     # math.fsum is exact whatever the order of the terms, so it is the oracle
     # for the float reduction in df_log_z; seeded weights of both polarities
     # at each N of ns, and (3/4)^3 canonical at each N of fixed_ns
-    rng = np.random.default_rng(seed)
+    from . import periods as pd
+
+    rng = _rng(seed)
     cfgs = [pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN)) for n in fixed_ns]
     for polarity, lo, hi in (("canonical", 0.5, 1.0), ("anticanonical", 0.2, 0.65)):
         cfgs += [_random_period_config(rng, n, polarity, lo, hi) for n in ns]
@@ -378,6 +396,8 @@ def _stirling(n):
 
 
 def _direct_integration(polarity, w):
+    from . import periods as pd
+
     wv = hg.WeightVector(w)
     z_exact = math.exp(pd.df_log_z(pd.PeriodConfig(N=2, w=wv, polarity=polarity)).value)
     return pd.mc_oracle_z(2, wv, scheme="quadrature", polarity=polarity).value / z_exact - 1.0
@@ -465,7 +485,7 @@ def _second_constant():
     return fm.arakelov_upper_bound(4).second_constant.evaluate().value - hg.h_pi_normalized((0.75,) * 3).value
 
 
-@_register("fermat", "f(t,t,t) decreasing on [0.7, 0.95]", ts=tuple(np.linspace(0.7, 0.95, 26).tolist()))
+@_register("fermat", "f(t,t,t) decreasing on [0.7, 0.95]", ts=tuple(_linspace(0.7, 0.95, 26)))
 def _diagonal_decreasing(ts):
     vals = [hg.h_can_positive((t,) * 3).value for t in ts]
     return all(a > b for a, b in zip(vals, vals[1:])), ""

@@ -1,8 +1,8 @@
 """Start-up cost: the package and most subcommands load neither numpy nor scipy.
 
 Each case runs in a fresh interpreter, since this test process has long
-imported both.  Only the period route, ``verify`` and the quadrature twin
-need them.
+imported both.  Only the period route, the ``verify`` checks that draw
+seeded samples or run the period route, and the quadrature twin need them.
 """
 
 import json
@@ -39,6 +39,7 @@ def run_cli(*argv: str) -> str:
         run_cli("table1"),
         run_cli("specfun", "loggamma_primitive", "0.3"),
         run_cli("faltings", "--weights", "0.6,0.7,0.7"),
+        run_cli("verify", "--suite", "fermat"),
     ],
 )
 def test_no_numpy_or_scipy(code):
@@ -49,3 +50,15 @@ def test_period_names_load_on_first_use():
     code = "import orbiheight\nassert 'df_log_z' in dir(orbiheight)\nassert callable(orbiheight.df_log_z)"
     # the same probe sees numpy once the period route is used
     assert loaded_after(code) == [True, True]
+
+
+@pytest.mark.parametrize("start, stop, num", [(0.05, 5.0, 15), (0.05, 5.0, 23), (0.05, 5.0, 25), (0.0, 1.0, 20), (0.7, 0.95, 26)])
+def test_verify_grids_match_numpy_bitwise(start, stop, num):
+    # the registry builds its grids without numpy (_RECURRENCE_XS, the
+    # semistable grid, the diagonal of the fermat suite); the checks keep
+    # numpy's inputs to the last bit
+    import numpy as np
+
+    from orbiheight.verify import _linspace
+
+    assert [x.hex() for x in _linspace(start, stop, num)] == [x.hex() for x in np.linspace(start, stop, num).tolist()]

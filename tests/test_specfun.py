@@ -3,7 +3,8 @@
 Expected values come from four places only: exact classical identities
 (factorials, Bernoulli polynomials), brute-force limits computed inside the
 test (harmonic sums, Richardson-extrapolated finite differences), the
-quadrature twin and the general-s zeta kernel, and mpmath at 30 digits.
+quadrature twin, the Euler-Maclaurin primitive and the general-s zeta
+kernel, and mpmath at 30 digits.
 Nothing is asserted that was not computed here.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiheight import specfun
+from orbiheight import heights, specfun
 from orbiheight.heights import h_can, k_semistable
 from orbiheight.specfun import (
     EvalResult,
@@ -156,10 +157,11 @@ def test_loggamma_primitive_error_bound_against_mpmath(x):
         assert abs(mpmath.mpf(r.value) - exact) <= r.err
 
 
-def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
-    # The same height formula, once through the exact -B_2/2 kernel and once
-    # with zeta(-1, x) from the general-s Euler-Maclaurin kernel.  Both sit
-    # inside a bracket divided by V, so they agree to 1e-12 before that division.
+def test_heights_from_q_series_match_general_s_route(monkeypatch):
+    # The same height formula, once through the odd-zeta series for
+    # Q(x) = P(x) + P(1 - x) and once with Q from the primitive built on the
+    # general-s Euler-Maclaurin kernel.  Both sit inside a bracket divided by
+    # V, so they agree to 1e-12 before that division.
     rng = np.random.default_rng(2024)
     sample = []
     while len(sample) < 200:
@@ -171,12 +173,79 @@ def test_heights_from_s_minus_1_kernel_match_general_s_route(monkeypatch):
 
     def general_s_primitive(x):
         t = x if x > 0.0 else 1.0
-        z, zd = hurwitz_zeta(-1.0, t), hurwitz_zeta_ds(t)
-        return z.value + zd.value, z.err + zd.err
+        return hurwitz_zeta(-1.0, t).value + hurwitz_zeta_ds(t).value
 
-    monkeypatch.setattr(specfun, "_primitive", general_s_primitive)
+    p1 = general_s_primitive(1.0)
+
+    def general_s_q(x):
+        return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0
+
+    monkeypatch.setattr(heights, "_q", general_s_q)
     for w, h in zip(sample, hot):
         assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
+
+
+def test_zeta_literals_against_mpmath():
+    # the odd zeta values of the Q series are the doubles nearest the true values
+    assert len(specfun._ZETA_ODD) == 22
+    for k, z in zip(range(3, 47, 2), specfun._ZETA_ODD):
+        assert z == float(mpmath.zeta(k)), k
+    assert specfun._EULER_GAMMA == float(mpmath.euler)
+
+
+def _ratio_integral_mp(a, b):
+    """The integral of g(x) = ln(Gamma(x)/Gamma(1-x)) over [a, b] by mpmath
+    quadrature at 30 digits, with its own error estimate.
+
+    It is F(b) - F(a) for F(x) = integral of g over [0, x], and F(x) = F(1 - x)
+    since g is odd about 1/2, so each quadrature runs over [0, y] with
+    y <= 1/2, away from the pole of Gamma(1 - x) at 1.
+    """
+    with mpmath.workdps(30):
+        total = err = mpmath.mpf(0)
+        for x, sign in ((b, 1), (a, -1)):
+            y = min(mpmath.mpf(x), 1 - mpmath.mpf(x))  # 1 - x is exact at 30 digits
+            if y > 0:
+                v, e = mpmath.quad(lambda t: mpmath.loggamma(t) - mpmath.loggamma(1 - t), [0, y], error=True)
+                total += sign * v
+                err += e
+        return total, err
+
+
+_HALF_DOWN, _HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_UNIT, _UNIT)
+@example(0.0, 1.0)
+@example(0.0, 0.5)
+@example(_HALF_DOWN, _HALF_UP)
+@example(_HALF_UP, 0.5)
+@example(0.0, 1e-300)
+@example(1e-300, 1.0 - 2.0**-53)
+@example(1.0 - 2.0**-53, 1.0)
+def test_loggamma_ratio_integral_against_mpmath_quadrature(a, b):
+    r = loggamma_ratio_integral(a, b)
+    ref, ref_err = _ratio_integral_mp(a, b)
+    assert abs(mpmath.mpf(r.value) - ref) <= r.err + ref_err
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNIT, _UNIT)
+@example(0.0, 1.0)
+@example(0.0, 0.5)
+@example(_HALF_DOWN, _HALF_UP)
+@example(_HALF_UP, 0.5)
+@example(0.0, 1e-300)
+@example(1e-300, 1.0 - 2.0**-53)
+@example(1.0 - 2.0**-53, 1.0)
+def test_loggamma_ratio_integral_against_primitive_oracle(a, b):
+    # the P route P(b) + P(1-b) - P(a) - P(1-a), which the package no longer takes
+    r = loggamma_ratio_integral(a, b)
+    parts = [loggamma_primitive(x) for x in (b, 1.0 - b, a, 1.0 - a)]
+    oracle = parts[0].value + parts[1].value - parts[2].value - parts[3].value
+    assert abs(r.value - oracle) <= r.err + sum(p.err for p in parts)
 
 
 def test_loggamma_ratio_integral_closed_vs_quadrature():
