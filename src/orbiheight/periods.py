@@ -18,7 +18,8 @@ Fano polarity (V < 0), where each l at a negative argument enters as -l
 (positive on (-1, 0)), and +(1/2N) log Z_N converges to the canonical height
 of the dual; the sign of V picks the polarity.  ``df_log_z`` evaluates the product
 entirely in log-gamma space with exact sign bookkeeping (no overflow up to
-N = 10^6); ``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
+N = 10^6), a block of j-values at a time so its memory does not grow with N;
+``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
 integration, independent of everything gamma.
 """
 
@@ -93,24 +94,28 @@ def _log_l(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gammaln(x) - gammaln(1.0 - x), gammasgn(x) * gammasgn(1.0 - x)
 
 
-def _df_terms(cfg: PeriodConfig) -> tuple[float, np.ndarray, int]:
-    """(prefactor, per-j terms, sign) of log Z_N; terms has length N.
+_BLOCK = 8192
+
+
+def _df_terms(cfg: PeriodConfig, lo: int = 0, hi: int | None = None) -> tuple[float, np.ndarray, int]:
+    """(prefactor, per-j terms, sign) of log Z_N for j in [lo, hi) (default all N).
 
     prefactor = log N! + N (log pi - log |l(h)|); term_j = numerator - the
     three denominator factors.  h = V/(2(N-1)) carries the sign of V, so one
     set of arguments serves both polarities; the Fano product reads -l(x) for
-    each l at a negative argument (positive on (-1, 0)).  The overall sign of
-    Z_N must come out +1.
+    each l at a negative argument (positive on (-1, 0)).  sign is that of the
+    block's factors; over all N of them it must come out +1.
     """
     n = cfg.N
+    hi = n if hi is None else hi
     v = cfg.w.volume
-    j = np.arange(n, dtype=float)
+    j = np.arange(lo, hi, dtype=float)
     h = v / (2.0 * (n - 1))
     num, s_num = _log_l((j + 1.0) * h)
     first, s_first = _log_l(np.array([h]))
     sign = float(np.prod(s_num))
-    if v < 0.0:  # -l in each of the N numerator factors and in the prefactor
-        sign *= (-1.0) ** n
+    if v < 0.0:  # -l in each of the numerator factors and in the prefactor
+        sign *= (-1.0) ** (hi - lo)
         s_first = -s_first
     dens = []
     for x in cfg.w:
@@ -125,12 +130,21 @@ def _df_terms(cfg: PeriodConfig) -> tuple[float, np.ndarray, int]:
 
 
 def df_log_z(cfg: PeriodConfig) -> EvalResult:
-    """log Z_N via the closed-form Gamma-ratio product, in log space."""
-    prefactor, terms, sign = _df_terms(cfg)
+    """log Z_N via the closed-form Gamma-ratio product, in log space.
+
+    The N terms are evaluated _BLOCK at a time, so memory stays flat in N; the
+    block sums and |term| sums are combined by math.fsum.
+    """
+    sums, abs_sums, sign = [], [], 1
+    for lo in range(0, cfg.N, _BLOCK):
+        prefactor, terms, s = _df_terms(cfg, lo, min(lo + _BLOCK, cfg.N))
+        sums.append(float(np.sum(terms)))
+        abs_sums.append(float(np.sum(np.abs(terms))))
+        sign *= s
     if sign != 1:
         raise ValueError("sign bookkeeping yields Z_N <= 0: configuration is unstable")
-    total = prefactor + float(np.sum(terms))
-    err = 1e-15 * (abs(prefactor) + float(np.sum(np.abs(terms))) + 1.0)
+    total = prefactor + math.fsum(sums)
+    err = 1e-15 * (abs(prefactor) + math.fsum(abs_sums) + 1.0)
     return EvalResult(total, err)
 
 
@@ -188,11 +202,6 @@ def _integrability_check(n: int, wv: WeightVector, polarity: Polarity):
         raise ValueError("diagonal exponent not integrable: |V| >= N - 1")
 
 
-def _power_radius(u: np.ndarray, wexp: float, radius: float) -> np.ndarray:
-    """Radius samples with density proportional to r^(1 - 2 wexp) on (0, radius]."""
-    return radius * u ** (1.0 / (2.0 - 2.0 * wexp))
-
-
 class _Mixture:
     """Per-variable importance mixture matched to the integrand's punctures.
 
@@ -208,22 +217,29 @@ class _Mixture:
         self.bulk_radius = 1.75
         self.exps = (w1, w2, w3)
         self.probs = np.array([0.28, 0.28, 0.22, 0.22])
+        # rng.choice(4, p=probs) draws cdf.searchsorted(v, side="right") for
+        # v = rng.random(n): the number of edges cdf[k] <= v, as counted in sample
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
+        # per component, z = center + radius u^power e^{i flip ang}: power-law
+        # disks at 0 and 1 (power 1/(2 - 2w)), the inverted tail
+        # z = 1/(0.75 u^(1/(2 - 2w3)) e^{i ang}) and the uniform bulk disk
+        self._center = np.array([0.0, 1.0, 0.0, 0.0])
+        self._radius = np.array([self.radius, self.radius, 1.0 / self.radius, self.bulk_radius])
+        self._power = np.array([1.0 / (2.0 - 2.0 * w1), 1.0 / (2.0 - 2.0 * w2), -1.0 / (2.0 - 2.0 * w3), 0.5])
+        self._flip = np.array([1.0, 1.0, -1.0, 1.0])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        comp = rng.choice(4, size=n, p=self.probs)
+        v = rng.random(n)
+        comp = (v >= self._cdf[0]).astype(np.intp)
+        comp += v >= self._cdf[1]
+        comp += v >= self._cdf[2]
         u = rng.random(n)
         ang = rng.random(n) * 2.0 * math.pi
+        r = self._radius[comp] * u ** self._power[comp]
         z = np.empty(n, dtype=complex)
-        w1, w2, w3 = self.exps
-        for idx, (center, wexp) in enumerate(((0.0, w1), (1.0, w2))):
-            m = comp == idx
-            r = _power_radius(u[m], wexp, self.radius)
-            z[m] = center + r * np.exp(1j * ang[m])
-        m = comp == 2
-        r = _power_radius(u[m], w3, self.radius)
-        z[m] = 1.0 / (r * np.exp(1j * ang[m]))
-        m = comp == 3
-        z[m] = self.bulk_radius * np.sqrt(u[m]) * np.exp(1j * ang[m])
+        z.real = self._center[comp] + r * np.cos(ang)
+        z.imag = self._flip[comp] * r * np.sin(ang)
         return z
 
     def _comp_density(self, d: np.ndarray, wexp: float) -> np.ndarray:
@@ -238,19 +254,19 @@ class _Mixture:
 
     def density(self, z: np.ndarray) -> np.ndarray:
         w1, w2, w3 = self.exps
-        q = self.probs[0] * self._comp_density(np.abs(z), w1)
+        d0 = np.abs(z)
+        q = self.probs[0] * self._comp_density(d0, w1)
         q += self.probs[1] * self._comp_density(np.abs(z - 1.0), w2)
         # inverted tail: q(z) = q_u(1/z) |z|^(-4)
-        az = np.maximum(np.abs(z), 1e-300)
+        az = np.maximum(d0, 1e-300)
         q += self.probs[2] * self._comp_density(1.0 / az, w3) * az**-4.0
-        q += self.probs[3] * np.where(np.abs(z) <= self.bulk_radius, 1.0 / (math.pi * self.bulk_radius**2), 0.0)
+        q += self.probs[3] * np.where(d0 <= self.bulk_radius, 1.0 / (math.pi * self.bulk_radius**2), 0.0)
         return q
 
 
 def _log_integrand(z: np.ndarray, wv: WeightVector, coupling: float) -> np.ndarray:
     """log of the Vandermonde integrand on configurations z of shape (n, N)."""
-    w1, w2, w3 = wv.w
-    del w3
+    w1, w2, _ = wv.w
     out = -2.0 * w1 * np.log(np.abs(z)).sum(axis=1) - 2.0 * w2 * np.log(np.abs(z - 1.0)).sum(axis=1)
     n_pts = z.shape[1]
     for i in range(n_pts):
@@ -273,8 +289,8 @@ def mc_oracle_z(
     scheme "quadrature" (N = 2 only) uses tensorized polar tanh-sinh patches
     with the plane split around the punctures {0, 1, infinity}; scheme
     "monte-carlo" uses importance sampling from a singularity-matched mixture
-    with a counter-based generator (reproducible for a fixed seed).  The
-    reported err is a
+    with a counter-based generator (reproducible for a fixed seed); budget, its
+    sample count, belongs to that scheme alone.  The reported err is a
     quadrature refinement bound or the statistical standard error.
     """
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
@@ -292,6 +308,8 @@ def mc_oracle_z(
     if scheme == "quadrature":
         if n_points != 2:
             raise ValueError("the quadrature scheme is implemented for N = 2 only")
+        if budget is not None:
+            raise ValueError("the oracle budget applies only to the monte-carlo scheme")
         from ._pairquad import pair_integral
 
         value, err = pair_integral(wv, coupling)

@@ -114,6 +114,7 @@ _Q_COEF_HORNER = [2.0 * z / (k * (k + 1)) for k, z in zip(range(3, 47, 2), _ZETA
 # On [0, 1/2] the omitted terms k >= 47 sum to at most _Q_TAIL x^48: the first,
 # 2 zeta(47) / (47 * 48) with zeta(47) < 1 + 1e-14, over 1 - x^2 >= 3/4.
 _Q_TAIL = 8.0 / (3.0 * 47 * 48) * (1.0 + 1e-14)
+_SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,9 @@ def _q(x: float) -> tuple[float, float]:
     rounding of the log, the products and the two subtractions, since every
     partial sum and euler_gamma x^2 are at most x - x ln x; 40 eps the
     series' Horner steps and rounded coefficients; _Q_TAIL x^48 the omitted
-    terms.  Plain floats keep result objects off the per-point path; the cache
-    serves repeated weights (grids, tables), not a sweep of fresh ones.
+    terms; 4 ulps of 0 the same roundings where x is subnormal and the eps
+    terms underflow.  Plain floats keep result objects off the per-point path;
+    the cache serves repeated weights (grids, tables), not a sweep of fresh ones.
     """
     if x > 0.5:
         x = 1.0 - x
@@ -314,7 +316,7 @@ def _q(x: float) -> tuple[float, float]:
         series = series * x2 + c
     series *= x2 * x2
     main = x - x * math.log(x)
-    return main - _EULER_GAMMA * x2 - series, _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24
+    return main - _EULER_GAMMA * x2 - series, _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:

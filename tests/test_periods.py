@@ -1,9 +1,11 @@
 """Period route: closed-form product, convergence, and direct integration."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from orbiheight._pairquad import pair_integral
 from orbiheight.heights import WeightVector
 from orbiheight.periods import ConvergenceRow, PeriodConfig, convergence_report, df_log_z, mc_oracle_z, report_to_csv
 
@@ -78,3 +80,56 @@ def test_direct_integration_preconditions():
     with pytest.raises(ValueError):
         # anticanonical diagonal exponent |V| >= N - 1 for N = 2
         mc_oracle_z(2, (0.3, 0.3, 0.3), polarity="anticanonical")
+    with pytest.raises(ValueError):
+        mc_oracle_z(2, (5 / 6,) * 3, scheme="quadrature", budget=7)  # budget is Monte-Carlo only
+
+
+# (weights, coupling, value, err) of the N = 2 quadrature rule as first
+# evaluated with complex arithmetic and full node-by-node kernels; the
+# log-space evaluation computes the same rule, so it must agree to rounding.
+_PAIR_GOLDEN = [
+    ((5 / 6,) * 3, 0.5, 2156.618312432395, 0.4710886522297887),
+    ((0.4, 0.5, 0.6), -0.5, 444.1560764985818, 0.0027092660558694394),
+    ((0.5,) * 3, -0.5, 378.2125208082508, 0.029913545689543356),
+    ((0.9, 0.6, 0.8), WeightVector((0.9, 0.6, 0.8)).volume, 1899.7727044716082, 2.4452758335502924),
+]
+
+
+@pytest.mark.parametrize("w, coupling, value, err", _PAIR_GOLDEN)
+def test_pair_integral_golden_values(w, coupling, value, err):
+    v, e = pair_integral(WeightVector(w), coupling)
+    assert v == pytest.approx(value, rel=1e-12)
+    assert e == pytest.approx(err, rel=1e-8)
+
+
+# (N, weights, polarity, budget, seed, value, err) of the Monte-Carlo oracle
+# as first sampled with rng.choice and masked complex exponentials; the same
+# random stream must give the same estimate.
+_MC_GOLDEN = [
+    (2, (5 / 6,) * 3, "canonical", 40_000, 1, 2157.791783249602, 27.258484655807525),
+    (3, (0.5,) * 3, "anticanonical", 100_000, 7, 5929.097404442786, 119.88157821609535),
+    (2, (0.5,) * 3, "anticanonical", 100_000, 11, 372.3956911769393, 6.771315638530872),
+]
+
+
+@pytest.mark.parametrize("n, w, polarity, budget, seed, value, err", _MC_GOLDEN)
+def test_monte_carlo_golden_values(n, w, polarity, budget, seed, value, err):
+    r = mc_oracle_z(n, w, scheme="monte-carlo", budget=budget, seed=seed, polarity=polarity)
+    assert r.value == pytest.approx(value, rel=1e-13)
+    assert r.err == pytest.approx(err, rel=1e-13)
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_period_layers_memory_stays_flat():
+    # the kernels are built in row blocks and the product in blocks of j:
+    # no temporary grows with the square of the node count or with N
+    assert _peak_mb(pair_integral, W_FANO, W_FANO.volume) < 8.0
+    assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=W_CAN)) < 4.0

@@ -225,6 +225,7 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 @example(0.0, 1e-300)
 @example(1e-300, 1.0 - 2.0**-53)
 @example(1.0 - 2.0**-53, 1.0)
+@example(0.0, 5e-324)  # subnormal: the eps-relative rounding bound underflows
 def test_loggamma_ratio_integral_against_mpmath_quadrature(a, b):
     r = loggamma_ratio_integral(a, b)
     ref, ref_err = _ratio_integral_mp(a, b)
