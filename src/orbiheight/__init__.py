@@ -38,14 +38,13 @@ from .specfun import (
     log_gamma,
     loggamma_primitive,
     loggamma_ratio_integral,
-    loggamma_ratio_integral_quad,
 )
 from .tables import TABLE1, TABLE2
 
 __version__ = "0.1.0"
 
-# The period route is the one public layer that needs numpy and scipy; its
-# names load it on first use (PEP 562), so importing the package does not.
+# The period route is the one public layer that needs numpy; its names load
+# it on first use (PEP 562), so importing the package does not.
 _PERIODS_NAMES = ("PeriodConfig", "convergence_report", "df_log_z", "height_from_periods", "mc_oracle_z")
 
 

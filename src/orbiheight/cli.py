@@ -40,7 +40,6 @@ _KERNELS = {
     "hurwitz_zeta_ds": (1, sf.hurwitz_zeta_ds),
     "loggamma_primitive": (1, sf.loggamma_primitive),
     "loggamma_ratio_integral": (2, sf.loggamma_ratio_integral),
-    "loggamma_ratio_integral_quad": (2, sf.loggamma_ratio_integral_quad),
     "dedekind_log_deriv": (0, None),
 }
 
@@ -79,13 +78,14 @@ def _combo_doc(combo: LogCombo) -> dict:
 
 def _cmd_specfun(args) -> int:
     name = args.kernel
+    arity, fn = _KERNELS[name]
+    if len(args.x) != arity:
+        raise ValueError(f"{name} takes {arity} argument(s), got {len(args.x)}")
     if name == "dedekind_log_deriv":
-        fs = get_field(args.field)
-        r = dedekind_log_deriv(fs)
+        r = dedekind_log_deriv(get_field(args.field or "Q"))
+    elif args.field is not None:
+        raise ValueError("--field applies only to dedekind_log_deriv")
     else:
-        arity, fn = _KERNELS[name]
-        if len(args.x) != arity:
-            raise ValueError(f"{name} takes {arity} argument(s), got {len(args.x)}")
         r = fn(*args.x)
     _emit(
         args,
@@ -175,7 +175,9 @@ def _cmd_shimura(args) -> int:
 
 
 def _cmd_fermat(args) -> int:
-    ms = range(args.m, args.m_to + 1) if args.m_to else [args.m]
+    if args.m_to is not None and args.m_to < args.m:
+        raise ValueError(f"--m-to {args.m_to} is below --m {args.m}")
+    ms = range(args.m, args.m_to + 1) if args.m_to is not None else [args.m]
     a = tuple(int(p) for p in args.a.split(",")) if args.a else (-1, 1, 1)
     rows = []
     for m in ms:
@@ -215,7 +217,7 @@ def _check_oracle_options(args) -> None:
 
 
 def _cmd_periods(args) -> int:
-    from . import periods as pd  # numpy and scipy load here, not at start-up
+    from . import periods as pd  # numpy loads here, not at start-up
 
     _check_oracle_options(args)
     wv = _parse_weights(args.weights)
@@ -262,7 +264,7 @@ def _cmd_faltings(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify as vf  # numpy and scipy load here, not at start-up
+    from . import verify as vf  # numpy loads here, in the checks that need it
 
     results = vf.run_suite(args.suite)
     failed = [r for r in results if not r.passed]
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specfun", help="evaluate one special-function kernel")
     p.add_argument("kernel", choices=sorted(_KERNELS))
     p.add_argument("x", type=float, nargs="*", help="kernel arguments")
-    p.add_argument("--field", default="Q", help="field id for dedekind_log_deriv")
+    p.add_argument("--field", default=None, help="field id for dedekind_log_deriv (default Q)")
     p.set_defaults(fn=_cmd_specfun)
 
     p = sub.add_parser("height", help="closed-form canonical height on the line")

@@ -16,10 +16,12 @@ and -(1/2N) log Z_N converges, with gap c_1/N + O(1/N^2), to the canonical
 height of the log canonical bundle.  The same product with h < 0 serves the
 Fano polarity (V < 0), where each l at a negative argument enters as -l
 (positive on (-1, 0)), and +(1/2N) log Z_N converges to the canonical height
-of the dual; the sign of V picks the polarity.  ``df_log_z`` evaluates the product
-entirely in log-gamma space with exact sign bookkeeping (no overflow up to
-N = 10^6), a block of j-values at a time so its memory does not grow with N;
-``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
+of the dual; the sign of V picks the polarity.  Every factor is positive
+exactly when every argument of l lies in (-1, 1), which holds whenever Z_N
+converges (see ``PeriodConfig``).  ``df_log_z`` evaluates the product in log
+space (no overflow up to N = 10^6), with ln |l| from the odd-zeta series the
+closed-form heights use, a block of j-values at a time so its memory does
+not grow with N; ``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
 integration, independent of everything gamma.
 """
 
@@ -32,10 +34,9 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .heights import WeightVector, h_can
-from .specfun import EvalResult
+from .specfun import _EULER_GAMMA, _ZETA_ODD, EvalResult
 
 __all__ = [
     "PeriodConfig",
@@ -52,6 +53,19 @@ Polarity = Literal["canonical", "anticanonical"]
 _WALL_DISTANCE = 1e-3
 
 
+def _collision_check(n: int, v: float) -> None:
+    """ValueError unless Z_N converges where all N points meet.
+
+    There the integrand scales like r^(N V) against the volume r^(2N - 3) dr
+    of the 2(N - 1) relative coordinates, so Z_N needs N |V| < 2(N - 1); a
+    smaller cluster of k points needs only k |V| < 2(N - 1).  The test reads
+    |N h| < 1 for h = V / (2(N - 1)), in the arithmetic of the product's last
+    numerator argument N h, so every argument of l stays inside (-1, 1).
+    """
+    if abs(n * (v / (2.0 * (n - 1)))) >= 1.0:
+        raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
+
+
 @dataclass(frozen=True)
 class PeriodConfig:
     """Input bundle for the period formulas.
@@ -60,7 +74,10 @@ class PeriodConfig:
     w_i - V/2; every one of them must stay at least ``_WALL_DISTANCE`` from
     the poles and zeros of l at 0 and 1, and |V| at least twice that.  Configurations closer than that
     to a stability wall are rejected rather than regularized.  The polarity
-    must match the sign of V.
+    must match the sign of V, and N |V| < 2(N - 1) (``_collision_check``):
+    otherwise Z_N diverges, and the numerator argument N h reaches -1.  With
+    these checks every argument of l lies in (-1, 1), where each factor of
+    the product is positive.
     """
 
     N: int
@@ -82,51 +99,73 @@ class PeriodConfig:
         # w_i and w_i - V/2 in [d, 1 - d], the latter read as a range for w_i
         if not all(d <= x <= 1.0 - d and v / 2.0 + d <= x <= v / 2.0 + 1.0 - d for x in wv):
             raise ValueError(f"weights {wv.w} are within {d} of a stability wall")
+        _collision_check(self.N, v)
 
 
-def _log_l(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log |l(x)| and sign l(x) for l(x) = Gamma(x)/Gamma(1-x), vectorized."""
-    integral = x == np.floor(x)
-    if np.any(integral & (x <= 0.0)):
-        raise ValueError("Gamma-ratio argument hit a pole (non-positive integer)")
-    if np.any(integral & (x >= 1.0)):
-        raise ValueError("Gamma-ratio argument hit a zero (1 - x is a non-positive integer)")
-    return gammaln(x) - gammaln(1.0 - x), gammasgn(x) * gammasgn(1.0 - x)
+# 2 zeta(k) / k, the coefficient of -u^k in ln l(u), for odd k = 45 down to 3:
+# Horner order in u^2.
+_L_COEF_HORNER = [2.0 * z / k for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
+
+
+def _log_l(x: np.ndarray) -> np.ndarray:
+    """ln |l(x)| for l(x) = Gamma(x)/Gamma(1-x) on (-1, 1) minus 0, vectorized.
+
+    For |u| <= 1/2, Gamma(u) = Gamma(1 + u)/u and DLMF 5.7.3 give
+
+        ln |l(u)| = -ln |u| - 2 euler_gamma u - 2 sum_{k odd >= 3} zeta(k) u^k / k,
+
+    summed through k = 45 by Horner in u^2 <= 1/4, the odd-zeta literals of
+    the closed-form heights.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
+    ln |l(x)| = ln |l(x + 1)| - 2 ln |x|; both 1 - x and x + 1 are exact there.
+    l > 0 on (0, 1) and l < 0 on (-1, 0), so no sign is returned.
+    """
+    high = x > 0.5
+    low = x < -0.5
+    u = np.where(high, 1.0 - x, np.where(low, x + 1.0, x))
+    u2 = u * u
+    series = np.zeros_like(u)
+    for c in _L_COEF_HORNER:
+        series *= u2
+        series += c
+    series *= u2
+    series += 2.0 * _EULER_GAMMA
+    series *= u
+    out = -np.log(np.abs(u))
+    out -= series
+    np.negative(out, out=out, where=high)
+    if low.any():
+        out[low] -= 2.0 * np.log(-x[low])
+    return out
 
 
 _BLOCK = 8192
 
 
-def _df_terms(cfg: PeriodConfig, lo: int = 0, hi: int | None = None) -> tuple[float, np.ndarray, int]:
-    """(prefactor, per-j terms, sign) of log Z_N for j in [lo, hi) (default all N).
+def _df_terms(cfg: PeriodConfig, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The per-j terms of log Z_N for j in [lo, hi) (default all N).
 
-    prefactor = log N! + N (log pi - log |l(h)|); term_j = numerator - the
-    three denominator factors.  h = V/(2(N-1)) carries the sign of V, so one
-    set of arguments serves both polarities; the Fano product reads -l(x) for
-    each l at a negative argument (positive on (-1, 0)).  sign is that of the
-    block's factors; over all N of them it must come out +1.
+    term_j = ln l((j + 1) h) - sum_i ln l(w_i - j h).  h = V/(2(N-1)) carries
+    the sign of V, so one set of arguments serves both polarities; the Fano
+    product reads -l(x) for each l at a negative argument, which has the
+    same logarithm ln |l(x)|.
     """
-    n = cfg.N
-    hi = n if hi is None else hi
-    v = cfg.w.volume
+    hi = cfg.N if hi is None else hi
     j = np.arange(lo, hi, dtype=float)
-    h = v / (2.0 * (n - 1))
-    num, s_num = _log_l((j + 1.0) * h)
-    first, s_first = _log_l(np.array([h]))
-    sign = float(np.prod(s_num))
-    if v < 0.0:  # -l in each of the numerator factors and in the prefactor
-        sign *= (-1.0) ** (hi - lo)
-        s_first = -s_first
-    dens = []
-    for x in cfg.w:
-        d, s = _log_l(x - j * h)
-        dens.append(d)
-        sign *= float(np.prod(s))
-    if s_first[0] <= 0.0:
-        raise ValueError("sign bookkeeping failed for the prefactor Gamma ratio")
-    terms = num - dens[0] - dens[1] - dens[2]
-    prefactor = float(gammaln(n + 1.0)) + n * (math.log(math.pi) - float(first[0]))
-    return prefactor, terms, int(sign)
+    h = cfg.w.volume / (2.0 * (cfg.N - 1))
+    x = np.empty((4, hi - lo))
+    np.multiply(j + 1.0, h, out=x[0])
+    jh = j * h
+    for row, w in zip(x[1:], cfg.w):
+        np.subtract(w, jh, out=row)
+    logs = _log_l(x)
+    return logs[0] - logs[1] - logs[2] - logs[3]
+
+
+def _df_prefactor(cfg: PeriodConfig) -> float:
+    """log N! + N (log pi - log |l(h)|), the j-independent part of log Z_N."""
+    n = cfg.N
+    h = cfg.w.volume / (2.0 * (n - 1))
+    return math.lgamma(n + 1.0) + n * (math.log(math.pi) - float(_log_l(np.array([h]))[0]))
 
 
 def df_log_z(cfg: PeriodConfig) -> EvalResult:
@@ -135,15 +174,15 @@ def df_log_z(cfg: PeriodConfig) -> EvalResult:
     The N terms are evaluated _BLOCK at a time, so memory stays flat in N; the
     block sums and |term| sums are combined by math.fsum.
     """
-    sums, abs_sums, sign = [], [], 1
+    sums, abs_sums = [], []
     for lo in range(0, cfg.N, _BLOCK):
-        prefactor, terms, s = _df_terms(cfg, lo, min(lo + _BLOCK, cfg.N))
+        terms = _df_terms(cfg, lo, min(lo + _BLOCK, cfg.N))
         sums.append(float(np.sum(terms)))
         abs_sums.append(float(np.sum(np.abs(terms))))
-        sign *= s
-    if sign != 1:
-        raise ValueError("sign bookkeeping yields Z_N <= 0: configuration is unstable")
+    prefactor = _df_prefactor(cfg)
     total = prefactor + math.fsum(sums)
+    if not math.isfinite(total):  # an argument of l rounded onto 0 or -1
+        raise ValueError(f"log Z_{cfg.N} is not finite for weights {cfg.w.w}")
     err = 1e-15 * (abs(prefactor) + math.fsum(abs_sums) + 1.0)
     return EvalResult(total, err)
 
@@ -190,16 +229,6 @@ def report_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 # ---------------------------------------------------------------------------
 # Direct integration of the Vandermonde integral (small N)
 # ---------------------------------------------------------------------------
-
-
-def _integrability_check(n: int, wv: WeightVector, polarity: Polarity):
-    for x in wv:
-        if 2.0 - 2.0 * x <= 0.0:
-            raise ValueError(f"integrand not integrable at a finite puncture: weight {x!r} >= 1")
-    # decay at infinity: |z|^(2 (w_k - 2)) needs w_k < 1, same klt condition,
-    # and the anticanonical diagonal needs |V| < N - 1
-    if polarity == "anticanonical" and abs(wv.volume) >= n - 1:
-        raise ValueError("diagonal exponent not integrable: |V| >= N - 1")
 
 
 class _Mixture:
@@ -296,7 +325,11 @@ def mc_oracle_z(
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
-    _integrability_check(n_points, wv, polarity)
+    # the punctures, and the decay |z|^(2 (w_k - 2)) at infinity, need every
+    # w_k < 1; the diagonal, where all the points meet, needs N |V| < 2(N - 1)
+    if max(wv) >= 1.0:
+        raise ValueError(f"integrand not integrable at a puncture: a weight of {wv.w} is >= 1")
+    _collision_check(n_points, wv.volume)
     v = wv.volume
     if polarity == "canonical" and v <= 0:
         raise ValueError("canonical polarity requires V > 0")

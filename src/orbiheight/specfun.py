@@ -23,11 +23,12 @@ primitive needs the Euler-Maclaurin sum only for the s-derivative; it stays
 public as the reference the tests check the Q series against, and the
 general-s ``hurwitz_zeta`` as the reference for both.
 The kernels are plain ``math`` on floats (``log_gamma`` is ``math.lgamma``,
-``digamma`` a recurrence plus its asymptotic series); only the quadrature
-twin ``loggamma_ratio_integral_quad`` imports scipy, when it is called, so
-importing this module loads neither numpy nor scipy.  Every public kernel
-returns an :class:`EvalResult` carrying an absolute error estimate.  All
-functions are pure and safe to call from multiple threads.
+``digamma`` a recurrence plus its asymptotic series), so importing this
+module does not load numpy; the period route sums the derivative of the
+same Q series, ln(Gamma(x)/Gamma(1-x)), from the same odd-zeta literals.
+Every public kernel returns an :class:`EvalResult` carrying an absolute
+error estimate.  All functions are pure and safe to call from multiple
+threads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "hurwitz_zeta_ds",
     "loggamma_primitive",
     "loggamma_ratio_integral",
-    "loggamma_ratio_integral_quad",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -333,51 +333,3 @@ def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
     qa, ea = _q(a)
     d = qb - qa
     return EvalResult(d, eb + ea + 0.5 * _EPS * abs(d))
-
-
-def _lgamma_int(lo: float, hi: float) -> tuple[float, float]:
-    """integral of ln Gamma over [lo, hi] in (0, 1], absorbing the x=0 singularity.
-
-    Near 0 the substitution x = u^2 turns the integrable ln-singularity into a
-    continuous integrand for the adaptive Gauss-Kronrod rule.  scipy is
-    imported here, so only this quadrature twin loads it.
-    """
-    from scipy import integrate, special
-
-    if lo >= hi:
-        return 0.0, 0.0
-    total = 0.0
-    err = 0.0
-    cut = min(hi, 0.25)
-    if lo < cut:
-        v, e = integrate.quad(
-            lambda u: 2.0 * u * special.gammaln(u * u),
-            math.sqrt(lo), math.sqrt(cut), epsabs=1e-13, epsrel=1e-13, limit=200,
-        )
-        total += v
-        err += e
-        lo = cut
-    if lo < hi:
-        v, e = integrate.quad(special.gammaln, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-        total += v
-        err += e
-    return total, err
-
-
-def loggamma_ratio_integral_quad(a: float, b: float) -> EvalResult:
-    """Quadrature twin of :func:`loggamma_ratio_integral`.
-
-    Integrates ln Gamma(x) - ln Gamma(1-x) by adaptive Gauss-Kronrod, with the
-    u^2 endpoint substitution at both ends; independent of the odd-zeta
-    series, so the pair forms a two-sided check.
-    """
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-    v1, e1 = _lgamma_int(a, b)
-    # integral of ln Gamma(1-x) over [a, b] = integral of ln Gamma over [1-b, 1-a]
-    v2, e2 = _lgamma_int(1.0 - b, 1.0 - a)
-    return EvalResult(sign * (v1 - v2), e1 + e2 + 1e-14)

@@ -145,10 +145,19 @@ def _primitive_derivative(xs, h):
     return worst
 
 
-@_register("specfun", "closed form vs quadrature", 1e-9, "09", seed=42, n=100, fixed=((0.1, 0.7),))
-def _closed_vs_quadrature(seed, n, fixed):
-    pairs = [*fixed, *_rng(seed).uniform(0.02, 0.98, size=(n, 2)).tolist()]
-    return max(abs(sf.loggamma_ratio_integral(a, b).value - sf.loggamma_ratio_integral_quad(a, b).value) for a, b in pairs)
+def _ratio_pairs(seed: int, n: int, fixed) -> list:
+    """The fixed pairs (a, b) and n seeded ones in [0.02, 0.98]^2."""
+    return [*fixed, *_rng(seed).uniform(0.02, 0.98, size=(n, 2)).tolist()]
+
+
+@_register("specfun", "closed form vs primitive route", 1e-9, "09", seed=42, n=100, fixed=((0.1, 0.7),))
+def _closed_vs_primitive(seed, n, fixed):
+    # the Q series against P(b) + P(1-b) - P(a) - P(1-a), P the Euler-Maclaurin primitive
+    p = sf.loggamma_primitive
+    return max(
+        abs(sf.loggamma_ratio_integral(a, b).value - (p(b).value + p(1.0 - b).value - p(a).value - p(1.0 - a).value))
+        for a, b in _ratio_pairs(seed, n, fixed)
+    )
 
 
 @_register("specfun", "two-point identity gamma(0,V/2) + gamma(1-V/2,1) = 0", 1e-10, "09", seed=7, n=50)
@@ -381,8 +390,7 @@ def _df_sum(seed, ns, fixed_ns):
     worst = 0.0
     for cfg in cfgs:
         r = pd.df_log_z(cfg)
-        prefactor, terms, _ = pd._df_terms(cfg)
-        worst = max(worst, abs(r.value - math.fsum([prefactor, *terms.tolist()])) / r.err)
+        worst = max(worst, abs(r.value - math.fsum([pd._df_prefactor(cfg), *pd._df_terms(cfg).tolist()])) / r.err)
     return worst
 
 

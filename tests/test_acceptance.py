@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import LABELS
+from ratio_quad import loggamma_ratio_integral_quad
 
 from orbiheight.fermat import FermatSpec, arakelov_gap, arakelov_upper_bound, epsilon_m, fermat_h_can
 from orbiheight.fields import dedekind_log_deriv, get_field
@@ -24,7 +25,8 @@ from orbiheight.heights import h_can_fano, h_pet
 from orbiheight.lcombo import rationalize
 from orbiheight.shimura import builtin_cases, h_p_map, optimal_pet_height, yuan_height
 from orbiheight.tables import PRINTED_DEVIATIONS, TABLE1
-from orbiheight.verify import CHECKS, semistable_grid
+from orbiheight.specfun import loggamma_ratio_integral
+from orbiheight.verify import CHECKS, _ratio_pairs, semistable_grid
 
 LN = math.log
 
@@ -163,6 +165,14 @@ def test_criterion_08c_bound_chain():
 def test_criterion_09_property_suite():
     budget = Budget(10.0)
     run_tagged("09")
+    # the closed form against the quadrature twin, on the pairs and at the
+    # tolerance of the registry's primitive-route check
+    check = next(c for c in CHECKS if c.name == "closed form vs primitive route")
+    worst = max(
+        abs(loggamma_ratio_integral(a, b).value - loggamma_ratio_integral_quad(a, b).value)
+        for a, b in _ratio_pairs(**check.inputs)
+    )
+    assert worst <= check.tol, worst
     budget.check()
 
 

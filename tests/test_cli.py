@@ -128,6 +128,9 @@ def test_specfun_kernels(capsys):
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--seed", "5"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle-n", "3"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--scheme", "monte-carlo"),
+        ("specfun", "dedekind_log_deriv", "0.5", "0.7"),
+        ("specfun", "log_gamma", "0.5", "--field", "nonsense"),
+        ("fermat", "--m", "10", "--m-to", "4"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

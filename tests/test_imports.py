@@ -1,8 +1,9 @@
-"""Start-up cost: the package and most subcommands load neither numpy nor scipy.
+"""Start-up cost and dependencies: the package needs numpy, and scipy never.
 
 Each case runs in a fresh interpreter, since this test process has long
-imported both.  Only the period route, the ``verify`` checks that draw
-seeded samples or run the period route, and the quadrature twin need them.
+imported both.  The package and most subcommands load neither; only the
+period route and the ``verify`` checks that draw seeded samples or run the
+period route load numpy.  scipy serves the tests and the benchmark alone.
 """
 
 import json
@@ -48,8 +49,24 @@ def test_no_numpy_or_scipy(code):
 
 def test_period_names_load_on_first_use():
     code = "import orbiheight\nassert 'df_log_z' in dir(orbiheight)\nassert callable(orbiheight.df_log_z)"
-    # the same probe sees numpy once the period route is used
-    assert loaded_after(code) == [True, True]
+    # the same probe sees numpy once the period route is used, and no scipy
+    assert loaded_after(code) == [True, False]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from orbiheight import PeriodConfig, df_log_z\ndf_log_z(PeriodConfig(N=1000, w=(0.75, 0.75, 0.75)))",
+        run_cli("periods", "--weights", "0.5,0.5,0.5", "--N-list", "10,100", "--oracle"),
+        run_cli("verify", "--suite", "all"),
+    ],
+    ids=["df_log_z", "periods --oracle", "verify --suite all"],
+)
+def test_runs_with_scipy_blocked(code):
+    # a None entry in sys.modules makes every import of scipy raise
+    # ImportError; loaded_after fails if the code raises or exits nonzero
+    numpy_loaded, _ = loaded_after(f"import sys\nsys.modules['scipy'] = None\n{code}")
+    assert numpy_loaded
 
 
 @pytest.mark.parametrize("start, stop, num", [(0.05, 5.0, 15), (0.05, 5.0, 23), (0.05, 5.0, 25), (0.0, 1.0, 20), (0.7, 0.95, 26)])

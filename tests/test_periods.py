@@ -3,11 +3,23 @@
 import math
 import tracemalloc
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbiheight._pairquad import pair_integral
 from orbiheight.heights import WeightVector
-from orbiheight.periods import ConvergenceRow, PeriodConfig, convergence_report, df_log_z, mc_oracle_z, report_to_csv
+from orbiheight.periods import (
+    ConvergenceRow,
+    PeriodConfig,
+    _log_l,
+    convergence_report,
+    df_log_z,
+    mc_oracle_z,
+    report_to_csv,
+)
 
 W_CAN = WeightVector((0.75, 0.75, 0.75))
 W_FANO = WeightVector((0.5, 0.5, 0.5))
@@ -24,7 +36,69 @@ def test_config_validation():
         PeriodConfig(N=10, w=WeightVector((1.0, 0.75, 0.75)))  # cusp: not klt
     with pytest.raises(ValueError):
         PeriodConfig(N=10, w=WeightVector((0.0, 0.3, 0.3)), polarity="anticanonical")  # wall
+    with pytest.raises(ValueError):
+        # N |V| = 2.5 >= 2(N - 1): Z_2 diverges where the two points meet
+        PeriodConfig(N=2, w=WeightVector((0.2, 0.3, 0.25)), polarity="anticanonical")
     PeriodConfig(N=10, w=W_CAN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True).filter(lambda x: x != 0.0))
+@example(0.5)
+@example(-0.5)
+@example(math.nextafter(0.5, 1.0))
+@example(math.nextafter(-0.5, -1.0))
+@example(5e-324)
+@example(1e-12)
+@example(-1e-12)
+@example(1.0 - 1e-12)
+@example(-1.0 + 1e-12)
+@example(math.nextafter(1.0, 0.0))
+@example(math.nextafter(-1.0, 0.0))
+def test_log_l_against_mpmath(x):
+    with mpmath.workdps(40):
+        ref = mpmath.log(abs(mpmath.gamma(x) / mpmath.gamma(1 - mpmath.mpf(x))))
+        value = float(_log_l(np.array([x]))[0])
+        assert abs(value - ref) <= 4.0 * np.finfo(float).eps * max(1.0, abs(ref))
+
+
+# (weights, N, log Z_N, err) of the Gamma-ratio product as first evaluated
+# with scipy's gammaln and gammasgn; the odd-zeta kernel must agree within err.
+_DF_GOLDEN = [
+    ((0.75, 0.75, 0.75), 2, 6.894747055342531, 9.66377175213889e-15),
+    ((0.75, 0.75, 0.75), 3, 10.301949869030187, 1.7051495936747403e-14),
+    ((0.75, 0.75, 0.75), 100, 341.90568083961375, 7.211017075357923e-13),
+    ((0.75, 0.75, 0.75), 10000, 34187.37477646207, 7.28692709222629e-11),
+    ((0.75, 0.75, 0.75), 1000000, 3418734.313730399, 7.288140683394357e-09),
+    ((0.6, 0.8, 0.9), 2, 7.549817919598173, 9.469478654027552e-15),
+    ((0.6, 0.8, 0.9), 3, 11.20751044251663, 1.6775686683401233e-14),
+    ((0.6, 0.8, 0.9), 100, 369.30545779383397, 7.119788682837395e-13),
+    ((0.6, 0.8, 0.9), 10000, 36921.68036931388, 7.19570876518964e-11),
+    ((0.6, 0.8, 0.9), 1000000, 3692159.2613786673, 7.196922459733091e-09),
+    ((0.9, 0.6, 0.8), 2, 7.549817919598171, 9.46947865402755e-15),
+    ((0.9, 0.6, 0.8), 3, 11.20751044251663, 1.6775686683401233e-14),
+    ((0.9, 0.6, 0.8), 100, 369.30545779383397, 7.119788682837395e-13),
+    ((0.9, 0.6, 0.8), 10000, 36921.68036931388, 7.19570876518964e-11),
+    ((0.9, 0.6, 0.8), 1000000, 3692159.2613786673, 7.196922459733091e-09),
+    ((0.5, 0.5, 0.5), 2, 5.9352788842059825, 7.721453575580488e-15),
+    ((0.5, 0.5, 0.5), 3, 8.683521609074047, 1.2583563953708797e-14),
+    ((0.5, 0.5, 0.5), 100, 283.8867060179031, 5.253278686949057e-13),
+    ((0.5, 0.5, 0.5), 10000, 28378.868363591144, 5.3198686808281725e-11),
+    ((0.5, 0.5, 0.5), 1000000, 2837877.1640960053, 5.320990038464435e-09),
+    ((0.4, 0.5, 0.6), 2, 6.096043436635465, 7.88221812800997e-15),
+    ((0.4, 0.5, 0.6), 3, 8.894221273860662, 1.2794263618495411e-14),
+    ((0.4, 0.5, 0.6), 100, 289.81828425084404, 5.312594469278465e-13),
+    ((0.4, 0.5, 0.6), 10000, 28969.893162568012, 5.37897116072586e-11),
+    ((0.4, 0.5, 0.6), 1000000, 2896977.5368245807, 5.38009041119301e-09),
+]
+
+
+@pytest.mark.parametrize("w, n, value, err", _DF_GOLDEN)
+def test_df_log_z_golden_values(w, n, value, err):
+    wv = WeightVector(w)
+    r = df_log_z(PeriodConfig(N=n, w=wv, polarity="canonical" if wv.volume > 0 else "anticanonical"))
+    assert abs(r.value - value) <= r.err
+    assert r.err == pytest.approx(err, rel=1e-9)  # the err formula is unchanged
 
 
 def test_df_log_z_positive_and_finite():
@@ -78,8 +152,11 @@ def test_direct_integration_preconditions():
     with pytest.raises(ValueError):
         mc_oracle_z(3, (5 / 6,) * 3, scheme="quadrature")  # quadrature is N = 2 only
     with pytest.raises(ValueError):
-        # anticanonical diagonal exponent |V| >= N - 1 for N = 2
+        # 2 |V| = 2.2 >= 2(N - 1): Z_2 diverges where the two points meet
         mc_oracle_z(2, (0.3, 0.3, 0.3), polarity="anticanonical")
+    with pytest.raises(ValueError):
+        # 3 |V| = 4.2 >= 2(N - 1) = 4: Z_3 diverges where all three points meet
+        mc_oracle_z(3, (0.2, 0.2, 0.2), "monte-carlo", 20000, 1, "anticanonical")
     with pytest.raises(ValueError):
         mc_oracle_z(2, (5 / 6,) * 3, scheme="quadrature", budget=7)  # budget is Monte-Carlo only
 

@@ -27,8 +27,8 @@ from orbiheight.specfun import (
     log_gamma,
     loggamma_primitive,
     loggamma_ratio_integral,
-    loggamma_ratio_integral_quad,
 )
+from ratio_quad import loggamma_ratio_integral_quad
 
 EPS = np.finfo(float).eps
 
