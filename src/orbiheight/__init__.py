@@ -27,7 +27,7 @@ from .heights import (
     shift_by_a,
     volume,
 )
-from .lcombo import LogCombo, Rational, rationalize
+from .lcombo import LogCombo, rationalize
 from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_degree, optimal_pet_height, yuan_height
 from .specfun import (
     EvalResult,

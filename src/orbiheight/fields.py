@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from importlib import resources
 from math import gcd
 
@@ -68,11 +69,6 @@ class ComplexEvalResult:
     value: complex
     err: float
 
-    def __float__(self) -> float:
-        if abs(self.value.imag) > 1e3 * self.err + 1e-12:
-            raise ValueError(f"value {self.value!r} is not real within tolerance")
-        return self.value.real
-
 
 class Character:
     """Dirichlet character mod `modulus`, given by exact angle values.
@@ -86,22 +82,13 @@ class Character:
             raise ValueError("modulus must be a positive integer")
         self.modulus = modulus
         self.angles = {a % modulus: Fraction(k) % 1 for a, k in angles.items()}
-        expected = {a for a in range(modulus) if gcd(a, modulus) == 1} or {0}
-        if modulus == 1:
-            self.angles = {0: Fraction(0)}
-        elif set(self.angles) != expected:
+        if set(self.angles) != {a for a in range(modulus) if gcd(a, modulus) == 1}:
             raise ValueError(f"character table must cover (Z/{modulus})^x exactly")
         self._check_multiplicative()
 
     def __call__(self, a: int) -> complex:
-        a %= self.modulus
-        if self.modulus > 1 and gcd(a, self.modulus) != 1:
-            return 0j
-        return _root_of_unity(self.angles[a % self.modulus])
-
-    def angle(self, a: int) -> Fraction | None:
-        a %= self.modulus
-        return self.angles.get(a)
+        k = self.angles.get(a % self.modulus)
+        return 0j if k is None else _root_of_unity(k)
 
     @property
     def is_trivial(self) -> bool:
@@ -136,6 +123,9 @@ class FieldSpec:
         return len(self.characters)
 
     def __post_init__(self):
+        # The trivial character carries the Riemann zeta factor of zeta_F.
+        if sum(ch.is_trivial for ch in self.characters) != 1:
+            raise ValueError(f"field {self.id!r}: the trivial character must occur exactly once")
         # Non-real characters must occur in conjugate pairs so products are real.
         pool = [ch for ch in self.characters if not ch.is_real]
         while pool:
@@ -194,17 +184,12 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     return ComplexEvalResult(scale * (-lf * s_sum + d_sum), scale * err + 1e-15)
 
 
-_DD_CACHE: dict = {}
-
-
+@lru_cache
 def dedekind_log_deriv(field: FieldSpec) -> EvalResult:
     """zeta_F'(-1)/zeta_F(-1) as the sum of L'(-1, chi)/L(-1, chi).
 
-    Memoized on the exact character data (grid sweeps hit this repeatedly).
+    Memoized on the field (grid sweeps hit this repeatedly).
     """
-    key = (field.id, tuple((ch.modulus, tuple(sorted(ch.angles.items()))) for ch in field.characters))
-    if key in _DD_CACHE:
-        return _DD_CACHE[key]
     total = 0j
     err = 0.0
     for chi in field.characters:
@@ -216,9 +201,7 @@ def dedekind_log_deriv(field: FieldSpec) -> EvalResult:
         err += (ld.err + abs(ld.value / lv.value) * lv.err) / abs(lv.value)
     if abs(total.imag) > 1e-10:
         raise ValueError(f"Dedekind log derivative for {field.id!r} is not real: {total!r}")
-    result = EvalResult(total.real, err + 1e-14)
-    _DD_CACHE[key] = result
-    return result
+    return EvalResult(total.real, err + 1e-14)
 
 
 def _field_from_dict(doc: dict) -> FieldSpec:
@@ -241,20 +224,18 @@ def load_fields(text: str) -> dict[str, FieldSpec]:
     return out
 
 
-_BUILTIN: dict[str, FieldSpec] | None = None
+@cache
+def _builtin() -> dict[str, FieldSpec]:
+    return load_fields(resources.files("orbiheight.data").joinpath("fields.json").read_text())
 
 
 def builtin_fields() -> dict[str, FieldSpec]:
     """The seven shipped fields (Q, four real quadratic, two real cubic)."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        text = resources.files("orbiheight.data").joinpath("fields.json").read_text()
-        _BUILTIN = load_fields(text)
-    return dict(_BUILTIN)
+    return dict(_builtin())
 
 
 def get_field(field_id: str) -> FieldSpec:
-    fields = builtin_fields()
+    fields = _builtin()
     if field_id not in fields:
         raise KeyError(f"unknown field {field_id!r}; shipped: {sorted(fields)}")
     return fields[field_id]

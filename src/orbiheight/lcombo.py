@@ -3,12 +3,13 @@
 The closed-form constants in this package (height table rows, Yuan's formula,
 local invariants of integral models) all live in the Q-module spanned by
 
-    1,  ln pi,  ln p (p prime),  (1/[F:Q]) zeta_F'(-1)/zeta_F(-1),  named constants.
+    1,  ln pi,  ln p (p prime),  (1/[F:Q]) zeta_F'(-1)/zeta_F(-1).
 
-:class:`LogCombo` stores the rational coefficients exactly; addition and
-scaling are componentwise on `fractions.Fraction`, and only `evaluate`
-touches floating point.  `rationalize` goes the other way, certifying that a
-computed double is a small rational (continued-fraction reconstruction).
+:class:`LogCombo` stores the rational coefficients of these four kinds of
+term exactly; addition and scaling are componentwise on `fractions.Fraction`,
+and only `evaluate` touches floating point.  `rationalize` goes the other
+way, certifying that a computed double is a small rational (continued-fraction
+reconstruction).
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import fields as _fields
-from .specfun import EvalResult, digamma, log_gamma
+from .specfun import EvalResult
 
-__all__ = ["Rational", "LogCombo", "rationalize", "NAMED_CONSTANTS"]
+__all__ = ["LogCombo", "rationalize"]
 
-Rational = Fraction
+# the keys of the JSON form; any other key must be empty, as the
+# "named": {} of older documents is
+_JSON_KEYS = ("q0", "logpi", "logs", "zeta")
 
 
 def _clean(m: Mapping) -> dict:
@@ -32,27 +35,16 @@ def _clean(m: Mapping) -> dict:
     return {k: Fraction(v) for k, v in m.items() if Fraction(v) != 0}
 
 
-def _euler_gamma() -> EvalResult:
-    d = digamma(1.0)
-    return EvalResult(-d.value, d.err)
-
-
-def _log_gamma_ratio_23() -> EvalResult:
-    a = log_gamma(2.0 / 3.0)
-    b = log_gamma(1.0 / 3.0)
-    return EvalResult(a.value - b.value, a.err + b.err)
-
-
-#: Registry of named transcendental constants: name -> () -> EvalResult.
-NAMED_CONSTANTS: dict[str, Callable[[], EvalResult]] = {
-    "logGammaRatio23": _log_gamma_ratio_23,
-    "EulerGamma": _euler_gamma,
-}
+def _merge(a: Mapping, b: Mapping) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return out
 
 
 @dataclass(frozen=True)
 class LogCombo:
-    """q0 + c_logpi*ln(pi) + sum_p logs[p]*ln(p) + field terms + named constants.
+    """q0 + c_logpi*ln(pi) + sum_p logs[p]*ln(p) + field terms.
 
     A field term with coefficient c for field F contributes
     c * (1/[F:Q]) * zeta_F'(-1)/zeta_F(-1) when evaluated.
@@ -62,26 +54,20 @@ class LogCombo:
     c_logpi: Fraction = Fraction(0)
     logs: dict[int, Fraction] = field(default_factory=dict)
     zeta_terms: dict[str, Fraction] = field(default_factory=dict)
-    named: dict[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "q0", Fraction(self.q0))
         object.__setattr__(self, "c_logpi", Fraction(self.c_logpi))
         object.__setattr__(self, "logs", _clean(self.logs))
         object.__setattr__(self, "zeta_terms", _clean(self.zeta_terms))
-        object.__setattr__(self, "named", _clean(self.named))
 
     def __add__(self, other: "LogCombo") -> "LogCombo":
-        logs = dict(self.logs)
-        for p, c in other.logs.items():
-            logs[p] = logs.get(p, Fraction(0)) + c
-        zt = dict(self.zeta_terms)
-        for f, c in other.zeta_terms.items():
-            zt[f] = zt.get(f, Fraction(0)) + c
-        nm = dict(self.named)
-        for n, c in other.named.items():
-            nm[n] = nm.get(n, Fraction(0)) + c
-        return LogCombo(self.q0 + other.q0, self.c_logpi + other.c_logpi, logs, zt, nm)
+        return LogCombo(
+            self.q0 + other.q0,
+            self.c_logpi + other.c_logpi,
+            _merge(self.logs, other.logs),
+            _merge(self.zeta_terms, other.zeta_terms),
+        )
 
     def __sub__(self, other: "LogCombo") -> "LogCombo":
         return self + other.scale(Fraction(-1))
@@ -93,18 +79,6 @@ class LogCombo:
             self.c_logpi * r,
             {p: c * r for p, c in self.logs.items()},
             {f: c * r for f, c in self.zeta_terms.items()},
-            {n: c * r for n, c in self.named.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogCombo):
-            return NotImplemented
-        return (
-            self.q0 == other.q0
-            and self.c_logpi == other.c_logpi
-            and self.logs == other.logs
-            and self.zeta_terms == other.zeta_terms
-            and self.named == other.named
         )
 
     @property
@@ -123,12 +97,6 @@ class LogCombo:
             dd = _fields.dedekind_log_deriv(fs)
             value += float(c) * dd.value / fs.degree
             err += abs(float(c)) * dd.err / fs.degree
-        for name, c in sorted(self.named.items()):
-            if name not in NAMED_CONSTANTS:
-                raise KeyError(f"named constant {name!r} is not registered")
-            cv = NAMED_CONSTANTS[name]()
-            value += float(c) * cv.value
-            err += abs(float(c)) * cv.err
         return EvalResult(value, err)
 
     # -- JSON round-trip ---------------------------------------------------
@@ -143,13 +111,15 @@ class LogCombo:
                 "logpi": frac(self.c_logpi),
                 "logs": {str(p): frac(c) for p, c in sorted(self.logs.items())},
                 "zeta": {f: frac(c) for f, c in sorted(self.zeta_terms.items())},
-                "named": {n: frac(c) for n, c in sorted(self.named.items())},
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "LogCombo":
         doc = json.loads(text)
+        unknown = sorted(k for k, v in doc.items() if k not in _JSON_KEYS and v)
+        if unknown:
+            raise ValueError(f"unknown terms {unknown} in a log-combination; known: {list(_JSON_KEYS)}")
 
         def frac(v) -> Fraction:
             return Fraction(v[0], v[1])
@@ -159,7 +129,6 @@ class LogCombo:
             c_logpi=frac(doc.get("logpi", [0, 1])),
             logs={int(p): frac(c) for p, c in doc.get("logs", {}).items()},
             zeta_terms={f: frac(c) for f, c in doc.get("zeta", {}).items()},
-            named={n: frac(c) for n, c in doc.get("named", {}).items()},
         )
 
 

@@ -53,19 +53,6 @@ Polarity = Literal["canonical", "anticanonical"]
 _WALL_DISTANCE = 1e-3
 
 
-def _collision_check(n: int, v: float) -> None:
-    """ValueError unless Z_N converges where all N points meet.
-
-    There the integrand scales like r^(N V) against the volume r^(2N - 3) dr
-    of the 2(N - 1) relative coordinates, so Z_N needs N |V| < 2(N - 1); a
-    smaller cluster of k points needs only k |V| < 2(N - 1).  The test reads
-    |N h| < 1 for h = V / (2(N - 1)), in the arithmetic of the product's last
-    numerator argument N h, so every argument of l stays inside (-1, 1).
-    """
-    if abs(n * (v / (2.0 * (n - 1)))) >= 1.0:
-        raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
-
-
 @dataclass(frozen=True)
 class PeriodConfig:
     """Input bundle for the period formulas.
@@ -74,10 +61,15 @@ class PeriodConfig:
     w_i - V/2; every one of them must stay at least ``_WALL_DISTANCE`` from
     the poles and zeros of l at 0 and 1, and |V| at least twice that.  Configurations closer than that
     to a stability wall are rejected rather than regularized.  The polarity
-    must match the sign of V, and N |V| < 2(N - 1) (``_collision_check``):
-    otherwise Z_N diverges, and the numerator argument N h reaches -1.  With
-    these checks every argument of l lies in (-1, 1), where each factor of
-    the product is positive.
+    must match the sign of V, and N |V| < 2(N - 1): where all N points meet,
+    the integrand scales like r^(N V) against the volume r^(2N - 3) dr of the
+    2(N - 1) relative coordinates, so otherwise Z_N diverges, and the
+    numerator argument N h reaches -1 (a smaller cluster of k points needs
+    only k |V| < 2(N - 1)).  The test reads |N h| < 1 in the arithmetic of
+    that argument.  With these checks every argument of l lies in (-1, 1),
+    where each factor of the product is positive.  They also keep every
+    weight below 1, which the direct integration of Z_N needs at the
+    punctures and at infinity.
     """
 
     N: int
@@ -99,7 +91,9 @@ class PeriodConfig:
         # w_i and w_i - V/2 in [d, 1 - d], the latter read as a range for w_i
         if not all(d <= x <= 1.0 - d and v / 2.0 + d <= x <= v / 2.0 + 1.0 - d for x in wv):
             raise ValueError(f"weights {wv.w} are within {d} of a stability wall")
-        _collision_check(self.N, v)
+        n = self.N
+        if abs(n * (v / (2.0 * (n - 1)))) >= 1.0:
+            raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
 
 
 # 2 zeta(k) / k, the coefficient of -u^k in ln l(u), for odd k = 45 down to 3:
@@ -320,24 +314,15 @@ def mc_oracle_z(
     "monte-carlo" uses importance sampling from a singularity-matched mixture
     with a counter-based generator (reproducible for a fixed seed); budget, its
     sample count, belongs to that scheme alone.  The reported err is a
-    quadrature refinement bound or the statistical standard error.
+    quadrature refinement bound or the statistical standard error.  The
+    weights and polarity must pass ``PeriodConfig(N, w, polarity)``.
     """
-    wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
-    # the punctures, and the decay |z|^(2 (w_k - 2)) at infinity, need every
-    # w_k < 1; the diagonal, where all the points meet, needs N |V| < 2(N - 1)
-    if max(wv) >= 1.0:
-        raise ValueError(f"integrand not integrable at a puncture: a weight of {wv.w} is >= 1")
-    _collision_check(n_points, wv.volume)
-    v = wv.volume
-    if polarity == "canonical" and v <= 0:
-        raise ValueError("canonical polarity requires V > 0")
-    if polarity == "anticanonical" and v >= 0:
-        raise ValueError("anticanonical polarity requires V < 0")
+    wv = PeriodConfig(N=n_points, w=w, polarity=polarity).w
     if budget is not None and budget < 1:
         raise ValueError(f"the oracle budget must be at least 1, got {budget!r}")
-    coupling = v / (n_points - 1)
+    coupling = wv.volume / (n_points - 1)
     if scheme == "quadrature":
         if n_points != 2:
             raise ValueError("the quadrature scheme is implemented for N = 2 only")

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .fields import get_field
@@ -80,7 +81,6 @@ class RamifiedPrime:
 class OptimalModel:
     """Optimal-model data: table row (as a full Petersson LogCombo) + correction."""
 
-    ram_indices: RamIndices | None
     pet_closed_form: LogCombo
     correction: LogCombo = field(default_factory=LogCombo)
 
@@ -133,7 +133,7 @@ def h_p_map(case: ShimuraCase) -> dict[int, Fraction]:
     diff = yuan_height(case) - optimal_pet_height(case)
     if diff.zeta_terms:
         raise ValueError(f"case {case.id!r}: field terms do not cancel: {diff.zeta_terms}")
-    if diff.q0 != 0 or diff.c_logpi != 0 or diff.named:
+    if diff.q0 != 0 or diff.c_logpi != 0:
         raise ValueError(f"case {case.id!r}: non-logarithmic terms survive in the height difference")
     scale = case.scale()
     return {p: c * scale for p, c in sorted(diff.logs.items())}
@@ -161,11 +161,7 @@ def _parse_case(doc: dict) -> ShimuraCase:
         for r in doc.get("ramified", [])
     )
     opt = doc["optimal"]
-    indices = None
-    if opt.get("ram_indices") is not None:
-        indices = RamIndices(tuple(math.inf if x is None else x for x in opt["ram_indices"]))
     optimal = OptimalModel(
-        ram_indices=indices,
         pet_closed_form=LogCombo.from_json(json.dumps(opt["pet_closed_form"])),
         correction=LogCombo.from_json(json.dumps(opt.get("correction", {}))),
     )
@@ -180,20 +176,19 @@ def _parse_case(doc: dict) -> ShimuraCase:
     )
 
 
-_CASES: dict[str, ShimuraCase] | None = None
+@cache
+def _builtin() -> dict[str, ShimuraCase]:
+    text = resources.files("orbiheight.data").joinpath("shimura_cases.json").read_text()
+    return {doc["id"]: _parse_case(doc) for doc in json.loads(text)}
 
 
 def builtin_cases() -> dict[str, ShimuraCase]:
     """The four shipped cases: modular, disc6, sqrt3, sqrt6."""
-    global _CASES
-    if _CASES is None:
-        text = resources.files("orbiheight.data").joinpath("shimura_cases.json").read_text()
-        _CASES = {doc["id"]: _parse_case(doc) for doc in json.loads(text)}
-    return dict(_CASES)
+    return dict(_builtin())
 
 
 def get_case(case_id: str) -> ShimuraCase:
-    cases = builtin_cases()
+    cases = _builtin()
     if case_id not in cases:
         raise KeyError(f"unknown case {case_id!r}; shipped: {sorted(cases)}")
     return cases[case_id]

@@ -17,7 +17,6 @@ from orbiheight.fields import (
     get_field,
     load_fields,
 )
-from orbiheight.lcombo import NAMED_CONSTANTS
 from orbiheight.specfun import hurwitz_zeta, hurwitz_zeta_ds
 from orbiheight.tables import TABLE1
 
@@ -117,7 +116,7 @@ def test_dedekind_log_deriv_runs_no_general_s_zeta(monkeypatch):
         raise AssertionError(f"hurwitz_zeta({s}, {x}) called")
 
     monkeypatch.setattr(fields, "hurwitz_zeta", general_s)
-    monkeypatch.setattr(fields, "_DD_CACHE", {})
+    dedekind_log_deriv.cache_clear()
     for fs in builtin_fields().values():
         assert math.isfinite(dedekind_log_deriv(fs).value)
 
@@ -141,15 +140,12 @@ def test_table1_against_mpmath():
         return mpmath.mpf(x.numerator) / x.denominator
 
     with mpmath.workdps(30):
-        named = {"logGammaRatio23": mpmath.loggamma(mpmath.mpf(2) / 3) - mpmath.loggamma(mpmath.mpf(1) / 3), "EulerGamma": mpmath.euler}
-        assert set(named) == set(NAMED_CONSTANTS)
         dd = {fid: _dedekind_log_deriv_mp(fs) / fs.degree for fid, fs in builtin_fields().items()}
         for row in TABLE1:  # each row's Petersson height carries its field's zeta term
             c = row.pet_height()
             ref = q(c.q0) + q(c.c_logpi) * mpmath.log(mpmath.pi)
             ref += sum(q(k) * mpmath.log(p) for p, k in c.logs.items())
             ref += sum(q(k) * dd[fid] for fid, k in c.zeta_terms.items())
-            ref += sum(q(k) * named[n] for n, k in c.named.items())
             r = c.evaluate()
             assert abs(mpmath.mpf(r.value) - ref) <= r.err, row.indices
 
@@ -171,6 +167,19 @@ def test_field_json_round_trip():
     a = dedekind_log_deriv(fields["Qdemo"]).value
     b = dedekind_log_deriv(get_field("Qsqrt5")).value
     assert a == pytest.approx(b, abs=0.0)
+
+
+def test_load_fields_rejects_malformed_characters():
+    trivial = {"modulus": 1, "values": {"1": [0, 1]}}
+    chi5 = {"modulus": 5, "values": {"1": [0, 1], "2": [1, 2], "3": [1, 2], "4": [0, 1]}}
+    # chi(1) = e^{pi i} = -1 is no character, at modulus 1 as at any other
+    with pytest.raises(ValueError, match="multiplicative"):
+        load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [{"modulus": 1, "values": {"1": [1, 2]}}, chi5]}))
+    # zeta_F has the Riemann zeta function as a factor
+    with pytest.raises(ValueError, match="trivial character"):
+        load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [chi5]}))
+    with pytest.raises(ValueError, match="trivial character"):
+        load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [trivial, trivial, chi5]}))
 
 
 def test_unknown_field():

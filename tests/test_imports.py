@@ -6,8 +6,11 @@ period route and the ``verify`` checks that draw seeded samples or run the
 period route load numpy.  scipy serves the tests and the benchmark alone.
 """
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +82,20 @@ def test_verify_grids_match_numpy_bitwise(start, stop, num):
     from orbiheight.verify import _linspace
 
     assert [x.hex() for x in _linspace(start, stop, num)] == [x.hex() for x in np.linspace(start, stop, num).tolist()]
+
+
+def test_exported_names_resolve():
+    # a name deleted from a module but still in its __all__, or still imported
+    # by the package, is a stale export
+    import orbiheight
+
+    missing = []
+    for info in pkgutil.iter_modules(orbiheight.__path__):
+        mod = importlib.import_module(f"orbiheight.{info.name}")
+        missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    for node in ast.walk(ast.parse(Path(orbiheight.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            mod = importlib.import_module(f"orbiheight.{node.module}")
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
+    missing += [n for n in orbiheight._PERIODS_NAMES if not hasattr(orbiheight, n)]
+    assert missing == []

@@ -81,7 +81,6 @@ def test_field_term_cancellation_required():
         field_id="Q",
         ramified=case.ramified,
         optimal=OptimalModel(
-            ram_indices=None,
             pet_closed_form=LogCombo(q0=F(-1, 2), zeta_terms={"Q": F(-1)}, logs={}),
             correction=LogCombo(zeta_terms={"Q": F(1, 3)}),
         ),

@@ -21,7 +21,6 @@ def random_combo(rng) -> LogCombo:
         c_logpi=frac(),
         logs={p: frac() for p in (2, 3, 5, 7) if rng.random() < 0.6},
         zeta_terms={f: frac() for f in ("Q", "Qsqrt2") if rng.random() < 0.4},
-        named={n: frac() for n in ("EulerGamma",) if rng.random() < 0.3},
     )
 
 
@@ -64,11 +63,6 @@ def test_evaluate_additivity():
         assert abs(rab.value - (ra.value + rb.value)) <= ra.err + rb.err + 1e-12
 
 
-def test_unknown_named_constant():
-    with pytest.raises(KeyError):
-        LogCombo(named={"nope": F(1)}).evaluate()
-
-
 def test_json_round_trip():
     rng = np.random.default_rng(303)
     for _ in range(20):
@@ -76,6 +70,17 @@ def test_json_round_trip():
         assert LogCombo.from_json(a.to_json()) == a
     doc = LogCombo(q0=F(1, 2), logs={2: F(-19, 12)}, zeta_terms={"Qsqrt2": F(-1)}).to_json()
     assert '"q0": [1, 2]' in doc and '"2": [-19, 12]' in doc
+
+
+def test_from_json_rejects_unknown_terms():
+    # a term it cannot represent must not be dropped silently
+    with pytest.raises(ValueError, match="bogus"):
+        LogCombo.from_json('{"q0": [1, 2], "bogus": {"x": [1, 1]}}')
+    with pytest.raises(ValueError, match="named"):
+        LogCombo.from_json('{"q0": [1, 2], "named": {"EulerGamma": [1, 1]}}')
+    # an empty unknown entry carries no term, as in documents holding "named": {}
+    doc = '{"q0": [-1, 2], "logpi": [0, 1], "logs": {"2": [-1, 2]}, "zeta": {"Q": [-1, 1]}, "named": {}}'
+    assert LogCombo.from_json(doc) == LogCombo(q0=F(-1, 2), logs={2: F(-1, 2)}, zeta_terms={"Q": F(-1)})
 
 
 def test_rationalize():
