@@ -27,6 +27,7 @@ from fractions import Fraction
 from .heights import h_can_positive
 from .lcombo import LogCombo
 from .specfun import EvalResult
+from .tables import TABLE1
 
 __all__ = [
     "FermatSpec",
@@ -37,6 +38,10 @@ __all__ = [
     "ArakelovBounds",
     "arakelov_upper_bound",
 ]
+
+
+# the second bound's m-independent constant, f((3/4)^3) + (1/2) ln pi
+_SECOND_CONSTANT = next(r for r in TABLE1 if r.indices.m == (4, 4, 4)).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
 
 
 @dataclass(frozen=True)
@@ -121,9 +126,9 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
              + eps_m + 2 ln m
 
     `second_constant` is the m-independent part of the second bound as an
-    exact combination: f((3/4)^3) + (1/2) ln pi, i.e. the Petersson height of
-    the (4,4,4) table row plus (3/2) ln 2 (h_Pet = f + (1/2) ln(pi V / 2) at
-    V = 1/4).  Since f decreases along the diagonal, second - first =
+    exact combination: f((3/4)^3) + (1/2) ln pi, built as the Petersson height
+    of the (4,4,4) `TABLE1` row plus (3/2) ln 2 (h_Pet = f + (1/2) ln(pi V / 2)
+    at V = 1/4).  Since f decreases along the diagonal, second - first =
     f((3/4)^3) - f((1-1/m)^3) >= 0.  The printed -13/12 ln 2 is off by -ln 2
     (see `tables.PRINTED_DEVIATIONS`).
 
@@ -135,10 +140,7 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     t = 1.0 - 1.0 / m
     base = h_can_positive((t, t, t))
     first = EvalResult(base.value + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, base.err)
-    # the combo's field-term convention already divides by [F:Q] = 2, so the
-    # coefficient -1 yields the bound's -(1/2) zeta_F'(-1)/zeta_F(-1)
-    const = LogCombo(q0=Fraction(-1, 2), logs={2: Fraction(-1, 12)}, zeta_terms={"Qsqrt2": Fraction(-1)})
-    second = const.evaluate().value + eps + 2.0 * math.log(m)
+    second = _SECOND_CONSTANT.evaluate().value + eps + 2.0 * math.log(m)
     if second < 0.0:
         raise ValueError(f"derived Arakelov upper bound is negative at m = {m}: inconsistent inputs")
-    return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=const, second=second)
+    return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

@@ -3,19 +3,15 @@
 A field is described by the primitive Dirichlet characters whose L-functions
 multiply to its Dedekind zeta function (conductor-discriminant).  Character
 values are stored as exact rational angles k/n (the value is e^{2 pi i k/n}),
-so conjugate pairing and multiplicativity can be checked exactly.
+so conjugate pairing, multiplicativity and primitivity can be checked exactly.
 
-The quantity the height formulas consume is the logarithmic derivative
-zeta_F'(-1)/zeta_F(-1), computed as sum over characters of L'(-1)/L(-1),
-where each L-value comes from the finite Hurwitz-zeta sum
-
-    L(s, chi) = f^(-s) * sum_{a=1..f} chi(a) zeta(s, a/f)
-
-at the character's own conductor f.  Using each character's conductor (the
-trivial character has conductor 1) is what removes the spurious Euler
-factors an imprimitive evaluation would introduce.  At s = -1 the zeta
-values are the exact rationals zeta(-1, a/f) = -B_2(a/f)/2, so the
-general-s Hurwitz kernel runs only for other s.
+The quantity the height formulas consume is zeta_F'(-1)/zeta_F(-1), the sum
+over characters of L'(-1)/L(-1), with L(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/f)
+at the character's own conductor f (1 for the trivial character), which keeps
+out the Euler factors of an imprimitive evaluation.  At s = -1 both come from
+zeta(-1, x) = -B_2(x)/2 and the odd-zeta series Q of :mod:`orbiheight.specfun`,
+the kernel the heights use; Q pairs a with f - a, which needs chi(-1) = 1, and
+every character of a totally real field is even.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from math import gcd
 
-from .specfun import EvalResult, hurwitz_zeta, hurwitz_zeta_ds
+from .specfun import EvalResult, _q
 
 __all__ = [
     "Character",
@@ -85,6 +81,7 @@ class Character:
         if set(self.angles) != {a for a in range(modulus) if gcd(a, modulus) == 1}:
             raise ValueError(f"character table must cover (Z/{modulus})^x exactly")
         self._check_multiplicative()
+        self._check_primitive()
 
     def __call__(self, a: int) -> complex:
         k = self.angles.get(a % self.modulus)
@@ -93,6 +90,10 @@ class Character:
     @property
     def is_trivial(self) -> bool:
         return all(k == 0 for k in self.angles.values())
+
+    @property
+    def is_even(self) -> bool:  # chi(-1) = 1
+        return self.angles[-1 % self.modulus] == 0
 
     @property
     def is_real(self) -> bool:
@@ -108,6 +109,19 @@ class Character:
                 ab = (a * b) % f if f > 1 else 0
                 if (self.angles[a] + self.angles[b] - self.angles[ab]) % 1 != 0:
                     raise ValueError(f"character table mod {f} is not multiplicative at ({a},{b})")
+
+    def _check_primitive(self):
+        # chi has a conductor below f exactly when, for some prime p | f, it is
+        # 1 on every unit a = 1 mod f/p
+        f = n = self.modulus
+        p = 2
+        while n > 1:
+            if n % p == 0:
+                while n % p == 0:
+                    n //= p
+                if all(k == 0 for a, k in self.angles.items() if a % (f // p) == 1 % (f // p)):
+                    raise ValueError(f"character mod {f} is imprimitive: it is defined mod {f // p}")
+            p += 1
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,9 @@ class FieldSpec:
         # The trivial character carries the Riemann zeta factor of zeta_F.
         if sum(ch.is_trivial for ch in self.characters) != 1:
             raise ValueError(f"field {self.id!r}: the trivial character must occur exactly once")
+        # A totally real field has only even characters, and L'(-1, chi) below needs evenness.
+        if not all(ch.is_even for ch in self.characters):
+            raise ValueError(f"field {self.id!r}: odd character (chi(-1) = -1) in a totally real field")
         # Non-real characters must occur in conjugate pairs so products are real.
         pool = [ch for ch in self.characters if not ch.is_real]
         while pool:
@@ -137,51 +154,47 @@ class FieldSpec:
             pool.remove(match)
 
 
-def _zeta_m1(a: int, f: int) -> EvalResult:
-    """zeta(-1, a/f) = -B_2(a/f)/2, rounded once from the exact rational."""
-    t = Fraction(a, f)
-    v = float((t - t * t - Fraction(1, 6)) / 2)
-    return EvalResult(v, _EPS * abs(v))
-
-
-def dirichlet_L(s: float, chi: Character) -> ComplexEvalResult:
-    """L(s, chi) by the finite Hurwitz sum at the character's modulus."""
-    if s == 1.0 and chi.is_trivial:
-        raise ValueError("L(s, trivial) has a pole at s = 1")
+def dirichlet_L(chi: Character) -> ComplexEvalResult:
+    """L(-1, chi) = -(f/2) sum_a chi(a) B_2(a/f); each B_2 is rounded once, and
+    err adds an eps of the terms' size per product and partial sum."""
     f = chi.modulus
     total = 0j
-    err = 0.0
+    mag = 0.0
     for a, ang in chi.angles.items():
-        aa = a if f > 1 else 1
-        z = _zeta_m1(aa, f) if s == -1.0 else hurwitz_zeta(s, aa / f)
-        w = _root_of_unity(ang)
-        total += w * z.value
-        err += z.err
-    scale = f ** (-s)
-    return ComplexEvalResult(scale * total, scale * err)
+        a = a or 1  # residue 0 stands for a = 1 when f = 1
+        b = (6 * a * (a - f) + f * f) / (6 * f * f)  # B_2(a/f), a correctly rounded int division
+        total += _root_of_unity(ang) * b
+        mag += abs(b)
+    return ComplexEvalResult(-0.5 * f * total, 0.5 * f * (len(chi.angles) + 4) * _EPS * mag)
 
 
 def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
-    """d/ds L(s, chi) at s = -1.
+    """d/ds L(s, chi) at s = -1 from the Q series, for an even character.
 
-    Differentiating f^(-s) sum chi(a) zeta(s, a/f) gives
-    f^(-s) [ -ln f * sum chi(a) zeta(s, a/f) + sum chi(a) zeta'(s, a/f) ].
+    Pairing a with f - a by zeta'(-1, x) + zeta'(-1, 1 - x) = Q(x) + B_2(x),
+    with sum chi(a) = 0, gives L'(-1, chi) = -(1 + ln f) L(-1, chi)
+    + (f/2) sum_a chi(a) (Q(a/f) - Q(0)); zeta(s, 1/2) = (2^s - 1) zeta(s) gives
+    zeta'(-1) = (1/4 - (ln 2)/12 - (Q(1/2) - Q(0)))/3 for the trivial one.  err
+    adds the Q bounds, the rounding of a/f, where |Q'| < 3 + 2 ln f, and of the sums.
     """
     f = chi.modulus
-    s_sum = 0j
-    d_sum = 0j
-    err = 0.0
+    if f == 1:
+        q, e = _q(0.5)
+        value = (0.25 - math.log(2.0) / 12.0 - q) / 3.0
+        return ComplexEvalResult(complex(value), e / 3.0 + 2.0 * _EPS * (0.25 + abs(q)))
+    if not chi.is_even:
+        raise ValueError(f"L'(-1, chi) from the Q series needs an even character; chi mod {f} is odd")
+    total = 0j
+    mag = err = 0.0
     for a, ang in chi.angles.items():
-        aa = a if f > 1 else 1
-        z = _zeta_m1(aa, f)
-        zd = hurwitz_zeta_ds(aa / f)
-        w = _root_of_unity(ang)
-        s_sum += w * z.value
-        d_sum += w * zd.value
-        err += z.err * abs(math.log(max(f, 1))) + zd.err
-    scale = float(f)  # f^(-s) at s = -1
-    lf = math.log(f) if f > 1 else 0.0
-    return ComplexEvalResult(scale * (-lf * s_sum + d_sum), scale * err + 1e-15)
+        q, e = _q(a / f)
+        total += _root_of_unity(ang) * q
+        mag += abs(q)
+        err += e
+    n, lf1, lv = len(chi.angles), 1.0 + math.log(f), dirichlet_L(chi)
+    head, tail = -lf1 * lv.value, 0.5 * f * total
+    err = lf1 * lv.err + 0.5 * f * (err + n * _EPS * (3.0 + 2.0 * math.log(f)) + (n + 4) * _EPS * mag)
+    return ComplexEvalResult(head + tail, err + 2.0 * _EPS * (abs(head) + abs(tail)))
 
 
 @lru_cache
@@ -193,7 +206,7 @@ def dedekind_log_deriv(field: FieldSpec) -> EvalResult:
     total = 0j
     err = 0.0
     for chi in field.characters:
-        lv = dirichlet_L(-1.0, chi)
+        lv = dirichlet_L(chi)
         ld = dirichlet_L_ds(chi)
         if abs(lv.value) < 1e-8:
             raise ValueError(f"L(-1, chi) vanishes within tolerance for field {field.id!r}")
@@ -220,6 +233,8 @@ def load_fields(text: str) -> dict[str, FieldSpec]:
     out = {}
     for d in docs:
         fs = _field_from_dict(d)
+        if fs.id in out:
+            raise ValueError(f"duplicate field id {fs.id!r}")
         out[fs.id] = fs
     return out
 

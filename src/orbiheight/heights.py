@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import EvalResult, _q, digamma, log_gamma
+from .specfun import _EULER_GAMMA, EvalResult, _q
 
 __all__ = [
     "WeightVector",
@@ -255,6 +255,14 @@ def faltings_log_cy(w) -> EvalResult:
     err bounds the rounding of the six ln Gamma terms and their sum; the
     tests check the product against nested quadrature of I and against a
     2F1 radial reduction.
+
+    Weights with 0 < |V| <= 1e-9 are accepted too, and the value is still the
+    one at V = 0.  The signed height K(t) of :func:`h_can` at t = V/2 is
+    -(1/2) ln pi + euler_gamma t/2 + (1/2) sum_i (Q(w_i - t) - Q(w_i))/(-t) plus
+    terms of order t^3, and Q'' = psi(x) + psi(1 - x) is at most
+    1/x + 1/(1 - x) + 2 euler_gamma in size, so err adds
+    |t| (euler_gamma/2 + (1/4) sum_i (1/x + 1/(1 - x) + 2 euler_gamma)), x
+    at the worse end of [w_i - t, w_i].  Here V is fsum(w) - 2 as computed.
     """
     wv = _weights(w)
     if abs(wv.volume) > _V0_TOL:
@@ -266,6 +274,12 @@ def faltings_log_cy(w) -> EvalResult:
     lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in wv]
     value = -0.5 * (math.log(math.pi) - math.fsum(a - b for a, b in lg))
     err = 8.0 * _EPS * (1.0 + math.fsum(abs(a) + abs(b) for a, b in lg))
+    if wv.volume:
+        t = wv.volume / 2.0
+        slope = 0.5 * _EULER_GAMMA + 0.25 * sum(
+            max(1.0 / x + 1.0 / (1.0 - x) for x in (wi, wi - t)) + 2.0 * _EULER_GAMMA for wi in wv
+        )
+        err += abs(t) * slope
     return EvalResult(value, err)
 
 
@@ -279,16 +293,13 @@ def bound_linear_fano(w) -> float:
 def bound_semiample(w) -> float:
     """Linear upper bound for the semi-ample-side height, touching at w = (2/3)^3:
 
-        -(1/2) ln pi + (3/2) ln(Gamma(2/3)/Gamma(1/3)) + slope * (w1+w2+w3-2),
+        -(1/2) ln pi + (3/2) ln(Gamma(2/3)/Gamma(1/3)) - (3/8) ln 3 * (w1+w2+w3-2),
 
-    slope = (1/4) (euler_gamma + (psi(2/3) + psi(1/3))/2) per unit of V.
-    The touching-point derivative along the diagonal (t, t, t) in t is three
-    times that.  One printed form applies the t-derivative to V = 3(t - 2/3)
-    directly and writes Gamma'(1/3)/Gamma(2/3) for psi(1/3); that slope fails
-    as a bound just past the wall (the tests keep it as a counterexample).
+    the log Calabi-Yau value at (2/3)^3 plus a slope per unit of V that Gauss's
+    digamma theorem reduces from (1/4) (euler_gamma + (psi(2/3) + psi(1/3))/2).
+    One printed form applies the t-derivative along (t, t, t) to V = 3(t - 2/3)
+    and writes Gamma'(1/3)/Gamma(2/3) for psi(1/3); that slope fails as a bound
+    just past the wall (the tests keep it as a counterexample).
     """
     wv = _weights(w)
-    const = -0.5 * math.log(math.pi) + 1.5 * (log_gamma(2.0 / 3.0).value - log_gamma(1.0 / 3.0).value)
-    euler_gamma = -digamma(1.0).value
-    slope = 0.25 * (euler_gamma + 0.5 * (digamma(2.0 / 3.0).value + digamma(1.0 / 3.0).value))
-    return const + slope * (math.fsum(wv.w) - 2.0)
+    return faltings_log_cy((2.0 / 3.0,) * 3).value - 0.375 * math.log(3.0) * (math.fsum(wv.w) - 2.0)

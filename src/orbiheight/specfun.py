@@ -4,8 +4,7 @@ The analytic backbone is the Hurwitz zeta function
 
     zeta(s, x) = sum_{n>=0} (n + x)^(-s),   Re s > 1,
 
-continued via the Euler-Maclaurin expansion, together with its s-derivative
-at s = -1.  The combination
+and its s-derivative at s = -1.  The combination
 
     loggamma_primitive(x) = zeta(-1, x) + d/ds zeta(s, x)|_{s=-1}
 
@@ -18,17 +17,15 @@ ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a short series in x^2
 with odd zeta values as coefficients, summed on [0, 1/2] and reflected by
 Q(x) = Q(1 - x).
 
-At s = -1 the zeta value itself is the polynomial -B_2(x)/2, so the
-primitive needs the Euler-Maclaurin sum only for the s-derivative; it stays
-public as the reference the tests check the Q series against, and the
-general-s ``hurwitz_zeta`` as the reference for both.
-The kernels are plain ``math`` on floats (``log_gamma`` is ``math.lgamma``,
-``digamma`` a recurrence plus its asymptotic series), so importing this
-module does not load numpy; the period route sums the derivative of the
-same Q series, ln(Gamma(x)/Gamma(1-x)), from the same odd-zeta literals.
-Every public kernel returns an :class:`EvalResult` carrying an absolute
-error estimate.  All functions are pure and safe to call from multiple
-threads.
+``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel in
+production: the heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi)
+from it, and the period route sums its derivative ln(Gamma(x)/Gamma(1-x))
+from the same odd-zeta literals.  The Euler-Maclaurin kernels
+(``hurwitz_zeta``, ``hurwitz_zeta_ds``, ``loggamma_primitive``), ``log_gamma``
+and ``digamma`` serve only the ``orbiheight specfun`` subcommand, the specfun
+suite of ``orbiheight verify`` and the tests, as independent references.  All
+are pure functions in plain ``math`` (no numpy), and every public one returns
+an :class:`EvalResult` carrying an absolute error estimate.
 """
 
 from __future__ import annotations
@@ -196,8 +193,8 @@ def hurwitz_zeta(s: float, x: float) -> EvalResult:
     Euler-Maclaurin with the argument shifted to x + M >= 12 and correction
     terms through B_24; the reported error is the first omitted term plus a
     rounding floor.  The height formulas need only s = -1, where
-    zeta(-1, x) = -B_2(x)/2 exactly; they use :func:`bernoulli2`, and this
-    general-s kernel is the independent reference the tests check them against.
+    zeta(-1, x) = -B_2(x)/2 exactly (:func:`bernoulli2`); this general-s
+    kernel is the independent reference the tests check that against.
     """
     if not (math.isfinite(s) and math.isfinite(x)):
         raise ValueError("hurwitz_zeta requires finite arguments")

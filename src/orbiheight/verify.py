@@ -185,7 +185,7 @@ def _dedekind_real():
         prod = 1.0 + 0.0j
         tot = 0.0 + 0.0j
         for chi in fs.characters:
-            lv = fl.dirichlet_L(-1.0, chi)
+            lv = fl.dirichlet_L(chi)
             ld = fl.dirichlet_L_ds(chi)
             prod *= lv.value
             tot += ld.value / lv.value
@@ -197,7 +197,7 @@ def _dedekind_real():
 def _chi8_bernoulli():
     # 8 * sum chi(a) (-B2(a/8)/2), summed plainly and exactly
     parts = [s * (-sf.bernoulli2(a / 8.0) / 2.0) for a, s in ((1, 1.0), (3, -1.0), (5, -1.0), (7, 1.0))]
-    value = fl.dirichlet_L(-1.0, fl.get_field("Qsqrt2").characters[1]).value.real
+    value = fl.dirichlet_L(fl.get_field("Qsqrt2").characters[1]).value.real
     return max(abs(value - 8.0 * sum(parts)), abs(value - 8.0 * math.fsum(parts)))
 
 
@@ -488,7 +488,7 @@ def _printed_constant():
     return -0.89 < printed < -0.88, f"recomputed printed constant {printed:.9f}"
 
 
-@_register("fermat", "second-bound constant = f((3/4)^3) + ln(pi)/2", 1e-12)
+@_register("fermat", "second-bound constant = f((3/4)^3) + ln(pi)/2", 1e-14)
 def _second_constant():
     return fm.arakelov_upper_bound(4).second_constant.evaluate().value - hg.h_pi_normalized((0.75,) * 3).value
 

@@ -2,14 +2,16 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from orbiheight import fields
+from orbiheight import fermat, heights, shimura, specfun
 from orbiheight.fields import (
     Character,
+    FieldSpec,
     builtin_fields,
     dedekind_log_deriv,
     dirichlet_L,
@@ -18,7 +20,7 @@ from orbiheight.fields import (
     load_fields,
 )
 from orbiheight.specfun import hurwitz_zeta, hurwitz_zeta_ds
-from orbiheight.tables import TABLE1
+from orbiheight.tables import TABLE1, TABLE2
 
 
 def test_builtin_fields_shape():
@@ -40,10 +42,8 @@ def test_character_validation():
 
 def test_trivial_character_is_riemann_zeta():
     chi = get_field("Q").characters[0]
-    assert dirichlet_L(-1.0, chi).value.real == pytest.approx(-1.0 / 12.0, abs=1e-13)
+    assert dirichlet_L(chi).value.real == pytest.approx(-1.0 / 12.0, abs=1e-13)
     assert dirichlet_L_ds(chi).value.real == pytest.approx(hurwitz_zeta_ds(1.0).value, abs=1e-12)
-    with pytest.raises(ValueError):
-        dirichlet_L(1.0, chi)
 
 
 def test_chi8_bernoulli_oracle():
@@ -56,7 +56,7 @@ def test_chi8_bernoulli_oracle():
     oracle *= 8
     assert oracle == -1
     chi8 = get_field("Qsqrt2").characters[1]
-    val = dirichlet_L(-1.0, chi8).value
+    val = dirichlet_L(chi8).value
     assert val.imag == 0.0
     assert val.real == pytest.approx(float(oracle), abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_chi8_derivative_finite_difference_oracle():
 def test_cubic_pair_product_real_positive():
     f7 = get_field("Qcos7")
     chi, chibar = f7.characters[1], f7.characters[2]
-    prod = dirichlet_L(-1.0, chi).value * dirichlet_L(-1.0, chibar).value
+    prod = dirichlet_L(chi).value * dirichlet_L(chibar).value
     assert abs(prod.imag) < 1e-14
     assert prod.real > 0.0
     # conjugate characters have conjugate derivatives
@@ -98,7 +98,7 @@ def test_dedekind_log_deriv_rational_field():
 def test_dedekind_qsqrt2_explicit_combination():
     # zeta_F = zeta(s) 8^{-s} (zeta(s,1/8) - zeta(s,3/8) - zeta(s,5/8) + zeta(s,7/8))
     chi8 = get_field("Qsqrt2").characters[1]
-    lv = dirichlet_L(-1.0, chi8).value.real
+    lv = dirichlet_L(chi8).value.real
     ld = dirichlet_L_ds(chi8).value.real
     expected = -12.0 * hurwitz_zeta_ds(1.0).value + ld / lv
     assert dedekind_log_deriv(get_field("Qsqrt2")).value == pytest.approx(expected, abs=1e-12)
@@ -110,15 +110,61 @@ def test_dedekind_cubic_fields_real():
         assert math.isfinite(r.value)  # construction enforces Im < 1e-10
 
 
-def test_dedekind_log_deriv_runs_no_general_s_zeta(monkeypatch):
-    # at s = -1 the zeta values are exact rationals -B_2(a/f)/2
-    def general_s(s, x):
-        raise AssertionError(f"hurwitz_zeta({s}, {x}) called")
+# the Euler-Maclaurin and ln Gamma kernels, which only the specfun CLI, the
+# verify specfun suite and the tests may call
+_REFERENCE_KERNELS = ("hurwitz_zeta", "hurwitz_zeta_ds", "loggamma_primitive", "digamma", "log_gamma")
 
-    monkeypatch.setattr(fields, "hurwitz_zeta", general_s)
+
+def test_exact_layer_runs_on_the_q_kernel_alone(monkeypatch):
+    def forbidden(name):
+        def kernel(*args):
+            raise AssertionError(f"{name}{args} called")
+
+        return kernel
+
+    for mod in [m for name, m in sys.modules.items() if name == "orbiheight" or name.startswith("orbiheight.")]:
+        for name in _REFERENCE_KERNELS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden(name))
     dedekind_log_deriv.cache_clear()
+    specfun._q.cache_clear()
     for fs in builtin_fields().values():
         assert math.isfinite(dedekind_log_deriv(fs).value)
+    for row in TABLE1:
+        assert math.isfinite(row.pet_height().evaluate().value)
+    for row in TABLE1 + TABLE2:
+        assert math.isfinite(row.constant.evaluate().value)
+    for case in shimura.builtin_cases().values():
+        assert shimura.h_p_map(case)
+    for m in range(4, 61):
+        b = fermat.arakelov_upper_bound(m)
+        assert fermat.fermat_h_can(fermat.FermatSpec(m)).value <= b.first.value <= b.second
+    assert math.isfinite(heights.bound_semiample((0.8, 0.8, 0.8)))
+
+
+def _dirichlet_L_ds_em(chi):
+    """L'(-1, chi) = f (-ln f sum chi(a) zeta(-1, a/f) + sum chi(a) zeta'(-1, a/f)),
+    each zeta'(-1, a/f) from the Euler-Maclaurin kernel; (value, err)."""
+    f = chi.modulus
+    s_sum = d_sum = 0j
+    err = 0.0
+    for a, ang in chi.angles.items():
+        aa = a if f > 1 else 1
+        z = hurwitz_zeta(-1.0, aa / f)
+        zd = hurwitz_zeta_ds(aa / f)
+        w = chi(aa)
+        s_sum += w * z.value
+        d_sum += w * zd.value
+        err += z.err * math.log(f) + zd.err
+    return f * (-math.log(f) * s_sum + d_sum), f * err + 1e-15
+
+
+def test_dirichlet_L_ds_against_euler_maclaurin():
+    for fs in builtin_fields().values():
+        for chi in fs.characters:
+            q = dirichlet_L_ds(chi)
+            em, em_err = _dirichlet_L_ds_em(chi)
+            assert abs(q.value - em) <= q.err + em_err, (fs.id, chi.modulus)
 
 
 def _dedekind_log_deriv_mp(fs) -> mpmath.mpf:
@@ -148,6 +194,13 @@ def test_table1_against_mpmath():
             ref += sum(q(k) * dd[fid] for fid, k in c.zeta_terms.items())
             r = c.evaluate()
             assert abs(mpmath.mpf(r.value) - ref) <= r.err, row.indices
+
+
+def test_dedekind_log_deriv_against_mpmath():
+    with mpmath.workdps(40):
+        for fs in builtin_fields().values():
+            r = dedekind_log_deriv(fs)
+            assert abs(mpmath.mpf(r.value) - _dedekind_log_deriv_mp(fs)) <= r.err <= 1e-12, fs.id
 
 
 def test_field_json_round_trip():
@@ -180,6 +233,38 @@ def test_load_fields_rejects_malformed_characters():
         load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [chi5]}))
     with pytest.raises(ValueError, match="trivial character"):
         load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [trivial, trivial, chi5]}))
+
+
+def test_characters_must_be_primitive_and_even():
+    # the trivial character mod 5 has conductor 1; the quadratic character
+    # mod 10 is the one mod 5, lifted
+    with pytest.raises(ValueError, match="imprimitive"):
+        Character(5, {a: Fraction(0) for a in (1, 2, 3, 4)})
+    with pytest.raises(ValueError, match="imprimitive"):
+        Character(10, {1: Fraction(0), 3: Fraction(1, 2), 7: Fraction(1, 2), 9: Fraction(0)})
+    trivial = Character(1, {1: Fraction(0)})
+    chi4 = Character(4, {1: Fraction(0), 3: Fraction(1, 2)})  # primitive and odd
+    assert not chi4.is_even
+    with pytest.raises(ValueError, match="even character"):
+        dirichlet_L_ds(chi4)
+    with pytest.raises(ValueError, match="odd character"):
+        FieldSpec("Qi", 4, (trivial, chi4))
+    # the imprimitive field that loaded with a wrong value (-0.5081 against 1.5037)
+    chi5 = {"modulus": 5, "values": {"1": [0, 1], "2": [1, 2], "3": [1, 2], "4": [0, 1]}}
+    trivial5 = {"modulus": 5, "values": {"1": [0, 1], "2": [0, 1], "3": [0, 1], "4": [0, 1]}}
+    with pytest.raises(ValueError, match="imprimitive"):
+        load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [trivial5, chi5]}))
+
+
+def test_load_fields_rejects_duplicate_ids():
+    trivial = {"modulus": 1, "values": {"1": [0, 1]}}
+    chi5 = {"modulus": 5, "values": {"1": [0, 1], "2": [1, 2], "3": [1, 2], "4": [0, 1]}}
+    docs = [
+        {"id": "A", "modulus": 5, "characters": [trivial, chi5]},
+        {"id": "A", "modulus": 1, "characters": [trivial]},
+    ]
+    with pytest.raises(ValueError, match="duplicate field id 'A'"):
+        load_fields(json.dumps(docs))
 
 
 def test_unknown_field():

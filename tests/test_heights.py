@@ -164,17 +164,17 @@ def _q_coefficients_mp() -> tuple:
         return tuple(2 * mpmath.zeta(k) / (k * (k + 1)) for k in range(3, 81, 2))
 
 
-def _h_can_series_mp(w) -> mpmath.mpf:
-    """The height at 30 digits from Q(x) - Q(0) = x - x ln x - euler_gamma x^2
+def _h_can_series_mp(w, v=None, dps=30) -> mpmath.mpf:
+    """The height at dps digits from Q(x) - Q(0) = x - x ln x - euler_gamma x^2
     - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)), Q(x) = Q(1 - x).
 
     Q(b) - Q(a) = gamma(a, b) is exact mathematics (the tests of
     loggamma_ratio_integral check it against quadrature and the primitive),
     so this measures the rounding error of the double evaluation; through
     k = 79 the omitted terms are below 1e-26 on [0, 1/2].  It is some ten
-    times faster than :func:`_h_can_mp`.
+    times faster than :func:`_h_can_mp`.  V is sum(w) - 2 unless v is given.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
 
         def q(x):
             x = min(x, 1 - x)
@@ -187,7 +187,7 @@ def _h_can_series_mp(w) -> mpmath.mpf:
             return x - x * mpmath.log(x) - mpmath.euler * x2 - series * x2 * x2
 
         w = [mpmath.mpf(x) for x in w]
-        v = sum(w) - 2
+        v = sum(w) - 2 if v is None else mpmath.mpf(v)
         s = 1 if v > 0 else -1
         bracket = q(abs(v) / 2) + sum(q(x - v / 2) - q(x) for x in w)
         return s * (-mpmath.log(mpmath.pi) / 2 + s * (1 - mpmath.log(abs(v) / 2)) / 2 - bracket / v)
@@ -349,11 +349,39 @@ def test_faltings_log_cy_error_bound_against_mpmath(w1, u):
     w = (w1, w2, 2.0 - w1 - w2)
     assume(max(w) < 1.0 - 1e-9 and min(w) > 0.0)
     r = faltings_log_cy(w)
-    d = abs(mpmath.mpf(r.value) - _wall_mp(w))
+    d = abs(mpmath.mpf(r.value) - _log_cy_reference_mp(w))
     assert d <= r.err
     # err is not wildly pessimistic: within 10^3 of the actual error, which a
     # double result can promise no better than to half an ulp
     assert r.err <= 1e3 * max(d, math.ulp(r.value) / 2.0) + 1e-15
+
+
+def _log_cy_reference_mp(w) -> mpmath.mpf:
+    """What faltings_log_cy(w) approximates: the wall value when V = fsum(w) - 2
+    is 0, and else the signed height at that V, at 60 digits, where the
+    bracket of the closed form cancels to order V."""
+    v = volume(w)
+    if v == 0.0:
+        return _wall_mp(w)
+    return math.copysign(1.0, v) * _h_can_series_mp(w, v=v, dps=60)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        (0.3, 0.9, 0.8 + 5e-10),  # V = 5e-10
+        (2.2e-9, 1.0 - 1.5e-9, 1.0 - 1.5e-9),  # V = -8e-10, next to a corner of the klt simplex
+        (0.99999999, 2.0000000050247593e-08, 0.9999999899999998),  # V = -2.2e-16, the next double below 2
+    ],
+)
+def test_faltings_log_cy_err_counts_the_volume(w):
+    # within |V| <= 1e-9 the value is the wall value at w, which misses the
+    # signed height by 1.5e-9 to 0.19 at these points, against a rounding
+    # err of about 1e-13; err adds |V|/2 times a bound on its slope
+    r = faltings_log_cy(w)
+    d = abs(mpmath.mpf(r.value) - _log_cy_reference_mp(w))
+    assert d > 1e-9
+    assert d <= r.err <= 2.0 * d
 
 
 def test_faltings_log_cy_on_tenths_lattice():
