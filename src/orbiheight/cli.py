@@ -32,10 +32,22 @@ from . import specfun as sf
 from .fields import dedekind_log_deriv, get_field
 from .lcombo import LogCombo
 
+
+def _bernoulli2(a: float) -> sf.EvalResult:
+    """B_2(a) = a*a - a + 1/6 with its rounding bound.
+
+    The product, the difference, the stored 1/6 and the sum each round by at
+    most eps/2 of a partial result, and those are at most a^2, a^2 + |a|,
+    1/6 and a^2 + |a| + 1/6 (to first order in eps): eps (3a^2/2 + |a| + 1/6)
+    in all, which 2 eps (a^2 + |a| + 1/6) covers with the higher orders.
+    """
+    return sf.EvalResult(sf.bernoulli2(a), 2.0 * sf._EPS * (a * a + abs(a) + 1.0 / 6.0))
+
+
 _KERNELS = {
     "log_gamma": (1, sf.log_gamma),
     "digamma": (1, sf.digamma),
-    "bernoulli2": (1, lambda a: sf.EvalResult(sf.bernoulli2(a), 0.0)),
+    "bernoulli2": (1, _bernoulli2),
     "hurwitz_zeta": (2, sf.hurwitz_zeta),
     "hurwitz_zeta_ds": (1, sf.hurwitz_zeta_ds),
     "loggamma_primitive": (1, sf.loggamma_primitive),

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .heights import h_can_positive
+from .heights import _height_positive
 from .lcombo import LogCombo
 from .specfun import EvalResult
 from .tables import TABLE1
@@ -42,6 +43,12 @@ __all__ = [
 
 # the second bound's m-independent constant, f((3/4)^3) + (1/2) ln pi
 _SECOND_CONSTANT = next(r for r in TABLE1 if r.indices.m == (4, 4, 4)).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
+
+
+@cache
+def _second_constant_value() -> float:
+    """The value of _SECOND_CONSTANT, evaluated on first use (it loads the fields)."""
+    return _SECOND_CONSTANT.evaluate().value
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,9 @@ def fermat_h_can(spec: FermatSpec) -> EvalResult:
     if spec.m < 4:
         raise ValueError("the canonical-side formula requires degree m >= 4")
     t = 1.0 - 1.0 / spec.m
-    base = h_can_positive((t, t, t))
+    base, err = _height_positive((t, t, t))
     twist = ((spec.m - 3) / 2.0 + 1.0) / spec.m * math.fsum(math.log(abs(x)) for x in spec.a)
-    return EvalResult(base.value + math.log(spec.m) + twist, base.err + 4e-16 * spec.m)
+    return EvalResult(base + math.log(spec.m) + twist, err + 4e-16 * spec.m)
 
 
 def genus(m: int) -> int:
@@ -138,9 +145,9 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     """
     eps = epsilon_m(m)
     t = 1.0 - 1.0 / m
-    base = h_can_positive((t, t, t))
-    first = EvalResult(base.value + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, base.err)
-    second = _SECOND_CONSTANT.evaluate().value + eps + 2.0 * math.log(m)
+    base, err = _height_positive((t, t, t))
+    first = EvalResult(base + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, err)
+    second = _second_constant_value() + eps + 2.0 * math.log(m)
     if second < 0.0:
         raise ValueError(f"derived Arakelov upper bound is negative at m = {m}: inconsistent inputs")
     return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

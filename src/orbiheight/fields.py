@@ -179,7 +179,7 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     """
     f = chi.modulus
     if f == 1:
-        q, e = _q(0.5)
+        q, e, _ = _q(0.5)
         value = (0.25 - math.log(2.0) / 12.0 - q) / 3.0
         return ComplexEvalResult(complex(value), e / 3.0 + 2.0 * _EPS * (0.25 + abs(q)))
     if not chi.is_even:
@@ -187,7 +187,7 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     total = 0j
     mag = err = 0.0
     for a, ang in chi.angles.items():
-        q, e = _q(a / f)
+        q, e, _ = _q(a / f)
         total += _root_of_unity(ang) * q
         mag += abs(q)
         err += e

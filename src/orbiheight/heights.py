@@ -46,6 +46,9 @@ __all__ = [
 _WALL_TOL = 1e-12
 _V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt distance below weight 1
 _EPS = math.ulp(1.0)
+_NEG_HALF_LN_PI = -0.5 * math.log(math.pi)
+_D_SLOPE = 3.0 + math.log(2.0)  # the input-rounding slope of h_can's err, less the near-end log
+_LN_INV_EPS = -math.log(_EPS)
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,9 @@ class WeightVector:
     volume: float = field(init=False, repr=False, compare=False)  # V = w1 + w2 + w3 - 2
 
     def __post_init__(self):
-        w = tuple(map(float, self.w))
-        if len(w) != 3:
-            raise ValueError("a weight vector has exactly three components")
-        a, b, c = w
-        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):  # false for NaN too
-            bad = next(x for x in w if not 0.0 <= x <= 1.0)
-            raise ValueError(f"weights must lie in [0, 1], got {bad!r}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "volume", math.fsum(w) - 2.0)
+        w1, w2, w3, v = _triple(self.w)
+        object.__setattr__(self, "w", (w1, w2, w3))
+        object.__setattr__(self, "volume", v)
 
     def __iter__(self):
         return iter(self.w)
@@ -84,20 +81,34 @@ class RamIndices:
         object.__setattr__(self, "m", m)
 
     def weights(self) -> WeightVector:
-        return WeightVector(tuple(1.0 if x == math.inf else 1.0 - 1.0 / x for x in self.m))
+        return WeightVector(self)
 
 
-def _weights(w) -> WeightVector:
+def _triple(w) -> tuple[float, float, float, float]:
+    """(w1, w2, w3, V) of a WeightVector, of RamIndices or of any iterable of
+    three weights in [0, 1]; the one place weights are checked."""
     if isinstance(w, WeightVector):
-        return w
+        return (*w.w, w.volume)
     if isinstance(w, RamIndices):
-        return w.weights()
-    return WeightVector(w)
+        w = [1.0 if x == math.inf else 1.0 - 1.0 / x for x in w.m]
+    w = tuple(map(float, w))
+    if len(w) != 3:
+        raise ValueError("a weight vector has exactly three components")
+    a, b, c = w
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):  # false for NaN too
+        bad = next(x for x in w if not 0.0 <= x <= 1.0)
+        raise ValueError(f"weights must lie in [0, 1], got {bad!r}")
+    return a, b, c, math.fsum(w) - 2.0
+
+
+def _semistable(w1: float, w2: float, w3: float, v: float) -> bool:
+    half = v / 2.0
+    return w1 - half <= 1.0 and w2 - half <= 1.0 and w3 - half <= 1.0
 
 
 def volume(w) -> float:
     """Degree V = w1 + w2 + w3 - 2 of the log canonical bundle."""
-    return _weights(w).volume
+    return _triple(w)[3]
 
 
 def k_semistable(w) -> bool:
@@ -107,11 +118,57 @@ def k_semistable(w) -> bool:
     the closed form evaluates, so every K-semistable point has a height.
     """
     try:
-        wv = _weights(w)
+        return _semistable(*_triple(w))
     except ValueError:
         return False
-    half = wv.volume / 2.0
-    return all(x - half <= 1.0 for x in wv)
+
+
+def _closed_form_weights(w, sign: int = 0) -> tuple[float, float, float, float]:
+    """(w1, w2, w3, V) of weights the closed form accepts: V != 0, or of the
+    given sign, and K-semistable."""
+    w1, w2, w3, v = _triple(w)
+    if sign > 0 and v <= _WALL_TOL:
+        raise ValueError(f"h_can_positive requires V > 0, got V = {v!r}")
+    if sign < 0 and v >= -_WALL_TOL:
+        raise ValueError(f"h_can_fano requires V < 0, got V = {v!r}")
+    if abs(v) <= _WALL_TOL:
+        raise ValueError(f"the closed-form height requires V != 0, got V = {v!r} (V = 0 is the faltings height)")
+    if not _semistable(w1, w2, w3, v):
+        raise ValueError(f"weights {(w1, w2, w3)} are not K-semistable")
+    return w1, w2, w3, v
+
+
+def _signed_height(w1: float, w2: float, w3: float, v: float) -> tuple[float, float]:
+    """(s h, err) of :func:`h_can` for s = sign V, on weights that
+    :func:`_closed_form_weights` has checked; plain floats, no result object.
+
+    The first gamma term, gamma(0, |V|/2), is Q(|V|/2) itself, as Q(0) - Q(0)
+    is 0 with err 0.
+    """
+    half = v / 2.0
+    b = abs(half)
+    bracket, err, ln_inv = _q(b)
+    mag = abs(bracket)
+    err += _EPS * (b + 1.0) * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+    for a in (w1, w2, w3):
+        b = a - half
+        qb, eb, ln_inv = _q(b)
+        qa, ea, _ = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
+        err += eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+    log_half = math.log(abs(half))
+    tail = bracket / v
+    signed = _NEG_HALF_LN_PI + 0.5 * math.copysign(1.0, v) * (1.0 - log_half) - tail
+    # eight additions of at most half an ulp of mag each; dV moves ln|V|/2 and bracket/V
+    err = (err + 4.0 * _EPS * mag + 2.0 * _EPS * (0.5 + abs(tail))) / abs(v)
+    return signed, err + 4.0 * _EPS * (1.0 + abs(log_half) + abs(tail))
+
+
+def _height_positive(w) -> tuple[float, float]:
+    """(value, err) of :func:`h_can_positive`, for callers that add to it."""
+    return _signed_height(*_closed_form_weights(w, 1))
 
 
 def h_can(w) -> EvalResult:
@@ -126,57 +183,35 @@ def h_can(w) -> EvalResult:
     which tends to the log Calabi-Yau value (:func:`faltings_log_cy`) from
     either side; each gamma(a, b) is Q(b) - Q(a) from the series of
     :func:`orbiheight.specfun.loggamma_ratio_integral`.  Cusp weights
-    w_i = 1 are allowed; V = 0 is not.
+    w_i = 1 are allowed; V = 0 is not.  Every closed-form height here is
+    this one float kernel, with one result object built per public call.
 
     err, over |V|, adds the eight series bounds, the rounding of the bracket's
     additions and the rounding of each upper end b: fsum(w) - 2 is off V by
     at most 2 eps, and b = w_i - V/2 by eps b plus half that.  A shift d of b
-    moves gamma by at most d (3 + |ln max(b, d)| + |ln max(1 - b, d)|), since
-    |ln(Gamma(x)/Gamma(1-x))| <= |ln x| + |ln(1-x)| + 0.13 and within d of b
-    a log term exceeds its value at b by at most ln 2, or integrates to at
-    most d (1 + |ln d|) next to its singularity.  The shift of V also enters
+    moves gamma by at most d (3 + ln 2 + min(-ln x, -ln eps)), x = min(b, 1 - b),
+    since |ln(Gamma(x)/Gamma(1-x))| <= |ln x| + |ln(1-x)| + 0.13 and within d
+    of b a log term exceeds its value at b by at most ln 2, or integrates to
+    at most d (1 + |ln d|) next to its singularity; the far end max(b, 1 - b)
+    >= 1/2 contributes at most ln 2, and d >= eps caps the near end at -ln eps,
+    whose -ln x the series has already taken.  The shift of V also enters
     ln|V| and 1/V directly; a relative floor covers the rounding of the
     outer sum.
     """
-    wv = _weights(w)
-    v = wv.volume
-    if abs(v) <= _WALL_TOL:
-        raise ValueError(f"the closed-form height requires V != 0, got V = {v!r} (V = 0 is the faltings height)")
-    if not k_semistable(wv):
-        raise ValueError(f"weights {wv.w} are not K-semistable")
-    s = math.copysign(1.0, v)
-    w1, w2, w3 = wv.w
-    half = v / 2.0
-    bracket = mag = err = 0.0
-    for a, b in ((0.0, abs(half)), (w1, w1 - half), (w2, w2 - half), (w3, w3 - half)):
-        qb, eb = _q(b)
-        qa, ea = _q(a)
-        bracket += qb - qa
-        mag += abs(qb) + abs(qa)
-        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
-        err += eb + ea + d * (3.0 + abs(math.log(max(b, d))) + abs(math.log(max(1.0 - b, d))))
-    log_half = math.log(abs(half))
-    tail = bracket / v
-    signed = -0.5 * math.log(math.pi) + 0.5 * s * (1.0 - log_half) - tail
-    # eight additions of at most half an ulp of mag each; dV moves ln|V|/2 and bracket/V
-    err = (err + 4.0 * _EPS * mag + 2.0 * _EPS * (0.5 + abs(tail))) / abs(v)
-    return EvalResult(s * signed, err + 4.0 * _EPS * (1.0 + abs(log_half) + abs(tail)))
+    w1, w2, w3, v = _closed_form_weights(w)
+    signed, err = _signed_height(w1, w2, w3, v)
+    return EvalResult(signed if v > 0.0 else -signed, err)
 
 
 def h_can_positive(w) -> EvalResult:
     """:func:`h_can` of the log canonical bundle; requires V > 0."""
-    wv = _weights(w)
-    if wv.volume <= _WALL_TOL:
-        raise ValueError(f"h_can_positive requires V > 0, got V = {wv.volume!r}")
-    return h_can(wv)
+    return EvalResult(*_height_positive(w))
 
 
 def h_can_fano(w) -> EvalResult:
     """:func:`h_can` of the anti-log-canonical bundle; requires V < 0."""
-    wv = _weights(w)
-    if wv.volume >= -_WALL_TOL:
-        raise ValueError(f"h_can_fano requires V < 0, got V = {wv.volume!r}")
-    return h_can(wv)
+    signed, err = _signed_height(*_closed_form_weights(w, -1))
+    return EvalResult(-signed, err)
 
 
 def h_pet(w) -> EvalResult:
@@ -184,9 +219,9 @@ def h_pet(w) -> EvalResult:
 
     Equals h_can_positive + (1/2) ln(pi V/2); the gamma terms are unchanged.
     """
-    wv = _weights(w)
-    h = h_can_positive(wv)
-    return EvalResult(h.value + 0.5 * math.log(math.pi * wv.volume / 2.0), h.err)
+    w1, w2, w3, v = _closed_form_weights(w, 1)
+    value, err = _signed_height(w1, w2, w3, v)
+    return EvalResult(value + 0.5 * math.log(math.pi * v / 2.0), err)
 
 
 def h_pi_normalized(w) -> EvalResult:
@@ -195,9 +230,10 @@ def h_pi_normalized(w) -> EvalResult:
     Shifts the volume-1 value by (1/2) ln pi with the sign of the polarity:
     + for the log canonical side (V > 0), - for the Fano side (V < 0).
     """
-    wv = _weights(w)
-    h = h_can(wv)
-    return EvalResult(h.value + math.copysign(0.5 * math.log(math.pi), wv.volume), h.err)
+    w1, w2, w3, v = _closed_form_weights(w)
+    signed, err = _signed_height(w1, w2, w3, v)
+    value = signed if v > 0.0 else -signed
+    return EvalResult(value + math.copysign(0.5 * math.log(math.pi), v), err)
 
 
 def four_point_h_can(w0: float, w1: float, winf: float) -> EvalResult:
@@ -208,9 +244,8 @@ def four_point_h_can(w0: float, w1: float, winf: float) -> EvalResult:
     reducing to the three-point weights (1 + (w0-1)/2, w1, 1 + (winf-1)/2)
     at the cost of an extra (1/2) ln 2.
     """
-    reduced = WeightVector((1.0 + (w0 - 1.0) / 2.0, w1, 1.0 + (winf - 1.0) / 2.0))
-    h = h_can_positive(reduced)
-    return EvalResult(h.value + 0.5 * math.log(2.0), h.err)
+    value, err = _height_positive((1.0 + (w0 - 1.0) / 2.0, w1, 1.0 + (winf - 1.0) / 2.0))
+    return EvalResult(value + 0.5 * math.log(2.0), err)
 
 
 def shift_by_a(h: float, w, a: int) -> float:
@@ -222,8 +257,7 @@ def shift_by_a(h: float, w, a: int) -> float:
     """
     if a < 1 or int(a) != a:
         raise ValueError(f"shift requires an integer a >= 1, got {a!r}")
-    wv = _weights(w)
-    w1, w2, w3 = wv.w
+    w1, w2, w3, _ = _triple(w)
     bracket = (w1 + w2 + w3) / 2.0 - (w1 + w2)
     return h - bracket * math.log(a)
 
@@ -262,32 +296,36 @@ def faltings_log_cy(w) -> EvalResult:
     terms of order t^3, and Q'' = psi(x) + psi(1 - x) is at most
     1/x + 1/(1 - x) + 2 euler_gamma in size, so err adds
     |t| (euler_gamma/2 + (1/4) sum_i (1/x + 1/(1 - x) + 2 euler_gamma)), x
-    at the worse end of [w_i - t, w_i].  Here V is fsum(w) - 2 as computed.
+    at the worse end of [w_i - t, w_i].  Here t is the exact V/2 of the given
+    doubles, correctly rounded, not (fsum(w) - 2)/2: that reads 0 where the
+    exact sum misses 2 by less than an ulp, and next to a corner of the klt
+    simplex the height moves by some 1e8 times that.
     """
-    wv = _weights(w)
-    if abs(wv.volume) > _V0_TOL:
-        raise ValueError(f"faltings_log_cy requires V = 0, got V = {wv.volume!r}")
+    w1, w2, w3, v = _triple(w)
+    if abs(v) > _V0_TOL:
+        raise ValueError(f"faltings_log_cy requires V = 0, got V = {v!r}")
     # w3 = 2 - w1 - w2 can land within rounding of 1 (e.g. w = (0.1, 0.9,
     # 0.9999999999999999)), where the integral is as divergent as at 1.
-    if max(wv.w) >= 1.0 - _V0_TOL:
+    if max(w1, w2, w3) >= 1.0 - _V0_TOL:
         raise ValueError("normalization integral diverges: a weight reaches 1 (pair is not klt)")
-    lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in wv]
+    lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in (w1, w2, w3)]
     value = -0.5 * (math.log(math.pi) - math.fsum(a - b for a, b in lg))
     err = 8.0 * _EPS * (1.0 + math.fsum(abs(a) + abs(b) for a, b in lg))
-    if wv.volume:
-        t = wv.volume / 2.0
-        slope = 0.5 * _EULER_GAMMA + 0.25 * sum(
-            max(1.0 / x + 1.0 / (1.0 - x) for x in (wi, wi - t)) + 2.0 * _EULER_GAMMA for wi in wv
-        )
-        err += abs(t) * slope
+    t = math.fsum((w1, w2, w3, -2.0)) / 2.0
+    if t:
+        total = 0.0
+        for wi in (w1, w2, w3):
+            x = wi - t
+            total += max(1.0 / wi + 1.0 / (1.0 - wi), 1.0 / x + 1.0 / (1.0 - x)) + 2.0 * _EULER_GAMMA
+        err += abs(t) * (0.5 * _EULER_GAMMA + 0.25 * total)
     return EvalResult(value, err)
 
 
 def bound_linear_fano(w) -> float:
     """Linear lower bound for the Fano-side height:
     (1 + ln pi)/2 + (1/4)(1 + ln(3/4)) (w1 + w2 + w3)."""
-    wv = _weights(w)
-    return 0.5 * (1.0 + math.log(math.pi)) + 0.25 * (1.0 + math.log(0.75)) * math.fsum(wv.w)
+    w1, w2, w3, _ = _triple(w)
+    return 0.5 * (1.0 + math.log(math.pi)) + 0.25 * (1.0 + math.log(0.75)) * math.fsum((w1, w2, w3))
 
 
 def bound_semiample(w) -> float:
@@ -301,5 +339,4 @@ def bound_semiample(w) -> float:
     and writes Gamma'(1/3)/Gamma(2/3) for psi(1/3); that slope fails as a bound
     just past the wall (the tests keep it as a counterexample).
     """
-    wv = _weights(w)
-    return faltings_log_cy((2.0 / 3.0,) * 3).value - 0.375 * math.log(3.0) * (math.fsum(wv.w) - 2.0)
+    return faltings_log_cy((2.0 / 3.0,) * 3).value - 0.375 * math.log(3.0) * volume(w)

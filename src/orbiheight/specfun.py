@@ -285,8 +285,9 @@ def loggamma_primitive(x: float) -> EvalResult:
 
 
 @lru_cache(maxsize=1 << 12)
-def _q(x: float) -> tuple[float, float]:
-    """(Q(x) - Q(0), absolute error bound) for x in [0, 1], Q(x) = P(x) + P(1 - x).
+def _q(x: float) -> tuple[float, float, float]:
+    """(Q(x) - Q(0), absolute error bound, -ln x') for x in [0, 1], Q(x) = P(x) + P(1 - x),
+    x' = min(x, 1 - x) the end the log singularity sits at (inf where x' = 0).
 
     Q' = ln Gamma(x) - ln Gamma(1 - x) = -ln x - 2 euler_gamma x
     - 2 sum_{k odd >= 3} zeta(k) x^k / k on (0, 1) (DLMF 5.7.3), so for
@@ -300,20 +301,24 @@ def _q(x: float) -> tuple[float, float]:
     partial sum and euler_gamma x^2 are at most x - x ln x; 40 eps the
     series' Horner steps and rounded coefficients; _Q_TAIL x^48 the omitted
     terms; 4 ulps of 0 the same roundings where x is subnormal and the eps
-    terms underflow.  Plain floats keep result objects off the per-point path;
-    the cache serves repeated weights (grids, tables), not a sweep of fresh ones.
+    terms underflow.  The heights' err reuses -ln x for the input rounding of
+    x, so each point takes one log.  Plain floats keep result objects off the
+    per-point path; the cache serves repeated weights (grids, tables), not a
+    sweep of fresh ones.
     """
     if x > 0.5:
         x = 1.0 - x
     if x == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, math.inf
     x2 = x * x
     series = 0.0
     for c in _Q_COEF_HORNER:
         series = series * x2 + c
     series *= x2 * x2
-    main = x - x * math.log(x)
-    return main - _EULER_GAMMA * x2 - series, _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
+    log_x = math.log(x)
+    main = x - x * log_x
+    err = _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
+    return main - _EULER_GAMMA * x2 - series, err, -log_x
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
@@ -326,7 +331,7 @@ def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")
-    qb, eb = _q(b)
-    qa, ea = _q(a)
+    qb, eb, _ = _q(b)
+    qa, ea, _ = _q(a)
     d = qb - qa
     return EvalResult(d, eb + ea + 0.5 * _EPS * abs(d))

@@ -2,11 +2,13 @@
 
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from orbiheight import verify as vf
-from orbiheight.cli import main
+from orbiheight.cli import _KERNELS, main
 from orbiheight.lcombo import LogCombo
 
 
@@ -168,3 +170,19 @@ def test_usage_error_prints_flags():
     with pytest.raises(SystemExit) as exc:
         main(["periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--prec", "0.01"])
     assert exc.value.code == 2
+
+
+def test_bernoulli2_err_bounds_the_rounding(capsys):
+    # a*a - a + 1/6 rounds three times and stores 1/6 rounded; no float result
+    # of 2,000 random a is exact, so err 0 was a false claim
+    kernel = _KERNELS["bernoulli2"][1]
+    rng = random.Random(17)
+    xs = [rng.uniform(-3.0, 3.0) for _ in range(2000)]
+    xs += [0.0, 0.5, 1.0, -1.0, 5e-324, 1e-300, 0.5 * (1.0 - 3.0**-0.5), 1e150, -1e150]
+    for a in xs:
+        r = kernel(a)
+        exact = Fraction(a) ** 2 - Fraction(a) + Fraction(1, 6)
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.err), a
+        assert 0.0 < r.err <= 8.0 * math.ulp(max(1.0, a * a)), a
+    code, out, _ = run(capsys, "specfun", "bernoulli2", "0.3", "--format", "json")
+    assert code == 0 and json.loads(out)["err"] > 0.0

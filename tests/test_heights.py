@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbiheight import heights
 from orbiheight.fields import dedekind_log_deriv, get_field
 from orbiheight.heights import (
     RamIndices,
@@ -30,7 +31,7 @@ from orbiheight.heights import (
     shift_by_a,
     volume,
 )
-from orbiheight.specfun import digamma, hurwitz_zeta_ds, log_gamma
+from orbiheight.specfun import EvalResult, _q, digamma, hurwitz_zeta_ds, log_gamma
 
 LN = math.log
 HALF_1_LNPI = 0.5 * (1.0 + LN(math.pi))
@@ -164,7 +165,7 @@ def _q_coefficients_mp() -> tuple:
         return tuple(2 * mpmath.zeta(k) / (k * (k + 1)) for k in range(3, 81, 2))
 
 
-def _h_can_series_mp(w, v=None, dps=30) -> mpmath.mpf:
+def _h_can_series_mp(w, dps=30) -> mpmath.mpf:
     """The height at dps digits from Q(x) - Q(0) = x - x ln x - euler_gamma x^2
     - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)), Q(x) = Q(1 - x).
 
@@ -172,7 +173,7 @@ def _h_can_series_mp(w, v=None, dps=30) -> mpmath.mpf:
     loggamma_ratio_integral check it against quadrature and the primitive),
     so this measures the rounding error of the double evaluation; through
     k = 79 the omitted terms are below 1e-26 on [0, 1/2].  It is some ten
-    times faster than :func:`_h_can_mp`.  V is sum(w) - 2 unless v is given.
+    times faster than :func:`_h_can_mp`.  V is sum(w) - 2, rounded to dps digits.
     """
     with mpmath.workdps(dps):
 
@@ -187,7 +188,7 @@ def _h_can_series_mp(w, v=None, dps=30) -> mpmath.mpf:
             return x - x * mpmath.log(x) - mpmath.euler * x2 - series * x2 * x2
 
         w = [mpmath.mpf(x) for x in w]
-        v = sum(w) - 2 if v is None else mpmath.mpf(v)
+        v = sum(w) - 2
         s = 1 if v > 0 else -1
         bracket = q(abs(v) / 2) + sum(q(x - v / 2) - q(x) for x in w)
         return s * (-mpmath.log(mpmath.pi) / 2 + s * (1 - mpmath.log(abs(v) / 2)) / 2 - bracket / v)
@@ -220,6 +221,107 @@ def test_h_can_err_calibration():
         assert d <= r.err
         ratios.append(r.err / max(float(d), math.ulp(r.value) / 2.0))
     assert statistics.median(ratios) <= 1e3
+
+
+def _h_can_two_log_oracle(w) -> tuple[float, float]:
+    """(value, err) of h_can as computed with two logs per gamma term for the
+    input rounding of its upper end b: d (3 + |ln max(b, d)| + |ln max(1 - b, d)|).
+    The same operations in the same order as the kernel otherwise."""
+    eps = math.ulp(1.0)
+    w1, w2, w3 = (float(x) for x in w)
+    v = math.fsum((w1, w2, w3)) - 2.0
+    s = math.copysign(1.0, v)
+    half = v / 2.0
+    bracket = mag = err = 0.0
+    for a, b in ((0.0, abs(half)), (w1, w1 - half), (w2, w2 - half), (w3, w3 - half)):
+        qb, eb, _ = _q(b)
+        qa, ea, _ = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = eps * (b + 1.0)
+        err += eb + ea + d * (3.0 + abs(math.log(max(b, d))) + abs(math.log(max(1.0 - b, d))))
+    log_half = math.log(abs(half))
+    tail = bracket / v
+    signed = -0.5 * math.log(math.pi) + 0.5 * s * (1.0 - log_half) - tail
+    err = (err + 4.0 * eps * mag + 2.0 * eps * (0.5 + abs(tail))) / abs(v)
+    return s * signed, err + 4.0 * eps * (1.0 + abs(log_half) + abs(tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stable_weights())
+@example((1.0, 1.0, 1.0))
+@example((1.0, 0.9, 1.0))
+@example((1.0, 0.0, 1.0))
+@example((0.0, 0.0, 0.0))
+@example((0.5, 0.5, 0.5))
+@example((0.75, 0.75, math.nextafter(0.501, 1.0)))  # V = +1e-3
+@example((0.75, 0.75, math.nextafter(0.499, 0.0)))  # V = -1e-3
+@example((0.25, 0.25, 0.5))  # an upper end at 1/2
+def test_h_can_matches_the_two_log_oracle(w):
+    # the value bit for bit; the err's input-rounding term, which takes -ln x
+    # from the series in place of two logs, never below the two-log term and
+    # at most 10% above it in total
+    assume(k_semistable(w) and abs(volume(w)) >= 1e-3)
+    value, err = _h_can_two_log_oracle(w)
+    r = h_can(w)
+    assert r.value.hex() == value.hex()
+    assert err <= r.err <= 1.1 * err
+
+
+def test_each_closed_form_height_builds_one_result(monkeypatch):
+    built = []
+
+    class Counted(EvalResult):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(heights, "EvalResult", Counted)
+    calls = [
+        (h_can, ((0.75, 0.75, 0.75),)),
+        (h_can, ((0.25, 0.25, 0.25),)),
+        (h_can_positive, ((0.75, 0.75, 0.75),)),
+        (h_can_fano, ((0.25, 0.25, 0.25),)),
+        (h_pet, ((0.75, 0.75, 0.75),)),
+        (h_pi_normalized, ((0.75, 0.75, 0.75),)),
+        (h_pi_normalized, (RamIndices((2, 3, 3)),)),
+        (four_point_h_can, (2.0 / 3.0, 0.5, 2.0 / 3.0)),
+    ]
+    for fn, args in calls:
+        built.clear()
+        r = fn(*args)
+        assert len(built) == 1 and r is built[0], fn.__name__
+
+
+_BAD_WEIGHTS = [(0.5, 0.5), (0.5,) * 4, (1.2, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, -math.inf), (-0.1, 0.5, 0.5)]
+_BAD_FOR_THE_CLOSED_FORM = [(1.0, 0.5, 0.5), (0.0, 0.0, 1e-13), (0.9, 0.0, 0.0), (0.25, 0.25, 0.25), (0.75, 0.75, 0.75)]
+
+
+def _message(fn, w) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(w)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("w", _BAD_WEIGHTS)
+def test_bad_weights_give_one_message_on_every_route(w):
+    expected = _message(WeightVector, w)
+    for fn in (h_can, h_can_positive, h_can_fano, h_pet, h_pi_normalized, volume, faltings_log_cy):
+        assert _message(fn, w) == expected, fn.__name__
+        assert _message(fn, list(w)) == expected, fn.__name__
+    assert not k_semistable(w)
+
+
+@pytest.mark.parametrize("w", _BAD_FOR_THE_CLOSED_FORM)
+def test_closed_form_refusals_read_the_same_for_tuples_and_weight_vectors(w):
+    wv = WeightVector(w)
+    for fn in (h_can, h_can_positive, h_can_fano, h_pet, h_pi_normalized):
+        try:
+            fn(w)
+        except ValueError as exc:
+            assert _message(fn, wv) == _message(fn, list(w)) == str(exc), fn.__name__
+        else:
+            assert fn(wv) == fn(w), fn.__name__
 
 
 def test_two_point_identity():
@@ -357,13 +459,14 @@ def test_faltings_log_cy_error_bound_against_mpmath(w1, u):
 
 
 def _log_cy_reference_mp(w) -> mpmath.mpf:
-    """What faltings_log_cy(w) approximates: the wall value when V = fsum(w) - 2
-    is 0, and else the signed height at that V, at 60 digits, where the
-    bracket of the closed form cancels to order V."""
-    v = volume(w)
+    """What faltings_log_cy(w) approximates: the wall value when the exact V
+    of the given doubles is 0, and else the signed height at that V, at 60
+    digits, where the bracket of the closed form cancels to order V and the
+    sum of the doubles is exact."""
+    v = math.fsum((*w, -2.0))  # 0 exactly when the exact sum is
     if v == 0.0:
         return _wall_mp(w)
-    return math.copysign(1.0, v) * _h_can_series_mp(w, v=v, dps=60)
+    return math.copysign(1.0, v) * _h_can_series_mp(w, dps=60)
 
 
 @pytest.mark.parametrize(
@@ -372,12 +475,14 @@ def _log_cy_reference_mp(w) -> mpmath.mpf:
         (0.3, 0.9, 0.8 + 5e-10),  # V = 5e-10
         (2.2e-9, 1.0 - 1.5e-9, 1.0 - 1.5e-9),  # V = -8e-10, next to a corner of the klt simplex
         (0.99999999, 2.0000000050247593e-08, 0.9999999899999998),  # V = -2.2e-16, the next double below 2
+        (2e-08, 0.9999999900000001, 0.9999999899999998),  # fsum(w) - 2 reads 0, the exact V is -1.0e-16
     ],
 )
 def test_faltings_log_cy_err_counts_the_volume(w):
     # within |V| <= 1e-9 the value is the wall value at w, which misses the
-    # signed height by 1.5e-9 to 0.19 at these points, against a rounding
-    # err of about 1e-13; err adds |V|/2 times a bound on its slope
+    # signed height by 3.1e-9 to 0.19 at these points, against a rounding
+    # err of about 1e-13; err adds |V|/2 times a bound on its slope, with V
+    # the exact sum of the doubles less 2
     r = faltings_log_cy(w)
     d = abs(mpmath.mpf(r.value) - _log_cy_reference_mp(w))
     assert d > 1e-9

@@ -178,7 +178,8 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
     p1 = general_s_primitive(1.0)
 
     def general_s_q(x):
-        return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0
+        near = min(x, 1.0 - x)
+        return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0, -math.log(near) if near else math.inf
 
     monkeypatch.setattr(heights, "_q", general_s_q)
     for w, h in zip(sample, hot):
