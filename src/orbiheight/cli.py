@@ -110,10 +110,6 @@ def _cmd_specfun(args) -> int:
 
 def _cmd_height(args) -> int:
     wv = _parse_ram(args.ram).weights() if args.ram else _parse_weights(args.weights)
-    if not hg.k_semistable(wv):
-        v = wv.volume
-        bad = [i for i, x in enumerate(wv) if x - v / 2.0 > 1.0]
-        raise ValueError(f"weights {wv.w} violate K-semistability (w_i <= V/2 + 1 fails at index {bad})")
     v = wv.volume
     if args.kind == "pet":
         r = hg.h_pet(wv)

@@ -320,8 +320,8 @@ def mc_oracle_z(
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
     wv = PeriodConfig(N=n_points, w=w, polarity=polarity).w
-    if budget is not None and budget < 1:
-        raise ValueError(f"the oracle budget must be at least 1, got {budget!r}")
+    if budget is not None and budget < 2:  # one sample has no standard error
+        raise ValueError(f"the oracle budget must be at least 2, got {budget!r}")
     coupling = wv.volume / (n_points - 1)
     if scheme == "quadrature":
         if n_points != 2:

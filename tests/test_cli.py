@@ -133,6 +133,7 @@ def test_specfun_kernels(capsys):
         ("specfun", "dedekind_log_deriv", "0.5", "0.7"),
         ("specfun", "log_gamma", "0.5", "--field", "nonsense"),
         ("fermat", "--m", "10", "--m-to", "4"),
+        ("periods", "--weights", "0.75,0.75,0.75", "--N-list", "2", "--oracle", "--scheme", "monte-carlo", "--budget", "1"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

@@ -159,6 +159,8 @@ def test_direct_integration_preconditions():
         mc_oracle_z(3, (0.2, 0.2, 0.2), "monte-carlo", 20000, 1, "anticanonical")
     with pytest.raises(ValueError):
         mc_oracle_z(2, (5 / 6,) * 3, scheme="quadrature", budget=7)  # budget is Monte-Carlo only
+    with pytest.raises(ValueError, match="at least 2"):
+        mc_oracle_z(2, (5 / 6,) * 3, "monte-carlo", 1, 7)  # one sample: a standard error of 0
     with pytest.raises(ValueError, match="polarity"):
         mc_oracle_z(2, (5 / 6,) * 3, "monte-carlo", 20000, 1, "foo")
 
