@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .heights import _height_positive
 from .lcombo import LogCombo
@@ -42,6 +43,12 @@ __all__ = [
 
 # the second bound's m-independent constant, f((3/4)^3) + (1/2) ln pi
 _SECOND_CONSTANT = next(r for r in TABLE1 if r.indices.m == (4, 4, 4)).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
+
+
+@cache
+def _second_constant_value() -> float:
+    """The value of _SECOND_CONSTANT, evaluated on first use (it loads the fields)."""
+    return _SECOND_CONSTANT.evaluate().value
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,9 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     `second_constant` is the m-independent part of the second bound as an
     exact combination: f((3/4)^3) + (1/2) ln pi, built as the Petersson height
     of the (4,4,4) `TABLE1` row plus (3/2) ln 2 (h_Pet = f + (1/2) ln(pi V / 2)
-    at V = 1/4).  Both bounds are computed as one expression, the second with
-    f((3/4)^3) in place of f((1-1/m)^3), so they agree to the bit at m = 4;
-    the exact combination's Dedekind route rounds differently, and the
-    registry checks it against the closed form.  Since f decreases along the
-    diagonal, second - first = f((3/4)^3) - f((1-1/m)^3) >= 0.  The printed
-    -13/12 ln 2 is off by -ln 2 (see `tables.PRINTED_DEVIATIONS`).
+    at V = 1/4).  Since f decreases along the diagonal, second - first =
+    f((3/4)^3) - f((1-1/m)^3) >= 0.  The printed -13/12 ln 2 is off by -ln 2
+    (see `tables.PRINTED_DEVIATIONS`).
 
     The implied upper bound must be nonnegative (the Arakelov height of a
     relatively ample canonical bundle is >= 0); a negative bound raises,
@@ -142,10 +146,8 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     eps = epsilon_m(m)
     t = 1.0 - 1.0 / m
     base, err = _height_positive((t, t, t), "arakelov_upper_bound")
-    f4, _ = _height_positive((0.75, 0.75, 0.75), "arakelov_upper_bound")
-    tail = eps + 2.0 * math.log(m)
-    first = EvalResult(base + 0.5 * math.log(math.pi) + tail, err)
-    second = f4 + 0.5 * math.log(math.pi) + tail
+    first = EvalResult(base + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, err)
+    second = _second_constant_value() + eps + 2.0 * math.log(m)
     if second < 0.0:
         raise ValueError(f"derived Arakelov upper bound is negative at m = {m}: inconsistent inputs")
     return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

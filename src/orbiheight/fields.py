@@ -10,9 +10,8 @@ over characters of L'(-1)/L(-1), with L(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/
 at the character's own conductor f (1 for the trivial character), which keeps
 out the Euler factors of an imprimitive evaluation.  At s = -1 both come from
 zeta(-1, x) = -B_2(x)/2 and the odd-zeta series Q of :mod:`orbiheight.specfun`,
-each Q(x) - Q(0) as x Q[0, x] from the divided-difference kernel the heights
-use; Q pairs a with f - a, which needs chi(-1) = 1, and every character of a
-totally real field is even.
+the kernel the heights use; Q pairs a with f - a, which needs chi(-1) = 1, and
+every character of a totally real field is even.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from math import gcd
 
-from .specfun import EvalResult, _dq
+from .specfun import EvalResult, _q
 
 __all__ = [
     "Character",
@@ -175,29 +174,26 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     Pairing a with f - a by zeta'(-1, x) + zeta'(-1, 1 - x) = Q(x) + B_2(x),
     with sum chi(a) = 0, gives L'(-1, chi) = -(1 + ln f) L(-1, chi)
     + (f/2) sum_a chi(a) (Q(a/f) - Q(0)); zeta(s, 1/2) = (2^s - 1) zeta(s) gives
-    zeta'(-1) = (1/4 - (ln 2)/12 - (Q(1/2) - Q(0)))/3 for the trivial one.
-    Each Q(x) - Q(0) is x Q[0, x]; err adds the kernel's bounds, which count
-    the rounding of x = a/f, and the rounding of the products and sums.
+    zeta'(-1) = (1/4 - (ln 2)/12 - (Q(1/2) - Q(0)))/3 for the trivial one.  err
+    adds the Q bounds, the rounding of a/f, where |Q'| < 3 + 2 ln f, and of the sums.
     """
     f = chi.modulus
     if f == 1:
-        q, e = _dq(0.0, -0.5)  # Q(1/2) - Q(0) = Q[0, 1/2] / 2
-        value = (0.25 - math.log(2.0) / 12.0 - 0.5 * q) / 3.0
-        return ComplexEvalResult(complex(value), e / 6.0 + 2.0 * _EPS * (0.25 + abs(0.5 * q)))
+        q, e, _ = _q(0.5)
+        value = (0.25 - math.log(2.0) / 12.0 - q) / 3.0
+        return ComplexEvalResult(complex(value), e / 3.0 + 2.0 * _EPS * (0.25 + abs(q)))
     if not chi.is_even:
         raise ValueError(f"L'(-1, chi) from the Q series needs an even character; chi mod {f} is odd")
     total = 0j
     mag = err = 0.0
     for a, ang in chi.angles.items():
-        x = a / f
-        q, e = _dq(0.0, -x)
-        q *= x
+        q, e, _ = _q(a / f)
         total += _root_of_unity(ang) * q
         mag += abs(q)
-        err += x * e
+        err += e
     n, lf1, lv = len(chi.angles), 1.0 + math.log(f), dirichlet_L(chi)
     head, tail = -lf1 * lv.value, 0.5 * f * total
-    err = lf1 * lv.err + 0.5 * f * (err + (n + 5) * _EPS * mag)
+    err = lf1 * lv.err + 0.5 * f * (err + n * _EPS * (3.0 + 2.0 * math.log(f)) + (n + 4) * _EPS * mag)
     return ComplexEvalResult(head + tail, err + 2.0 * _EPS * (abs(head) + abs(tail)))
 
 

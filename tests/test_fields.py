@@ -127,7 +127,7 @@ def test_exact_layer_runs_on_the_q_kernel_alone(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden(name))
     dedekind_log_deriv.cache_clear()
-    specfun._dq.cache_clear()
+    specfun._q.cache_clear()
     for fs in builtin_fields().values():
         assert math.isfinite(dedekind_log_deriv(fs).value)
     for row in TABLE1:

@@ -160,9 +160,8 @@ def test_loggamma_primitive_error_bound_against_mpmath(x):
 def test_heights_from_q_series_match_general_s_route(monkeypatch):
     # The same height formula, once through the odd-zeta series for
     # Q(x) = P(x) + P(1 - x) and once with Q from the primitive built on the
-    # general-s Euler-Maclaurin kernel, whose stand-in for the divided
-    # differences divides Q differences by t = V/2, so they agree to 1e-12
-    # before that division.
+    # general-s Euler-Maclaurin kernel.  Both sit inside a bracket divided by
+    # V, so they agree to 1e-12 before that division.
     rng = np.random.default_rng(2024)
     sample = []
     while len(sample) < 200:
@@ -179,12 +178,10 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
     p1 = general_s_primitive(1.0)
 
     def general_s_q(x):
-        return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1
+        near = min(x, 1.0 - x)
+        return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0, -math.log(near) if near else math.inf
 
-    def general_s_dq(a, t):
-        return (general_s_q(a - t) - general_s_q(a)) / -t, 0.0
-
-    monkeypatch.setattr(heights, "_dq", general_s_dq)
+    monkeypatch.setattr(heights, "_q", general_s_q)
     for w, h in zip(sample, hot):
         assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
 
