@@ -214,14 +214,15 @@ def _cmd_fermat(args) -> int:
 
 
 def _check_oracle_options(args) -> None:
-    """--seed, --oracle-n and --scheme belong to --oracle; --budget sizes the
-    Monte-Carlo oracle and nothing else."""
+    """--seed, --oracle-n and --scheme belong to --oracle; --seed and --budget
+    drive the Monte-Carlo oracle and nothing else."""
     if not args.oracle:
         for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
             if v is not None:
                 raise ValueError(f"{flag} applies only to --oracle")
-    if args.budget is not None and not (args.oracle and args.scheme == "monte-carlo"):
-        raise ValueError("--budget applies only to --oracle --scheme monte-carlo")
+    for flag, v in (("--seed", args.seed), ("--budget", args.budget)):
+        if v is not None and args.scheme != "monte-carlo":
+            raise ValueError(f"{flag} applies only to --oracle --scheme monte-carlo")
 
 
 def _cmd_periods(args) -> int:

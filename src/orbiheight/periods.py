@@ -20,9 +20,11 @@ of the dual; the sign of V picks the polarity.  Every factor is positive
 exactly when every argument of l lies in (-1, 1), which holds whenever Z_N
 converges (see ``PeriodConfig``).  ``df_log_z`` evaluates the product in log
 space (no overflow up to N = 10^6), with ln |l| from the odd-zeta series the
-closed-form heights use, a block of j-values at a time so its memory does
-not grow with N; ``mc_oracle_z`` estimates Z_N for N in {2, 3} by direct
-integration, independent of everything gamma.
+closed-form heights use, a block of j-values at a time in one workspace
+allocated once per call, so its memory does not grow with N and the blocks
+allocate nothing; equal weights share one row of ln |l|.  ``mc_oracle_z``
+estimates Z_N for N in {2, 3} by direct integration, independent of
+everything gamma.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -101,7 +103,7 @@ class PeriodConfig:
 _L_COEF_HORNER = [2.0 * z / k for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
 
 
-def _log_l(x: np.ndarray) -> np.ndarray:
+def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """ln |l(x)| for l(x) = Gamma(x)/Gamma(1-x) on (-1, 1) minus 0, vectorized.
 
     For |u| <= 1/2, Gamma(u) = Gamma(1 + u)/u and DLMF 5.7.3 give
@@ -112,47 +114,79 @@ def _log_l(x: np.ndarray) -> np.ndarray:
     the closed-form heights.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
     ln |l(x)| = ln |l(x + 1)| - 2 ln |x|; both 1 - x and x + 1 are exact there.
     l > 0 on (0, 1) and l < 0 on (-1, 0), so no sign is returned.
+
+    The result goes to ``out`` (which holds u along the way) and the Horner
+    pass runs in ``scratch`` (shape (2, *x.shape)); both are allocated when
+    not given, and neither may share memory with x.
     """
+    if out is None:
+        out = np.empty_like(x)
+    u2, series = np.empty((2, *x.shape)) if scratch is None else scratch
     high = x > 0.5
     low = x < -0.5
-    u = np.where(high, 1.0 - x, np.where(low, x + 1.0, x))
-    u2 = u * u
-    series = np.zeros_like(u)
-    for c in _L_COEF_HORNER:
+    np.copyto(out, x)
+    np.subtract(1.0, x, out=out, where=high)
+    np.add(x, 1.0, out=out, where=low)
+    np.multiply(out, out, out=u2)
+    series.fill(_L_COEF_HORNER[0])
+    for c in _L_COEF_HORNER[1:]:
         series *= u2
         series += c
     series *= u2
     series += 2.0 * _EULER_GAMMA
-    series *= u
-    out = -np.log(np.abs(u))
+    series *= out
+    np.abs(out, out=u2)
+    np.log(u2, out=u2)
+    np.negative(u2, out=out)
     out -= series
     np.negative(out, out=out, where=high)
     if low.any():
-        out[low] -= 2.0 * np.log(-x[low])
+        np.negative(x, out=series, where=low)
+        np.log(series, out=series, where=low)
+        np.multiply(series, 2.0, out=series, where=low)
+        np.subtract(out, series, out=out, where=low)
     return out
 
 
 _BLOCK = 8192
 
 
-def _df_terms(cfg: PeriodConfig, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """The per-j terms of log Z_N for j in [lo, hi) (default all N).
+def _df_blocks(cfg: PeriodConfig) -> Iterator[np.ndarray]:
+    """The per-j terms of log Z_N, _BLOCK values of j at a time.
 
     term_j = ln l((j + 1) h) - sum_i ln l(w_i - j h).  h = V/(2(N-1)) carries
     the sign of V, so one set of arguments serves both polarities; the Fano
     product reads -l(x) for each l at a negative argument, which has the
-    same logarithm ln |l(x)|.
+    same logarithm ln |l(x)|.  Equal weights share one row of arguments, so
+    the workspace holds 1 + (number of distinct weights) rows of _BLOCK and
+    is allocated once; each yielded array is a view into it that the next
+    block overwrites.
     """
-    hi = cfg.N if hi is None else hi
-    j = np.arange(lo, hi, dtype=float)
-    h = cfg.w.volume / (2.0 * (cfg.N - 1))
-    x = np.empty((4, hi - lo))
-    np.multiply(j + 1.0, h, out=x[0])
-    jh = j * h
-    for row, w in zip(x[1:], cfg.w):
-        np.subtract(w, jh, out=row)
-    logs = _log_l(x)
-    return logs[0] - logs[1] - logs[2] - logs[3]
+    n = cfg.N
+    h = cfg.w.volume / (2.0 * (n - 1))
+    distinct = list(dict.fromkeys(cfg.w))
+    r1, r2, r3 = (distinct.index(w) + 1 for w in cfg.w)
+    b = min(_BLOCK, n)
+    x = np.empty((1 + len(distinct), b))
+    logs = np.empty_like(x)
+    scratch = np.empty((2, *x.shape))
+    steps = np.arange(b, dtype=float)
+    for lo in range(0, n, b):
+        m = min(b, n - lo)
+        xs, ls, ss = x[:, :m], logs[:, :m], scratch[:, :, :m]
+        jh = ss[0, 0]
+        np.add(steps[:m], lo, out=jh)  # j, exact
+        np.add(jh, 1.0, out=xs[0])
+        xs[0] *= h
+        jh *= h
+        for row, w in zip(xs[1:], distinct):
+            np.subtract(w, jh, out=row)
+        _log_l(xs, ls, ss)
+        terms = ss[0, 0]
+        np.subtract(ls[0], ls[r1], out=terms)
+        terms -= ls[r2]
+        terms -= ls[r3]
+        yield terms
 
 
 def _df_prefactor(cfg: PeriodConfig) -> float:
@@ -165,14 +199,13 @@ def _df_prefactor(cfg: PeriodConfig) -> float:
 def df_log_z(cfg: PeriodConfig) -> EvalResult:
     """log Z_N via the closed-form Gamma-ratio product, in log space.
 
-    The N terms are evaluated _BLOCK at a time, so memory stays flat in N; the
-    block sums and |term| sums are combined by math.fsum.
+    The N terms are evaluated _BLOCK at a time in one workspace, so memory
+    stays flat in N; the block sums and |term| sums are combined by math.fsum.
     """
     sums, abs_sums = [], []
-    for lo in range(0, cfg.N, _BLOCK):
-        terms = _df_terms(cfg, lo, min(lo + _BLOCK, cfg.N))
+    for terms in _df_blocks(cfg):
         sums.append(float(np.sum(terms)))
-        abs_sums.append(float(np.sum(np.abs(terms))))
+        abs_sums.append(float(np.sum(np.abs(terms, out=terms))))
     prefactor = _df_prefactor(cfg)
     total = prefactor + math.fsum(sums)
     if not math.isfinite(total):  # an argument of l rounded onto 0 or -1
@@ -315,7 +348,8 @@ def mc_oracle_z(
     with a counter-based generator (reproducible for a fixed seed); budget, its
     sample count, belongs to that scheme alone.  The reported err is a
     quadrature refinement bound or the statistical standard error.  The
-    weights and polarity must pass ``PeriodConfig(N, w, polarity)``.
+    weights and polarity must pass ``PeriodConfig(N, w, polarity)``, and the
+    N = 3 Monte-Carlo scheme needs 5V + 4 > 0 for a finite variance.
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -334,6 +368,12 @@ def mc_oracle_z(
         return EvalResult(value, err)
     if scheme != "monte-carlo":
         raise ValueError(f"unknown scheme {scheme!r}")
+    # Where three points meet at scale r, f ~ r^(3V) while the pair component
+    # samples with density ~ r^V (no component places all three), over the
+    # volume r^3 dr: the second moment of f/q, about r^(5V + 3) dr, diverges
+    # unless 5V + 4 > 0, and the standard error with it.
+    if n_points == 3 and 5.0 * wv.volume + 4.0 <= 0.0:
+        raise ValueError(f"the N = 3 Monte-Carlo estimate has infinite variance where 5V + 4 <= 0, got V = {wv.volume!r}")
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
     mix = _Mixture(wv)

@@ -390,7 +390,9 @@ def _df_sum(seed, ns, fixed_ns):
     worst = 0.0
     for cfg in cfgs:
         r = pd.df_log_z(cfg)
-        worst = max(worst, abs(r.value - math.fsum([pd._df_prefactor(cfg), *pd._df_terms(cfg).tolist()])) / r.err)
+        # tolist copies each block before the next one overwrites it
+        exact = math.fsum([pd._df_prefactor(cfg), *(t for terms in pd._df_blocks(cfg) for t in terms.tolist())])
+        worst = max(worst, abs(r.value - exact) / r.err)
     return worst
 
 

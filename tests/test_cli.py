@@ -134,6 +134,9 @@ def test_specfun_kernels(capsys):
         ("specfun", "log_gamma", "0.5", "--field", "nonsense"),
         ("fermat", "--m", "10", "--m-to", "4"),
         ("periods", "--weights", "0.75,0.75,0.75", "--N-list", "2", "--oracle", "--scheme", "monte-carlo", "--budget", "1"),
+        ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--scheme", "quadrature", "--seed", "3"),
+        ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--seed", "3"),
+        ("periods", "--weights", "0.24,0.24,0.22", "--N-list", "3", "--oracle", "--oracle-n", "3", "--scheme", "monte-carlo", "--budget", "1000"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import df_product
 import mpmath
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ def test_df_log_z_golden_values(w, n, value, err):
     assert r.err == pytest.approx(err, rel=1e-9)  # the err formula is unchanged
 
 
+# The allocating twin in tests/df_product.py runs each element through the
+# same operations in the same order, so the workspace must match it bit for
+# bit: both polarities, the x < -1/2 branch at (0.2, 0.25, 0.3), two equal
+# weights, and N on both sides of a block boundary (where Z_N converges).
+def _twin_configs():
+    for w in [w for w, n, _, _ in _DF_GOLDEN if n == 2] + [(0.2, 0.25, 0.3), (0.2, 0.2, 0.3)]:
+        wv = WeightVector(w)
+        for n in (2, 3, 100, 8191, 8192, 8193, 10**5):
+            if abs(n * wv.volume) < 2.0 * (n - 1):
+                yield PeriodConfig(N=n, w=wv, polarity="canonical" if wv.volume > 0 else "anticanonical")
+
+
+@pytest.mark.parametrize("cfg", list(_twin_configs()), ids=lambda cfg: f"{cfg.w.w}-{cfg.N}")
+def test_df_log_z_matches_the_allocating_twin_bit_for_bit(cfg):
+    value, err = df_product.df_log_z(cfg)
+    r = df_log_z(cfg)
+    assert (r.value.hex(), r.err.hex()) == (value.hex(), err.hex())
+
+
 def test_df_log_z_positive_and_finite():
     for n in (2, 5, 100, 12345):
         r = df_log_z(PeriodConfig(N=n, w=W_CAN))
@@ -165,6 +185,15 @@ def test_direct_integration_preconditions():
         mc_oracle_z(2, (5 / 6,) * 3, "monte-carlo", 20000, 1, "foo")
 
 
+def test_three_point_monte_carlo_needs_a_finite_variance():
+    # Where all three points meet, the second moment of f/q diverges unless
+    # 5V + 4 > 0; at V = -1.3 the estimate read 15,630 +- 8,520 against a
+    # product value of 38,548.
+    with pytest.raises(ValueError, match="infinite variance"):
+        mc_oracle_z(3, (0.24, 0.24, 0.22), "monte-carlo", 20000, 1, "anticanonical")
+    assert mc_oracle_z(3, (0.4, 0.4, 0.42), "monte-carlo", 2000, 1, "anticanonical").err > 0.0  # 5V + 4 = 0.1
+
+
 # (weights, coupling, value, err) of the N = 2 quadrature rule as first
 # evaluated with complex arithmetic and full node-by-node kernels; the
 # log-space evaluation computes the same rule, so it must agree to rounding.
@@ -210,7 +239,9 @@ def _peak_mb(fn, *args):
 
 
 def test_period_layers_memory_stays_flat():
-    # the kernels are built in row blocks and the product in blocks of j:
-    # no temporary grows with the square of the node count or with N
+    # the kernels are built in row blocks and the product in blocks of j in
+    # one workspace: no temporary grows with the square of the node count or
+    # with N, and the product allocates no block-sized temporaries
     assert _peak_mb(pair_integral, W_FANO, W_FANO.volume) < 8.0
-    assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=W_CAN)) < 4.0
+    assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=W_CAN)) < 1.5
+    assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=WeightVector((0.4, 0.5, 0.6)), polarity="anticanonical")) < 1.5
