@@ -51,6 +51,10 @@ def _second_constant_value() -> float:
     return _SECOND_CONSTANT.evaluate().value
 
 
+# the bounds take (m - 1)(m - 2), about 2g, in floats, which overflows from 2^512
+_DEGREE_LIMIT = 2**511
+
+
 @dataclass(frozen=True)
 class FermatSpec:
     """Twisted Fermat curve a0 x0^m + a1 x1^m + a2 x2^m = 0."""
@@ -61,6 +65,8 @@ class FermatSpec:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError(f"degree must be >= 3, got {self.m!r}")
+        if self.m >= _DEGREE_LIMIT:
+            raise ValueError(f"degree must be below 2^511, got {self.m!r}")
         if len(self.a) != 3:
             raise ValueError(f"a twist has exactly three coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):

@@ -21,6 +21,7 @@ the tests as an independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .specfun import _EULER_GAMMA, EvalResult, _q
@@ -76,8 +77,9 @@ class RamIndices:
     def __post_init__(self):
         m = tuple(self.m)
         for x in m:
-            if x != math.inf and (int(x) != x or x < 1):
-                raise ValueError(f"ramification index must be a positive integer or inf, got {x!r}")
+            # the weight 1 - 1/m is taken in floats, so m must not overflow one
+            if x != math.inf and not (1 <= x <= sys.float_info.max and int(x) == x):
+                raise ValueError(f"ramification index must be a positive integer up to {sys.float_info.max:.6g} or inf, got {x!r}")
         object.__setattr__(self, "m", m)
 
     def weights(self) -> WeightVector:

@@ -24,13 +24,14 @@ closed-form heights use, a block of j-values at a time in one workspace
 allocated once per call, so its memory does not grow with N and the blocks
 allocate nothing; equal weights share one row of ln |l|.  ``mc_oracle_z``
 estimates Z_N for N in {2, 3} by direct integration, independent of
-everything gamma.
+everything gamma: by quadrature, or by sampling from power-law disks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
@@ -258,65 +259,77 @@ def report_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Mixture:
-    """Per-variable importance mixture matched to the integrand's punctures.
+def _disk(d: np.ndarray, alpha: float, radius: float) -> np.ndarray:
+    """Density, at distance d from c, of c + radius u^(1/alpha) e^{i theta} for
+    uniform u and theta: alpha d^(alpha - 2) / (2 pi radius^alpha) on d <= radius."""
+    return np.where(d <= radius, alpha * np.maximum(d, 1e-300) ** (alpha - 2.0) / (2.0 * math.pi * radius**alpha), 0.0)
 
-    Components: power-law disks at 0 and 1 (radial exponent matched to the
-    local weight), an inverted power-law tail matched to the decay at
-    infinity, and a uniform bulk disk.  All densities are exact, so f/q is
-    bounded near every singular stratum and the estimator variance is finite.
+
+class _Mixture:
+    """Importance mixture over configurations of N points: each of its five
+    components draws a point center + (radius u^(1/alpha) e^{i theta})^flip.
+
+    A point comes from a disk at 0 or 1 (alpha = 2 - 2 w, the local weight),
+    the inverted disk matched to the decay at infinity or the uniform bulk
+    disk; on the Fano side the pair component then moves one end of a random
+    pair onto the disk about the other, matched to |z_i - z_j|^(2 coupling).
+    All densities are exact, so f/q is bounded near every singular stratum.
     """
 
-    def __init__(self, wv: WeightVector):
+    def __init__(self, wv: WeightVector, n_points: int, coupling: float, polarity: Polarity):
         w1, w2, w3 = wv.w
-        self.radius = 0.75
-        self.bulk_radius = 1.75
-        self.exps = (w1, w2, w3)
         self.probs = np.array([0.28, 0.28, 0.22, 0.22])
-        # rng.choice(4, p=probs) draws cdf.searchsorted(v, side="right") for
-        # v = rng.random(n): the number of edges cdf[k] <= v, as counted in sample
-        self._cdf = self.probs.cumsum()
-        self._cdf /= self._cdf[-1]
-        # per component, z = center + radius u^power e^{i flip ang}: power-law
-        # disks at 0 and 1 (power 1/(2 - 2w)), the inverted tail
-        # z = 1/(0.75 u^(1/(2 - 2w3)) e^{i ang}) and the uniform bulk disk
-        self._center = np.array([0.0, 1.0, 0.0, 0.0])
-        self._radius = np.array([self.radius, self.radius, 1.0 / self.radius, self.bulk_radius])
-        self._power = np.array([1.0 / (2.0 - 2.0 * w1), 1.0 / (2.0 - 2.0 * w2), -1.0 / (2.0 - 2.0 * w3), 0.5])
-        self._flip = np.array([1.0, 1.0, -1.0, 1.0])
+        self.alpha = np.array([2.0 - 2.0 * w1, 2.0 - 2.0 * w2, 2.0 - 2.0 * w3, 2.0])
+        self.center = np.array([0.0, 1.0, 0.0, 0.0])
+        self.radius = np.array([0.75, 0.75, 0.75, 1.75])
+        self.flip = np.array([1.0, 1.0, -1.0, 1.0])
+        self.n_points = n_points
+        self.pairs = list(itertools.combinations(range(n_points), 2)) if polarity == "anticanonical" else []
+        self.pair_prob = 0.35 if self.pairs else 0.0
+        self.pair_alpha, self.pair_radius = 2.0 + 2.0 * coupling, 0.5
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        v = rng.random(n)
-        comp = (v >= self._cdf[0]).astype(np.intp)
-        comp += v >= self._cdf[1]
-        comp += v >= self._cdf[2]
-        u = rng.random(n)
-        ang = rng.random(n) * 2.0 * math.pi
-        r = self._radius[comp] * u ** self._power[comp]
-        z = np.empty(n, dtype=complex)
-        z.real = self._center[comp] + r * np.cos(ang)
-        z.imag = self._flip[comp] * r * np.sin(ang)
-        return z
-
-    def _comp_density(self, d: np.ndarray, wexp: float) -> np.ndarray:
-        # radial density (2-2w) r^(1-2w) / R^(2-2w) over angle 2 pi r
-        alpha = 2.0 - 2.0 * wexp
-        out = np.where(
-            d <= self.radius,
-            alpha * np.maximum(d, 1e-300) ** (-2.0 * wexp) / (2.0 * math.pi * self.radius**alpha),
-            0.0,
-        )
-        return out
+        """n configurations, shape (n, N), drawn point by point, then the pair moves."""
+        cdf = self.probs.cumsum() / self.probs.sum()
+        z = np.empty((self.n_points, n), dtype=complex)
+        for zk in z:
+            v, u, ang = (rng.random(n) for _ in range(3))
+            # rng.choice(4, p=probs) draws cdf.searchsorted(v, side="right"):
+            # the number of edges cdf[k] <= v, which this counts faster
+            comp = sum(v >= edge for edge in cdf[:-1])
+            ang = ang * 2.0 * math.pi
+            r = (self.radius**self.flip)[comp] * u ** (self.flip / self.alpha)[comp]
+            zk.real = self.center[comp] + r * np.cos(ang)
+            zk.imag = self.flip[comp] * r * np.sin(ang)
+        if self.pairs:
+            sel = rng.random(n) < self.pair_prob
+            pick = rng.integers(0, len(self.pairs), size=n)
+            swap = rng.random(n) < 0.5  # randomize which end of the pair is the base
+            u = rng.random(n)
+            ang = rng.random(n) * 2.0 * math.pi
+            delta = self.pair_radius * u ** (1.0 / self.pair_alpha) * np.exp(1j * ang)
+            ends = np.array(self.pairs)[pick]
+            base, moved = np.where(swap[:, None], ends[:, ::-1], ends).T
+            z[moved[sel], sel] = z[base[sel], sel] + delta[sel]
+        return z.T  # shape (n, N), one contiguous column per point
 
     def density(self, z: np.ndarray) -> np.ndarray:
-        w1, w2, w3 = self.exps
-        d0 = np.abs(z)
-        q = self.probs[0] * self._comp_density(d0, w1)
-        q += self.probs[1] * self._comp_density(np.abs(z - 1.0), w2)
-        # inverted tail: q(z) = q_u(1/z) |z|^(-4)
-        az = np.maximum(d0, 1e-300)
-        q += self.probs[2] * self._comp_density(1.0 / az, w3) * az**-4.0
-        q += self.probs[3] * np.where(d0 <= self.bulk_radius, 1.0 / (math.pi * self.bulk_radius**2), 0.0)
+        per_point = []
+        for zk in z.T:  # a column at a time keeps the temporaries small
+            dist = {c: np.abs(zk - c) for c in set(self.center)}
+            qk = 0.0
+            for p, alpha, center, radius, flip in zip(self.probs, self.alpha, self.center, self.radius, self.flip):
+                if flip > 0.0:
+                    qk = qk + p * _disk(dist[center], alpha, radius)
+                else:  # the inverted disk: q(z) = q_disk(1/z) |z|^(-4), the Jacobian of z -> 1/z
+                    d = np.maximum(dist[center], 1e-300)
+                    qk = qk + p * _disk(1.0 / d, alpha, radius) * d**-4.0
+            per_point.append(qk)
+        q = (1.0 - self.pair_prob) * math.prod(per_point)
+        for i, j in self.pairs:
+            rest = math.prod(x for k, x in enumerate(per_point) if k not in (i, j))
+            qd = _disk(np.abs(z[:, j] - z[:, i]), self.pair_alpha, self.pair_radius)
+            q = q + self.pair_prob / len(self.pairs) * rest * 0.5 * (per_point[i] + per_point[j]) * qd
         return q
 
 
@@ -324,10 +337,8 @@ def _log_integrand(z: np.ndarray, wv: WeightVector, coupling: float) -> np.ndarr
     """log of the Vandermonde integrand on configurations z of shape (n, N)."""
     w1, w2, _ = wv.w
     out = -2.0 * w1 * np.log(np.abs(z)).sum(axis=1) - 2.0 * w2 * np.log(np.abs(z - 1.0)).sum(axis=1)
-    n_pts = z.shape[1]
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            out += 2.0 * coupling * np.log(np.abs(z[:, i] - z[:, j]))
+    for i, j in itertools.combinations(range(z.shape[1]), 2):
+        out += 2.0 * coupling * np.log(np.abs(z[:, i] - z[:, j]))
     return out
 
 
@@ -344,12 +355,12 @@ def mc_oracle_z(
 
     scheme "quadrature" (N = 2 only) uses tensorized polar tanh-sinh patches
     with the plane split around the punctures {0, 1, infinity}; scheme
-    "monte-carlo" uses importance sampling from a singularity-matched mixture
-    with a counter-based generator (reproducible for a fixed seed); budget, its
-    sample count, belongs to that scheme alone.  The reported err is a
-    quadrature refinement bound or the statistical standard error.  The
-    weights and polarity must pass ``PeriodConfig(N, w, polarity)``, and the
-    N = 3 Monte-Carlo scheme needs 5V + 4 > 0 for a finite variance.
+    "monte-carlo" uses importance sampling from singularity-matched power-law
+    disks with a counter-based generator (reproducible for a fixed seed);
+    budget, its sample count, belongs to that scheme alone.  The reported err
+    is a quadrature refinement bound or three standard errors of the mean.
+    The weights and polarity must pass ``PeriodConfig(N, w, polarity)``, and
+    the N = 3 Monte-Carlo scheme needs 5V + 4 > 0 for a finite variance.
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -364,8 +375,7 @@ def mc_oracle_z(
             raise ValueError("the oracle budget applies only to the monte-carlo scheme")
         from ._pairquad import pair_integral
 
-        value, err = pair_integral(wv, coupling)
-        return EvalResult(value, err)
+        return EvalResult(*pair_integral(wv, coupling))
     if scheme != "monte-carlo":
         raise ValueError(f"unknown scheme {scheme!r}")
     # Where three points meet at scale r, f ~ r^(3V) while the pair component
@@ -376,62 +386,15 @@ def mc_oracle_z(
         raise ValueError(f"the N = 3 Monte-Carlo estimate has infinite variance where 5V + 4 <= 0, got V = {wv.volume!r}")
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
-    mix = _Mixture(wv)
-    pair_prob = 0.35 if polarity == "anticanonical" else 0.0
-    pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
-    delta_alpha = 2.0 + 2.0 * coupling  # radial density exponent for the diagonal component
-    delta_radius = 0.5
-
+    mix = _Mixture(wv, n_points, coupling, polarity)
     chunk = 1 << 15
-    n_chunks = max(1, (budget + chunk - 1) // chunk)
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for c in range(n_chunks):
-        rng = np.random.Generator(np.random.Philox(key=[seed, c]))
-        m = min(chunk, budget - count)
-        z = np.empty((m, n_points), dtype=complex)
-        for k in range(n_points):
-            z[:, k] = mix.sample(rng, m)
-        if pair_prob > 0.0:
-            sel = rng.random(m) < pair_prob
-            pick = rng.integers(0, len(pairs), size=m)
-            swap = rng.random(m) < 0.5  # randomize which end of the pair is the base
-            u = rng.random(m)
-            ang = rng.random(m) * 2.0 * math.pi
-            r = delta_radius * u ** (1.0 / delta_alpha)
-            delta = r * np.exp(1j * ang)
-            for p_idx, (i, j) in enumerate(pairs):
-                mm = sel & (pick == p_idx)
-                z[mm & ~swap, j] = z[mm & ~swap, i] + delta[mm & ~swap]
-                z[mm & swap, i] = z[mm & swap, j] + delta[mm & swap]
-
-        # mixture density over the configuration
-        dens_single = np.ones(m)
-        per_var = [mix.density(z[:, k]) for k in range(n_points)]
-        for k in range(n_points):
-            dens_single = dens_single * per_var[k]
-        q = (1.0 - pair_prob) * dens_single
-        if pair_prob > 0.0:
-            alpha = delta_alpha
-            for i, j in pairs:
-                d = np.abs(z[:, j] - z[:, i])
-                qd = np.where(
-                    d <= delta_radius,
-                    alpha * np.maximum(d, 1e-300) ** (alpha - 2.0) / (2.0 * math.pi * delta_radius**alpha),
-                    0.0,
-                )
-                rest = np.ones(m)
-                for k in range(n_points):
-                    if k not in (i, j):
-                        rest = rest * per_var[k]
-                q = q + pair_prob / len(pairs) * rest * 0.5 * (per_var[i] + per_var[j]) * qd
-        logf = _log_integrand(z, wv, coupling)
-        ratio = np.exp(logf) / q
+    total = total_sq = 0.0
+    for lo in range(0, budget, chunk):
+        rng = np.random.Generator(np.random.Philox(key=[seed, lo // chunk]))
+        z = mix.sample(rng, min(chunk, budget - lo))
+        ratio = np.exp(_log_integrand(z, wv, coupling)) / mix.density(z)
         total += float(np.sum(ratio))
         total_sq += float(np.sum(ratio * ratio))
-        count += m
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    stderr = math.sqrt(var / count)
-    return EvalResult(mean, 3.0 * stderr)
+    mean = total / budget
+    var = max(total_sq / budget - mean * mean, 0.0)
+    return EvalResult(mean, 3.0 * math.sqrt(var / budget))

@@ -24,8 +24,10 @@ from the same odd-zeta literals.  The Euler-Maclaurin kernels
 (``hurwitz_zeta``, ``hurwitz_zeta_ds``, ``loggamma_primitive``), ``log_gamma``
 and ``digamma`` serve only the ``orbiheight specfun`` subcommand, the specfun
 suite of ``orbiheight verify`` and the tests, as independent references.  All
-are pure functions in plain ``math`` (no numpy), and every public one returns
-an :class:`EvalResult` carrying an absolute error estimate.
+are pure functions in plain ``math`` (no numpy), and every public one but
+``bernoulli2`` returns an :class:`EvalResult` carrying an absolute error
+estimate; ``bernoulli2`` returns a float, which the ``orbiheight specfun``
+subcommand wraps with its rounding bound.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiheight import verify as vf
 from orbiheight.cli import _KERNELS, main
@@ -137,6 +141,8 @@ def test_specfun_kernels(capsys):
         ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--scheme", "quadrature", "--seed", "3"),
         ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--seed", "3"),
         ("periods", "--weights", "0.24,0.24,0.22", "--N-list", "3", "--oracle", "--oracle-n", "3", "--scheme", "monte-carlo", "--budget", "1000"),
+        ("height", "--ram", "2,3,1" + "0" * 330),
+        ("fermat", "--m", "1" + "0" * 330),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -190,3 +196,50 @@ def test_bernoulli2_err_bounds_the_rounding(capsys):
         assert 0.0 < r.err <= 8.0 * math.ulp(max(1.0, a * a)), a
     code, out, _ = run(capsys, "specfun", "bernoulli2", "0.3", "--format", "json")
     assert code == 0 and json.loads(out)["err"] > 0.0
+
+
+# Numeric text for one field: huge integers, nan, inf, empty strings and
+# subnormals; plausible weights and arguments, so that valid inputs get
+# through too, and weights on V = 0 for faltings.
+_NUMBER = st.one_of(
+    st.integers(-(10**400), 10**400).map(str),
+    st.floats().map(repr),
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "infinity", "5e-324", "1e-320", "-0", "1e308", "1" + "0" * 330]),
+)
+_WEIGHT = st.floats(0.3, 0.95)
+_TRIPLE = st.lists(_NUMBER, min_size=3, max_size=3).map(",".join) | st.lists(_WEIGHT.map(repr), min_size=3, max_size=3).map(",".join)
+_V_ZERO = st.builds(lambda a, b: f"{a!r},{b!r},{2.0 - a - b!r}", _WEIGHT, _WEIGHT)
+_N_LIST = st.lists(st.integers(-3, 10**4).map(str) | st.sampled_from(["", "nan", "1e3"]), min_size=1, max_size=3).map(
+    ",".join
+) | st.lists(st.integers(2, 10**4).map(str), min_size=1, max_size=3).map(",".join)
+_FERMAT_M = st.integers(-5, 60) | st.integers(-(10**400), 10**400) | st.integers(2**511 - 60, 2**512)
+_ARGV = st.one_of(
+    st.tuples(st.just("height"), st.sampled_from(["--weights", "--ram"]), _TRIPLE),
+    st.tuples(st.just("faltings"), st.just("--weights"), _TRIPLE | _V_ZERO),
+    st.builds(lambda k, xs: ("specfun", k, *xs), st.sampled_from(sorted(_KERNELS)), st.lists(_NUMBER, max_size=2)),
+    st.builds(
+        lambda m, span, a: ("fermat", "--m", str(m), "--m-to", str(m + span)) + (() if a is None else ("--a", a)),
+        _FERMAT_M,
+        st.integers(-3, 50),
+        st.none() | _TRIPLE,
+    ),
+    st.tuples(st.just("periods"), st.just("--weights"), _TRIPLE, st.just("--N-list"), _N_LIST),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exits_cleanly(argv):
+    # 0 or 1 from main, or 2 from argparse; an error is one stderr line,
+    # never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -16,6 +16,7 @@ from orbiheight.periods import (
     ConvergenceRow,
     PeriodConfig,
     _log_l,
+    _Mixture,
     convergence_report,
     df_log_z,
     mc_oracle_z,
@@ -227,6 +228,33 @@ def test_monte_carlo_golden_values(n, w, polarity, budget, seed, value, err):
     r = mc_oracle_z(n, w, scheme="monte-carlo", budget=budget, seed=seed, polarity=polarity)
     assert r.value == pytest.approx(value, rel=1e-13)
     assert r.err == pytest.approx(err, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, w, polarity",
+    [
+        (2, (5 / 6,) * 3, "canonical"),
+        (3, (5 / 6,) * 3, "canonical"),
+        (2, (0.5,) * 3, "anticanonical"),
+        (3, (0.5,) * 3, "anticanonical"),
+        (2, (0.4, 0.5, 0.6), "anticanonical"),
+    ],
+)
+def test_mixture_density_is_the_density_of_its_sampler(n, w, polarity):
+    # g, a product of unit Gaussians, integrates to 1 over C^N, so the mean of
+    # g/q over the sampler's draws is 1 exactly when q is their density; a
+    # component density off by a factor of 2 (the pair one included) moves it
+    # by more than 6 standard errors
+    wv = WeightVector(w)
+    mix = _Mixture(wv, n, wv.volume / (n - 1), polarity)
+    centers = np.array([0.0, 1.0, 0.5 + 0.5j])[:n]
+    ratios = []
+    for c in range(12):  # 12 chunks of 2^15, about 400,000 configurations
+        z = mix.sample(np.random.Generator(np.random.Philox(key=[2026, c])), 1 << 15)
+        g = np.prod(np.exp(-np.abs(z - centers) ** 2) / math.pi, axis=1)
+        ratios.append(g / mix.density(z))
+    r = np.concatenate(ratios)
+    assert abs(r.mean() - 1.0) < 4.0 * r.std() / math.sqrt(r.size)
 
 
 def _peak_mb(fn, *args):
