@@ -55,6 +55,12 @@ def _second_constant_value() -> float:
 _DEGREE_LIMIT = 2**511
 
 
+def _check_degree(m: int) -> None:
+    """Refuse degrees from 2^511 on, where the bounds would overflow a float."""
+    if m >= _DEGREE_LIMIT:
+        raise ValueError(f"degree must be below 2^511, got {m!r}")
+
+
 @dataclass(frozen=True)
 class FermatSpec:
     """Twisted Fermat curve a0 x0^m + a1 x1^m + a2 x2^m = 0."""
@@ -65,8 +71,7 @@ class FermatSpec:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError(f"degree must be >= 3, got {self.m!r}")
-        if self.m >= _DEGREE_LIMIT:
-            raise ValueError(f"degree must be below 2^511, got {self.m!r}")
+        _check_degree(self.m)
         if len(self.a) != 3:
             raise ValueError(f"a twist has exactly three coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):
@@ -104,6 +109,7 @@ def epsilon_m(m: int) -> float:
     """
     if m < 4:
         raise ValueError(f"epsilon_m requires m >= 4, got {m!r}")
+    _check_degree(m)
     a = (m - 1) * (m - 2) - 2
     return 0.5 * (4.0 * math.log(a) + 1.0) / ((m - 1) * (m - 2) / 2.0 - 1.0) + 0.5 * math.log(a / m**2)
 
@@ -116,6 +122,7 @@ def arakelov_gap(m: int) -> float:
     g = genus(m)
     if g < 2:
         raise ValueError(f"the gap bound requires genus >= 2 (m >= 4), got m = {m!r}")
+    _check_degree(m)
     return 0.5 * ((4.0 * math.log(2 * g - 2) + 1.0) / (g - 1) + math.log(math.pi * (g - 1)))
 
 
@@ -147,7 +154,7 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
 
     The implied upper bound must be nonnegative (the Arakelov height of a
     relatively ample canonical bundle is >= 0); a negative bound raises,
-    signalling inconsistency.
+    signalling inconsistency.  ``epsilon_m`` refuses degrees from 2^511 on.
     """
     eps = epsilon_m(m)
     t = 1.0 - 1.0 / m

@@ -19,8 +19,9 @@ Fano polarity (V < 0), where each l at a negative argument enters as -l
 of the dual; the sign of V picks the polarity.  Every factor is positive
 exactly when every argument of l lies in (-1, 1), which holds whenever Z_N
 converges (see ``PeriodConfig``).  ``df_log_z`` evaluates the product in log
-space (no overflow up to N = 10^6), with ln |l| from the odd-zeta series the
-closed-form heights use, a block of j-values at a time in one workspace
+space (no overflow up to N = 10^6), with ln |l| from a Chebyshev-economized
+odd-zeta series (13 terms, truncation error below 2.6e-17), a block of
+j-values at a time in one workspace
 allocated once per call, so its memory does not grow with N and the blocks
 allocate nothing; equal weights share one row of ln |l|.  ``mc_oracle_z``
 estimates Z_N for N in {2, 3} by direct integration, independent of
@@ -39,7 +40,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .heights import WeightVector, h_can
-from .specfun import _EULER_GAMMA, _ZETA_ODD, EvalResult
+from .specfun import _EULER_GAMMA, EvalResult
 
 __all__ = [
     "PeriodConfig",
@@ -99,9 +100,17 @@ class PeriodConfig:
             raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
 
 
-# 2 zeta(k) / k, the coefficient of -u^k in ln l(u), for odd k = 45 down to 3:
-# Horner order in u^2.
-_L_COEF_HORNER = [2.0 * z / k for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
+# H(t) = sum_{k odd >= 3} (2 zeta(k) / k) t^((k - 3)/2), so that ln |l(u)| =
+# -ln |u| - u (2 euler_gamma + u^2 H(u^2)): the coefficients of t^12 down to t^0
+# (Horner order) of H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt
+# with mpmath in tests/test_periods.py.  H's Chebyshev coefficients decay like
+# 13.9^-j (the singularity at t = 1 lies on the ellipse rho = 7 + sqrt(48)),
+# its Taylor coefficients like 4^-j on this interval.
+_L_COEF_HORNER = [
+    0.39668646501816573, -0.22169242532631409, 0.2308349889639448, 0.05317342992877834, 0.11335473374980447,
+    0.1165954775497186, 0.13343020495951433, 0.15385958725874677, 0.18190823843731022, 0.2226685272007511,
+    0.288099793589971, 0.4147711020571119, 0.8013712687730631,
+]
 
 
 def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -109,10 +118,14 @@ def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | N
 
     For |u| <= 1/2, Gamma(u) = Gamma(1 + u)/u and DLMF 5.7.3 give
 
-        ln |l(u)| = -ln |u| - 2 euler_gamma u - 2 sum_{k odd >= 3} zeta(k) u^k / k,
+        ln |l(u)| = -ln |u| - S(u),
+        S(u) = 2 euler_gamma u + 2 sum_{k odd >= 3} zeta(k) u^k / k
+             = u (2 euler_gamma + u^2 H(u^2)).
 
-    summed through k = 45 by Horner in u^2 <= 1/4, the odd-zeta literals of
-    the closed-form heights.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
+    H on [0, 1/4] is its degree-12 Chebyshev-economized polynomial
+    ``_L_COEF_HORNER``, 13 Horner steps in u^2, so the truncation error is
+    |S_exact - S| <= (1/8) sum_{j > 12} |c_j| <= 2.6e-17 on |u| <= 1/2, with
+    c_j the Chebyshev coefficients of H.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
     ln |l(x)| = ln |l(x + 1)| - 2 ln |x|; both 1 - x and x + 1 are exact there.
     l > 0 on (0, 1) and l < 0 on (-1, 0), so no sign is returned.
 

@@ -35,6 +35,16 @@ def test_spec_validation():
         fermat_h_can(FermatSpec(3))  # canonical side needs m >= 4
 
 
+@pytest.mark.parametrize("f", [epsilon_m, arakelov_gap, arakelov_upper_bound, FermatSpec])
+def test_degree_limit_is_a_value_error(f):
+    # (m - 1)(m - 2) in floats overflows from 2^512; every entry point refuses
+    # the same degrees with ValueError, not OverflowError
+    f(2**511 - 1)
+    for m in (2**511, 2**512, 10**400):
+        with pytest.raises(ValueError, match="below 2\\^511"):
+            f(m)
+
+
 def test_twist_term():
     # a = (8, 1, 1) at m = 4: ((m-3)/2 + 1)/m * sum ln|a_i| = (3/8) ln 8 = (9/8) ln 2
     plain = fermat_h_can(FermatSpec(4)).value

@@ -72,6 +72,14 @@ def test_runs_with_scipy_blocked(code):
     assert numpy_loaded
 
 
+def test_df_log_z_runs_with_mpmath_blocked():
+    # mpmath serves the tests alone: the period product's ln |l| literals are
+    # shipped as floats, never computed at import
+    code = "from orbiheight import PeriodConfig, df_log_z\ndf_log_z(PeriodConfig(N=1000, w=(0.6, 0.8, 0.9)))"
+    numpy_loaded, _ = loaded_after(f"import sys\nsys.modules['mpmath'] = None\n{code}")
+    assert numpy_loaded
+
+
 @pytest.mark.parametrize("start, stop, num", [(0.05, 5.0, 15), (0.05, 5.0, 23), (0.05, 5.0, 25), (0.0, 1.0, 20), (0.7, 0.95, 26)])
 def test_verify_grids_match_numpy_bitwise(start, stop, num):
     # the registry builds its grids without numpy (_RECURRENCE_XS, the
