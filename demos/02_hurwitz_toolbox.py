@@ -12,7 +12,6 @@ from orbiheight import (
     get_field,
     hurwitz_zeta,
     hurwitz_zeta_ds,
-    log_gamma,
     loggamma_primitive,
     loggamma_ratio_integral,
 )
@@ -25,7 +24,7 @@ for x in (0.25, 1.0, 1.7):
     print(f"  x = {x}: zeta(-1,x) = {z.value:+.15f}   -B2(x)/2 = {-bernoulli2(x)/2:+.15f}")
 print()
 
-print("--- the s-derivative at -1 and the multiplication theorem ---")
+print("--- the s-derivative at -1 on (0, 1] and the multiplication theorem ---")
 zp = hurwitz_zeta_ds(1.0)
 print(f"zeta'(-1) = {zp.value:.15f}  (err <= {zp.err:.1e})")
 k = 6
@@ -40,10 +39,10 @@ h = 1e-5
 for x in (0.2, 0.5, 0.8):
     fd = (loggamma_primitive(x + h).value - loggamma_primitive(x - h).value) / (2 * h)
     print(f"  x = {x}: P'(x) = {fd:+.9f}   ln Gamma(x) - ln(2 pi)/2 = "
-          f"{log_gamma(x).value - 0.5 * math.log(2 * math.pi):+.9f}")
+          f"{math.lgamma(x) - 0.5 * math.log(2 * math.pi):+.9f}")
 print()
 
-print("--- integral of ln(Gamma/Gamma-reflected): odd-zeta series vs the primitive ---")
+print("--- integral of ln(Gamma/Gamma-reflected): the odd-zeta series Q(b) - Q(a) and P(b)+P(1-b)-P(a)-P(1-a) ---")
 for (a, b) in ((0.1, 0.7), (0.0, 0.37), (0.55, 1.0)):
     c = loggamma_ratio_integral(a, b)
     p = math.fsum(s * loggamma_primitive(x).value for s, x in ((1, b), (1, 1 - b), (-1, a), (-1, 1 - a)))

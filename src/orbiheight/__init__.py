@@ -32,10 +32,8 @@ from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_deg
 from .specfun import (
     EvalResult,
     bernoulli2,
-    digamma,
     hurwitz_zeta,
     hurwitz_zeta_ds,
-    log_gamma,
     loggamma_primitive,
     loggamma_ratio_integral,
 )

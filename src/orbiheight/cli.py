@@ -45,8 +45,6 @@ def _bernoulli2(a: float) -> sf.EvalResult:
 
 
 _KERNELS = {
-    "log_gamma": (1, sf.log_gamma),
-    "digamma": (1, sf.digamma),
     "bernoulli2": (1, _bernoulli2),
     "hurwitz_zeta": (2, sf.hurwitz_zeta),
     "hurwitz_zeta_ds": (1, sf.hurwitz_zeta_ds),
@@ -78,6 +76,11 @@ def _emit(args, payload: dict, text_lines: list[str], csv_lines: list[str] | Non
         print("\n".join(csv_lines if csv_lines is not None else text_lines))
     else:
         print("\n".join(text_lines))
+
+
+def _quoted(text: str) -> str:
+    """text as one CSV field: in double quotes, with each inner quote doubled."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _frac_str(x) -> str:
@@ -277,24 +280,13 @@ def _cmd_verify(args) -> int:
 
     results = vf.run_suite(args.suite)
     failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "passed": len(results) - len(failed),
-                    "failed": len(failed),
-                    "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            detail = f"  [{r.detail}]" if r.detail else ""
-            print(f"{status}  {r.name}{detail}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  [{r.detail}]" if r.detail else "") for r in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    csv_lines = ["name,passed,detail"]
+    csv_lines += [f"{_quoted(r.name)},{str(r.passed).lower()},{_quoted(r.detail)}" for r in results]
+    payload = {"suite": args.suite, "passed": len(results) - len(failed), "failed": len(failed), "checks": checks}
+    _emit(args, payload, lines, csv_lines)
     return 2 if failed else 0
 
 

@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from math import gcd
 
-from .specfun import EvalResult, _q
+from .specfun import EvalResult, _q, _zeta_prime_m1
 
 __all__ = [
     "Character",
@@ -173,15 +173,13 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
 
     Pairing a with f - a by zeta'(-1, x) + zeta'(-1, 1 - x) = Q(x) + B_2(x),
     with sum chi(a) = 0, gives L'(-1, chi) = -(1 + ln f) L(-1, chi)
-    + (f/2) sum_a chi(a) (Q(a/f) - Q(0)); zeta(s, 1/2) = (2^s - 1) zeta(s) gives
-    zeta'(-1) = (1/4 - (ln 2)/12 - (Q(1/2) - Q(0)))/3 for the trivial one.  err
-    adds the Q bounds, the rounding of a/f, where |Q'| < 3 + 2 ln f, and of the sums.
+    + (f/2) sum_a chi(a) (Q(a/f) - Q(0)); the trivial one is zeta'(-1), from Q(1/2).
+    err adds the Q bounds, the rounding of a/f, where |Q'| < 3 + 2 ln f, and of the sums.
     """
     f = chi.modulus
     if f == 1:
-        q, e, _ = _q(0.5)
-        value = (0.25 - math.log(2.0) / 12.0 - q) / 3.0
-        return ComplexEvalResult(complex(value), e / 3.0 + 2.0 * _EPS * (0.25 + abs(q)))
+        value, err = _zeta_prime_m1()
+        return ComplexEvalResult(complex(value), err)
     if not chi.is_even:
         raise ValueError(f"L'(-1, chi) from the Q series needs an even character; chi mod {f} is odd")
     total = 0j

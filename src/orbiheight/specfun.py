@@ -17,17 +17,20 @@ ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a short series in x^2
 with odd zeta values as coefficients, summed on [0, 1/2] and reflected by
 Q(x) = Q(1 - x).
 
-``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel in
-production: the heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi)
-from it, and the period route sums its derivative ln(Gamma(x)/Gamma(1-x))
-from the same odd-zeta literals.  The Euler-Maclaurin kernels
-(``hurwitz_zeta``, ``hurwitz_zeta_ds``, ``loggamma_primitive``), ``log_gamma``
-and ``digamma`` serve only the ``orbiheight specfun`` subcommand, the specfun
-suite of ``orbiheight verify`` and the tests, as independent references.  All
-are pure functions in plain ``math`` (no numpy), and every public one but
-``bernoulli2`` returns an :class:`EvalResult` carrying an absolute error
-estimate; ``bernoulli2`` returns a float, which the ``orbiheight specfun``
-subcommand wraps with its rounding bound.
+``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel: the
+heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and the
+period route sums its derivative ln(Gamma(x)/Gamma(1-x)) from the same
+odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
+function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
+x^2 with even zeta values as coefficients; Q and A together give P and
+zeta'(-1, x) on (0, 1] (``loggamma_primitive``, ``hurwitz_zeta_ds``).  The
+general-s Euler-Maclaurin kernel ``hurwitz_zeta`` serves only the
+``orbiheight specfun`` subcommand, the specfun suite of ``orbiheight verify``
+and the tests, as an independent reference.  All are pure functions in plain
+``math`` (no numpy), and every public one but ``bernoulli2`` returns an
+:class:`EvalResult` carrying an absolute error estimate; ``bernoulli2``
+returns a float, which the ``orbiheight specfun`` subcommand wraps with its
+rounding bound.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from functools import lru_cache
 
 __all__ = [
     "EvalResult",
-    "log_gamma",
-    "digamma",
     "bernoulli2",
     "hurwitz_zeta",
     "hurwitz_zeta_ds",
@@ -68,18 +69,11 @@ _BERNOULLI_EVEN = [
     Fraction(8553103, 6),
 ]
 _B_OVER_FACT = [float(b) / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_EVEN, start=1)]
-# B_2j (2j-3)!/(2j)! for j = 2, ..., 13: the coefficients of -y^(2-2j) in the
-# s-derivative of the Euler-Maclaurin tail at s = -1.
-_DS_COEF = [float(b * math.factorial(2 * j - 3) / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI_EVEN[1:], start=2)]
-_DS_COEF_HORNER = _DS_COEF[-2::-1]  # j = 12 down to 2; j = 13 only feeds the error estimate
 
 # Shift the argument until x + M >= _SHIFT_TARGET, then use Bernoulli terms
 # through B_24 (the B_26 entry only feeds the error estimate).
 _SHIFT_TARGET = 12.0
 _N_TAIL = 12
-# B_2j/(2j) for j = _N_TAIL down to 1: the coefficients of y^(-2j) in the
-# asymptotic series of digamma (DLMF 5.11.2), in Horner order.
-_PSI_COEF_HORNER = [float(b / (2 * j)) for j, b in enumerate(_BERNOULLI_EVEN[:_N_TAIL], start=1)][::-1]
 
 _EULER_GAMMA = 0.5772156649015329
 # zeta(3), zeta(5), ..., zeta(45), each the double nearest the true value.
@@ -114,6 +108,38 @@ _Q_COEF_HORNER = [2.0 * z / (k * (k + 1)) for k, z in zip(range(3, 47, 2), _ZETA
 # 2 zeta(47) / (47 * 48) with zeta(47) < 1 + 1e-14, over 1 - x^2 >= 3/4.
 _Q_TAIL = 8.0 / (3.0 * 47 * 48) * (1.0 + 1e-14)
 _SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
+# zeta(2), zeta(4), ..., zeta(44), each the double nearest the true value.
+_ZETA_EVEN = (
+    1.6449340668482264,
+    1.0823232337111381,
+    1.0173430619844492,
+    1.0040773561979444,
+    1.000994575127818,
+    1.000246086553308,
+    1.0000612481350588,
+    1.0000152822594086,
+    1.000003817293265,
+    1.0000009539620338,
+    1.0000002384505027,
+    1.000000059608189,
+    1.0000000149015549,
+    1.000000003725334,
+    1.0000000009313275,
+    1.000000000232831,
+    1.0000000000582077,
+    1.000000000014552,
+    1.000000000003638,
+    1.0000000000009095,
+    1.0000000000002274,
+    1.0000000000000568,
+)
+# zeta(2k) / (k (2k+1)), the coefficient of x^(2k+1) in the A series, for
+# k = 22 down to 1: Horner order in x^2.
+_A_COEF_HORNER = [z / (k * (2 * k + 1)) for k, z in enumerate(_ZETA_EVEN, start=1)][::-1]
+# On [0, 1/2] the omitted terms k >= 23 sum to at most _A_TAIL x^47: the first,
+# zeta(46) / (23 * 47) with zeta(46) < 1 + 1e-13, over 1 - x^2 >= 3/4.
+_A_TAIL = 4.0 / (3.0 * 23 * 47) * (1.0 + 1e-13)
+_ONE_MINUS_LOG_2PI = -0.8378770664093455  # 1 - ln(2 pi), the double nearest
 
 
 @dataclass(frozen=True)
@@ -131,62 +157,12 @@ class EvalResult:
         return self.value
 
 
-def _finite(v: float, name: str, x: float) -> float:
-    """v itself, or ValueError when name(x) overflowed double precision."""
-    if not math.isfinite(v):
-        raise ValueError(f"{name}({x!r}) cannot be evaluated in double precision")
-    return v
-
-
-def log_gamma(x: float) -> EvalResult:
-    """ln Gamma(x) for x > 0, by math.lgamma.
-
-    Its Lanczos sum loses up to about 7 eps max(1, |ln Gamma|) for x < 4,
-    where its terms are larger than the result; err allows 16.
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    try:
-        v = math.lgamma(x)
-    except OverflowError:  # from x of about 2.6e305
-        v = math.inf
-    v = _finite(v, "log_gamma", x)
-    return EvalResult(v, 16.0 * _EPS * max(1.0, abs(v)))
-
-
-def digamma(x: float) -> EvalResult:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0.
-
-    The recurrence psi(x) = psi(x + 1) - 1/x shifts the argument to
-    y = x + M >= 12, where the asymptotic series
-
-        psi(y) = ln y - 1/(2y) - sum_{j>=1} B_2j / (2j y^(2j))
-
-    (DLMF 5.11.2) is summed through B_24.  math.fsum adds the terms after
-    ln y with one rounding, so the cancellation near the root of psi costs
-    little more than the rounding of ln y.
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"digamma requires finite x > 0, got {x!r}")
-    m, y = _em_split(x)
-    iy2 = 1.0 / (y * y)
-    tail = 0.0
-    for c in _PSI_COEF_HORNER:
-        tail = (tail + c) * iy2
-    v = math.log(y) - math.fsum([0.5 / y, tail, *[1.0 / (x + n) for n in range(m)]])
-    v = _finite(v, "digamma", x)
-    return EvalResult(v, 4.0 * _EPS * max(1.0, abs(v)))
-
-
 def bernoulli2(a: float) -> float:
     """Second Bernoulli polynomial B_2(a) = a^2 - a + 1/6."""
-    return _finite(a * a - a + 1.0 / 6.0, "bernoulli2", a)
-
-
-def _em_split(x: float) -> tuple[int, float]:
-    """Number of explicitly summed terms M and the shifted point y = x + M."""
-    m = max(0, math.ceil(_SHIFT_TARGET - x))
-    return m, x + m
+    v = a * a - a + 1.0 / 6.0
+    if not math.isfinite(v):
+        raise ValueError(f"bernoulli2({a!r}) cannot be evaluated in double precision")
+    return v
 
 
 def hurwitz_zeta(s: float, x: float) -> EvalResult:
@@ -205,7 +181,8 @@ def hurwitz_zeta(s: float, x: float) -> EvalResult:
     if x <= 0.0:
         raise ValueError(f"hurwitz_zeta requires x > 0, got {x!r}")
 
-    m, y = _em_split(x)
+    m = max(0, math.ceil(_SHIFT_TARGET - x))  # explicitly summed terms
+    y = x + m
     try:
         head = sum((x + n) ** -s for n in range(m))
         ly = math.log(y)
@@ -226,64 +203,6 @@ def hurwitz_zeta(s: float, x: float) -> EvalResult:
     scale = max(abs(head), abs(main), abs(half), abs(total))
     err = omitted + 8.0 * _EPS * scale * (m + 4)
     return EvalResult(total, err)
-
-
-def _zeta_ds_m1(x: float) -> tuple[float, float]:
-    """(d/ds zeta(s, x) at s = -1, absolute error bound) for x > 0; see hurwitz_zeta_ds."""
-    m, y = _em_split(x)
-    head = 0.0
-    for n in range(m):
-        t = x + n
-        head -= t * math.log(t)
-    ly = math.log(y)
-    main = y * y * (0.5 * ly - 0.25)
-    iy2 = 1.0 / (y * y)
-    tail = 0.0  # sum over j = 2.._N_TAIL of c_j y^(2-2j), by Horner in 1/y^2
-    for c in _DS_COEF_HORNER:
-        tail = (tail + c) * iy2
-    total = head + main - 0.5 * y * ly + (1.0 + ly) / 12.0 - tail
-    omitted = abs(_DS_COEF[-1]) * iy2**_N_TAIL
-    return total, omitted + 8.0 * _EPS * (abs(head) + abs(main)) * (m + 4)
-
-
-def hurwitz_zeta_ds(x: float) -> EvalResult:
-    """d/ds zeta(s, x) at s = -1, for x > 0.
-
-    The Euler-Maclaurin expansion is differentiated term by term in s and
-    evaluated at s = -1 (no finite differences).  With y = x + M:
-
-        -sum_{n<M} (n+x) ln(n+x)  +  y^2 (ln y / 2 - 1/4)  -  (y ln y)/2
-        + (1 + ln y)/12  -  sum_{j>=2} B_{2j}/(2j)! (2j-3)! y^{2-2j}
-
-    using that the Pochhammer factor s(s+1)...(s+2j-2) vanishes at s = -1
-    for j >= 2 while its s-derivative there equals -(2j-3)!.
-    """
-    if not math.isfinite(x):
-        raise ValueError("hurwitz_zeta_ds requires a finite argument")
-    if x <= 0.0:
-        raise ValueError(f"hurwitz_zeta_ds requires x > 0, got {x!r}")
-    value, err = _zeta_ds_m1(x)
-    return EvalResult(_finite(value, "hurwitz_zeta_ds", x), err)
-
-
-def loggamma_primitive(x: float) -> EvalResult:
-    """zeta(-1, x) + d/ds zeta(s, x)|_{s=-1}, continued to x = 0 by the value at 1.
-
-    On (0, 1) its x-derivative is ln Gamma(x) - (1/2) ln 2pi, so differences of
-    this function integrate ln Gamma exactly.  Weights equal to 1 (cusps) use
-    the x = 0 continuation, which keeps the height formulas uniform.
-    zeta(-1, x) = -B_2(x)/2 exactly, so only the s-derivative needs the
-    Euler-Maclaurin sum; err is its truncation and rounding bound, about
-    1e-11, plus 4 eps for the Bernoulli term.  The heights do not call it:
-    it is the reference the Q series of :func:`loggamma_ratio_integral` is
-    tested against.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"loggamma_primitive is defined on [0, 1], got {x!r}")
-    if x == 0.0:
-        x = 1.0
-    ds, err = _zeta_ds_m1(x)
-    return EvalResult(ds - 0.5 * bernoulli2(x), err + 4.0 * _EPS)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -321,6 +240,75 @@ def _q(x: float) -> tuple[float, float, float]:
     main = x - x * log_x
     err = _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
     return main - _EULER_GAMMA * x2 - series, err, -log_x
+
+
+def _zeta_prime_m1() -> tuple[float, float]:
+    """(zeta'(-1), absolute error bound) from the Q series.
+
+    zeta(s, 1/2) = (2^s - 1) zeta(s) gives Q(1/2) - Q(0) = 1/4 - (ln 2)/12
+    - 3 zeta'(-1); err adds the Q bound to the roundings of the sum.
+    """
+    q, e, _ = _q(0.5)
+    return (0.25 - math.log(2.0) / 12.0 - q) / 3.0, e / 3.0 + 2.0 * _EPS * (0.25 + abs(q))
+
+
+def _primitive_kernel(x: float, b: float) -> EvalResult:
+    """zeta'(-1) + (2 (P(x) - P(1)) + b) / 2 for x in (0, 1], P = loggamma_primitive:
+    b = B_2(x) - 1/6 gives zeta'(-1, x) = P(x) + B_2(x)/2 and b = -1/6 gives
+    P(x), since P(1) = zeta'(-1) - 1/12.
+
+    With y = min(x, 1 - x) <= 1/2, 2 P(x) = Q(y) + A(y) for x <= 1/2 and
+    Q(y) - A(y) for x > 1/2, where Q(0) = 2 P(1) and the antisymmetric half
+    A(y) = P(y) - P(1 - y) has A' = -ln(2 sin(pi y)) and A(0) = 0, so that
+    A(y) = Cl_2(2 pi y) / (2 pi).  The product formula for sin(pi y)/(pi y)
+    gives
+
+        A(y) = y - y ln(2 pi y) + y sum_{k>=1} zeta(2k) y^(2k) / (k (2k+1)),
+
+    summed through k = 22 by Horner in y^2 <= 1/4, with the -ln y that _q
+    returns.  err: the bounds of zeta'(-1) and of _q; 4 eps y (1 - ln y +
+    series) the rounding of the log, of the literals 1 - ln 2pi and
+    zeta(2k) / (k (2k+1)), of the Horner steps, the sums and the product by
+    y; _A_TAIL y^47 the omitted terms; 4 ulps of 0 where y is subnormal;
+    eps |b| the rounding of b; and half an eps of each of the three sums.
+    """
+    z, err = _zeta_prime_m1()
+    y = x if x <= 0.5 else 1.0 - x
+    d = 0.0
+    if y > 0.0:
+        q, eq, neg_log_y = _q(y)
+        y2 = y * y
+        series = 0.0
+        for c in _A_COEF_HORNER:
+            series = series * y2 + c
+        series *= y2
+        a = y * (neg_log_y + _ONE_MINUS_LOG_2PI + series)
+        d = q + a if x <= 0.5 else q - a
+        err += 0.5 * (eq + 4.0 * _EPS * y * (neg_log_y + 1.0 + series) + _A_TAIL * y * y2**23 + _SUBNORMAL_ULPS)
+    s = d + b
+    v = z + 0.5 * s
+    return EvalResult(v, err + 0.5 * _EPS * (abs(d) + abs(b) + abs(s) + abs(v)))
+
+
+def hurwitz_zeta_ds(x: float) -> EvalResult:
+    """d/ds zeta(s, x) at s = -1, for 0 < x <= 1, as P(x) + B_2(x)/2 from the Q and A series."""
+    if not (0.0 < x <= 1.0):
+        raise ValueError(f"hurwitz_zeta_ds requires 0 < x <= 1, got {x!r}")
+    return _primitive_kernel(x, x * (x - 1.0))
+
+
+def loggamma_primitive(x: float) -> EvalResult:
+    """zeta(-1, x) + d/ds zeta(s, x)|_{s=-1}, continued to x = 0 by the value at 1.
+
+    On (0, 1) its x-derivative is ln Gamma(x) - (1/2) ln 2pi, so differences of
+    this function integrate ln Gamma exactly.  Weights equal to 1 (cusps) use
+    the x = 0 continuation, which keeps the height formulas uniform.  The
+    heights do not call it: they take the differences Q(b) - Q(a) of
+    :func:`loggamma_ratio_integral` directly.
+    """
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"loggamma_primitive is defined on [0, 1], got {x!r}")
+    return _primitive_kernel(x or 1.0, -1.0 / 6.0)
 
 
 def loggamma_ratio_integral(a: float, b: float) -> EvalResult:

@@ -4,8 +4,8 @@ Table rows are exact :class:`LogCombo` data, not runtime derivations: each
 constant is a rational combination of 1, ln pi, ln p and, through the
 Petersson height of a Table 1 row, (1/[F:Q]) zeta_F'(-1)/zeta_F(-1) for the
 row's field F.  The test suite validates every row numerically against the
-analytic formulas in :mod:`orbiheight.heights` at 1e-9 (they actually agree
-to ~1e-13).
+analytic formulas in :mod:`orbiheight.heights` at 1e-13 (they agree to
+~5e-15).
 
 Two rows of the log-canonical table and one row of the Fano table circulate
 in print with misstated coefficients; the shipped values below are the ones

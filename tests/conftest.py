@@ -3,8 +3,8 @@
 ACCEPTANCE_PREFIX = "tests/test_acceptance.py::test_criterion_"
 
 LABELS = {
-    "01": "1. log-canonical closed-form table reproduced at 1e-9 (10 rows)",
-    "02": "2. Fano closed-form table reproduced at 1e-9 (4 rows)",
+    "01": "1. log-canonical closed-form table reproduced at 1e-13 (10 rows)",
+    "02": "2. Fano closed-form table reproduced at 1e-13 (4 rows)",
     "03": "3. Shimura h(p) exact rational equality (4 cases)",
     "04": "4. sharp height bounds on the 20^3 stability grid",
     "05": "5. period-limit convergence (both polarities)",

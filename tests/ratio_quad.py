@@ -1,7 +1,7 @@
 """Quadrature twin of ``specfun.loggamma_ratio_integral``, for the tests only.
 
 It integrates ln Gamma(x) - ln Gamma(1-x) by scipy's adaptive Gauss-Kronrod
-rule, independent of the odd-zeta series and of the Euler-Maclaurin
+rule, independent of the odd-zeta series and of mpmath's log-Gamma
 primitive, so the closed form is checked against a third route.
 """
 

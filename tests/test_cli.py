@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -110,7 +111,7 @@ def test_specfun_kernels(capsys):
     code, out, _ = run(capsys, "specfun", "dedekind_log_deriv", "--field", "Qsqrt2", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(1.158480, abs=1e-5)
-    code, _, err = run(capsys, "specfun", "log_gamma")
+    code, _, err = run(capsys, "specfun", "hurwitz_zeta_ds")
     assert code == 1 and "argument" in err
 
 
@@ -120,8 +121,8 @@ def test_specfun_kernels(capsys):
     "argv",
     [
         ("specfun", "hurwitz_zeta", "-1", "1e308"),
-        ("specfun", "log_gamma", "1e308"),
-        ("specfun", "digamma", "1e-320"),
+        ("specfun", "hurwitz_zeta", "-2", "1e200"),
+        ("specfun", "hurwitz_zeta", "2", "1e-320"),
         ("specfun", "bernoulli2", "1e200"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "0"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "0"),
@@ -135,7 +136,7 @@ def test_specfun_kernels(capsys):
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle-n", "3"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--scheme", "monte-carlo"),
         ("specfun", "dedekind_log_deriv", "0.5", "0.7"),
-        ("specfun", "log_gamma", "0.5", "--field", "nonsense"),
+        ("specfun", "loggamma_primitive", "0.5", "--field", "nonsense"),
         ("fermat", "--m", "10", "--m-to", "4"),
         ("periods", "--weights", "0.75,0.75,0.75", "--N-list", "2", "--oracle", "--scheme", "monte-carlo", "--budget", "1"),
         ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--scheme", "quadrature", "--seed", "3"),
@@ -143,6 +144,7 @@ def test_specfun_kernels(capsys):
         ("periods", "--weights", "0.24,0.24,0.22", "--N-list", "3", "--oracle", "--oracle-n", "3", "--scheme", "monte-carlo", "--budget", "1000"),
         ("height", "--ram", "2,3,1" + "0" * 330),
         ("fermat", "--m", "1" + "0" * 330),
+        ("specfun", "hurwitz_zeta_ds", "1.5"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -169,6 +171,30 @@ def test_verify_suite_exit_codes(capsys, monkeypatch):
     doc = json.loads(out)
     assert (doc["suite"], doc["passed"], doc["failed"]) == ("all", 1, 1)
     assert [c["name"] for c in doc["checks"]] == ["passes", "fails"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("specfun", "loggamma_primitive", "0.3"),
+        ("height", "--weights", "0.8,0.8,0.8"),
+        ("table1",),
+        ("table2",),
+        ("shimura", "--case", "disc6"),
+        ("fermat", "--m", "4", "--m-to", "6"),
+        ("periods", "--weights", "0.75,0.75,0.75", "--N-list", "100,1000"),
+        ("faltings", "--weights", "0.6,0.7,0.7"),
+        ("verify", "--suite", "fermat"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_format_prints_comma_separated_rows(capsys, argv):
+    # a header row, then data rows with as many fields, parsed as CSV
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(header) >= 2 and all(name.isidentifier() for name in header)
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_usage_error_prints_flags():

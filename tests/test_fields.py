@@ -19,8 +19,11 @@ from orbiheight.fields import (
     get_field,
     load_fields,
 )
-from orbiheight.specfun import hurwitz_zeta, hurwitz_zeta_ds
+from orbiheight.specfun import hurwitz_zeta
 from orbiheight.tables import TABLE1, TABLE2
+
+with mpmath.workdps(30):
+    ZETA_PRIME_M1 = float(mpmath.zeta(-1, 1, 1))  # zeta'(-1)
 
 
 def test_builtin_fields_shape():
@@ -43,7 +46,7 @@ def test_character_validation():
 def test_trivial_character_is_riemann_zeta():
     chi = get_field("Q").characters[0]
     assert dirichlet_L(chi).value.real == pytest.approx(-1.0 / 12.0, abs=1e-13)
-    assert dirichlet_L_ds(chi).value.real == pytest.approx(hurwitz_zeta_ds(1.0).value, abs=1e-12)
+    assert dirichlet_L_ds(chi).value.real == pytest.approx(ZETA_PRIME_M1, abs=1e-12)
 
 
 def test_chi8_bernoulli_oracle():
@@ -88,8 +91,8 @@ def test_cubic_pair_product_real_positive():
 
 
 def test_dedekind_log_deriv_rational_field():
-    # zeta'(-1)/zeta(-1) = -12 zeta'(-1), straight from the kernel
-    oracle = -12.0 * hurwitz_zeta_ds(1.0).value
+    # zeta'(-1)/zeta(-1) = -12 zeta'(-1), with zeta'(-1) from mpmath
+    oracle = -12.0 * ZETA_PRIME_M1
     r = dedekind_log_deriv(get_field("Q"))
     assert r.value == pytest.approx(oracle, abs=1e-10)
     assert r.value == pytest.approx(1.985051, abs=5e-6)
@@ -100,7 +103,7 @@ def test_dedekind_qsqrt2_explicit_combination():
     chi8 = get_field("Qsqrt2").characters[1]
     lv = dirichlet_L(chi8).value.real
     ld = dirichlet_L_ds(chi8).value.real
-    expected = -12.0 * hurwitz_zeta_ds(1.0).value + ld / lv
+    expected = -12.0 * ZETA_PRIME_M1 + ld / lv
     assert dedekind_log_deriv(get_field("Qsqrt2")).value == pytest.approx(expected, abs=1e-12)
 
 
@@ -110,9 +113,9 @@ def test_dedekind_cubic_fields_real():
         assert math.isfinite(r.value)  # construction enforces Im < 1e-10
 
 
-# the Euler-Maclaurin and ln Gamma kernels, which only the specfun CLI, the
-# verify specfun suite and the tests may call
-_REFERENCE_KERNELS = ("hurwitz_zeta", "hurwitz_zeta_ds", "loggamma_primitive", "digamma", "log_gamma")
+# the public zeta kernels, which only the specfun CLI, the verify specfun
+# suite and the tests may call: the exact layer sums _q itself
+_REFERENCE_KERNELS = ("hurwitz_zeta", "hurwitz_zeta_ds", "loggamma_primitive")
 
 
 def test_exact_layer_runs_on_the_q_kernel_alone(monkeypatch):
@@ -144,18 +147,20 @@ def test_exact_layer_runs_on_the_q_kernel_alone(monkeypatch):
 
 def _dirichlet_L_ds_em(chi):
     """L'(-1, chi) = f (-ln f sum chi(a) zeta(-1, a/f) + sum chi(a) zeta'(-1, a/f)),
-    each zeta'(-1, a/f) from the Euler-Maclaurin kernel; (value, err)."""
+    each zeta(-1, a/f) from the Euler-Maclaurin kernel and each zeta'(-1, a/f)
+    from mpmath at 30 digits; (value, err)."""
     f = chi.modulus
     s_sum = d_sum = 0j
     err = 0.0
     for a, ang in chi.angles.items():
         aa = a if f > 1 else 1
         z = hurwitz_zeta(-1.0, aa / f)
-        zd = hurwitz_zeta_ds(aa / f)
+        with mpmath.workdps(30):
+            zd = complex(mpmath.zeta(-1, mpmath.mpf(aa) / f, 1))
         w = chi(aa)
         s_sum += w * z.value
-        d_sum += w * zd.value
-        err += z.err * math.log(f) + zd.err
+        d_sum += w * zd
+        err += z.err * math.log(f)
     return f * (-math.log(f) * s_sum + d_sum), f * err + 1e-15
 
 

@@ -11,6 +11,7 @@ import importlib
 import json
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +108,67 @@ def test_exported_names_resolve():
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
     missing += [n for n in orbiheight._PERIODS_NAMES if not hasattr(orbiheight, n)]
     assert missing == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_worker_surface_resolves():
+    # perfbench/worker.py drives the package through these attributes, some
+    # of them only in --trace runs; a name renamed or removed here breaks the
+    # benchmark, which the tests do not run
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "orbiheight":
+            modules.update({a.asname or a.name: importlib.import_module(f"orbiheight.{a.name}") for a in node.names})
+        elif isinstance(node, ast.Import):
+            found = [a for a in node.names if a.name.startswith("orbiheight.")]
+            modules.update({a.asname or a.name: importlib.import_module(a.name) for a in found})
+    # attributes and local names that hold a module: self.specfun = specfun, sf = self.prog.specfun
+    held = {
+        t.attr: modules[node.value.id]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in modules
+        for t in node.targets
+        if isinstance(t, ast.Attribute)
+    }
+    local = {
+        t.id: held[node.value.attr]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr in held
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def owner(node):
+        # the package object an expression names, or None
+        if isinstance(node, ast.Name):
+            return modules.get(node.id, local.get(node.id))
+        if isinstance(node, ast.Attribute):
+            base = owner(node.value)
+            return held.get(node.attr) if base is None else getattr(base, node.attr, None)
+        return None
+
+    read, missing = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (base := owner(node.value)) is not None:
+            name = f"{base.__name__.removeprefix('orbiheight.')}.{node.attr}"
+            read.add(name)
+            if not hasattr(base, node.attr):
+                missing.append(name)
+    assert missing == []
+    assert {"specfun.hurwitz_zeta", "specfun.hurwitz_zeta_ds", "specfun.loggamma_primitive", "cli.build_parser"} <= read
+
+
+@pytest.mark.parametrize("seed", [1, 5, 101])
+def test_benchmark_cli_arguments_succeed(seed, capsys):
+    # every subcommand as the benchmark's CLI workload runs it, through the
+    # same entry point; perfbench/inputs.py runs from source, so nothing is
+    # written under perfbench/
+    from orbiheight.cli import main
+
+    cli_args = runpy.run_path(str(PERFBENCH / "inputs.py"))["cli_args"]
+    for argv in cli_args(seed).values():
+        assert main([*argv, "--format", "json"]) == 0, argv
+    capsys.readouterr()
