@@ -218,7 +218,10 @@ def _cmd_fermat(args) -> int:
 
 def _check_oracle_options(args) -> None:
     """--seed, --oracle-n and --scheme belong to --oracle; --seed and --budget
-    drive the Monte-Carlo oracle and nothing else."""
+    drive the Monte-Carlo oracle and nothing else.  The oracle line has no CSV
+    column, so --oracle takes text or JSON output."""
+    if args.oracle and args.format == "csv":
+        raise ValueError("--oracle has no CSV form; use --format json")
     if not args.oracle:
         for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
             if v is not None:
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Vandermonde-limit convergence table",
         epilog="The polarity is read from the weights: canonical when V > 0, anticanonical when V < 0. "
         "CSV columns: N (number of points), estimate (+-(1/2N) log Z_N), "
-        "gap (estimate minus the closed form).",
+        "gap (estimate minus the closed form).  --oracle does not combine with --format csv: "
+        "use --format json.",
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")

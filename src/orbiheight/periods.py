@@ -40,7 +40,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .heights import WeightVector, h_can
-from .specfun import _EULER_GAMMA, EvalResult
+from .specfun import _EULER_GAMMA, _H_COEF_HORNER, EvalResult
 
 __all__ = [
     "PeriodConfig",
@@ -100,19 +100,6 @@ class PeriodConfig:
             raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
 
 
-# H(t) = sum_{k odd >= 3} (2 zeta(k) / k) t^((k - 3)/2), so that ln |l(u)| =
-# -ln |u| - u (2 euler_gamma + u^2 H(u^2)): the coefficients of t^12 down to t^0
-# (Horner order) of H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt
-# with mpmath in tests/test_periods.py.  H's Chebyshev coefficients decay like
-# 13.9^-j (the singularity at t = 1 lies on the ellipse rho = 7 + sqrt(48)),
-# its Taylor coefficients like 4^-j on this interval.
-_L_COEF_HORNER = [
-    0.39668646501816573, -0.22169242532631409, 0.2308349889639448, 0.05317342992877834, 0.11335473374980447,
-    0.1165954775497186, 0.13343020495951433, 0.15385958725874677, 0.18190823843731022, 0.2226685272007511,
-    0.288099793589971, 0.4147711020571119, 0.8013712687730631,
-]
-
-
 def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """ln |l(x)| for l(x) = Gamma(x)/Gamma(1-x) on (-1, 1) minus 0, vectorized.
 
@@ -122,8 +109,9 @@ def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | N
         S(u) = 2 euler_gamma u + 2 sum_{k odd >= 3} zeta(k) u^k / k
              = u (2 euler_gamma + u^2 H(u^2)).
 
-    H on [0, 1/4] is its degree-12 Chebyshev-economized polynomial
-    ``_L_COEF_HORNER``, 13 Horner steps in u^2, so the truncation error is
+    H on [0, 1/4] is its degree-12 Chebyshev-economized polynomial, the 13
+    odd-zeta literals ``specfun._H_COEF_HORNER`` that the heights' Q series
+    also sums, in 13 Horner steps in u^2, so the truncation error is
     |S_exact - S| <= (1/8) sum_{j > 12} |c_j| <= 2.6e-17 on |u| <= 1/2, with
     c_j the Chebyshev coefficients of H.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
     ln |l(x)| = ln |l(x + 1)| - 2 ln |x|; both 1 - x and x + 1 are exact there.
@@ -142,8 +130,8 @@ def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | N
     np.subtract(1.0, x, out=out, where=high)
     np.add(x, 1.0, out=out, where=low)
     np.multiply(out, out, out=u2)
-    series.fill(_L_COEF_HORNER[0])
-    for c in _L_COEF_HORNER[1:]:
+    series.fill(_H_COEF_HORNER[0])
+    for c in _H_COEF_HORNER[1:]:
         series *= u2
         series += c
     series *= u2

@@ -13,13 +13,13 @@ makes the closed-form height formulas on the projective line possible: the
 integral of ln(Gamma(x)/Gamma(1-x)) over [a, b] is Q(b) - Q(a) with the
 symmetric sum Q(x) = P(x) + P(1-x), so it collapses to two evaluations of Q
 (``loggamma_ratio_integral``).  The Maclaurin series of ln Gamma(1 + t) and
-ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a short series in x^2
-with odd zeta values as coefficients, summed on [0, 1/2] and reflected by
-Q(x) = Q(1 - x).
+ln Gamma(1 - t) (DLMF 5.7.3) turn Q into one log plus a series in x^2 with
+odd zeta values as coefficients, Chebyshev-economized on [0, 1/2] to 13
+literals and reflected by Q(x) = Q(1 - x).
 
 ``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel: the
 heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and the
-period route sums its derivative ln(Gamma(x)/Gamma(1-x)) from the same
+period route sums its derivative ln(Gamma(x)/Gamma(1-x)) from the same 13
 odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
 function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
 x^2 with even zeta values as coefficients; Q and A together give P and
@@ -76,37 +76,25 @@ _SHIFT_TARGET = 12.0
 _N_TAIL = 12
 
 _EULER_GAMMA = 0.5772156649015329
-# zeta(3), zeta(5), ..., zeta(45), each the double nearest the true value.
-_ZETA_ODD = (
-    1.2020569031595942,
-    1.03692775514337,
-    1.008349277381923,
-    1.0020083928260821,
-    1.0004941886041194,
-    1.0001227133475785,
-    1.000030588236307,
-    1.0000076371976379,
-    1.0000019082127165,
-    1.0000004769329869,
-    1.000000119219926,
-    1.0000000298035034,
-    1.0000000074507118,
-    1.0000000018626598,
-    1.0000000004656628,
-    1.0000000001164155,
-    1.0000000000291038,
-    1.000000000007276,
-    1.000000000001819,
-    1.0000000000004547,
-    1.0000000000001137,
-    1.0000000000000284,
+# H(t) = sum_{k odd >= 3} (2 zeta(k) / k) t^((k - 3)/2), the odd-zeta series
+# of both Q and ln |l|: Q'(x) = -ln x - 2 euler_gamma x - x^3 H(x^2) = ln |l(x)|
+# on (0, 1/2].  These are the coefficients of t^12 down to t^0 (Horner order)
+# of H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt with mpmath in
+# tests/test_specfun.py; :mod:`orbiheight.periods` sums the same tuple for
+# ln |l|.  H's Chebyshev coefficients c_j decay like 13.9^-j (the
+# singularity at t = 1 lies on the ellipse rho = 7 + sqrt(48)), its Taylor
+# coefficients like 4^-j on this interval, and sum_{j > 12} |c_j| <= 2.08e-16.
+_H_COEF_HORNER = (
+    0.39668646501816573, -0.22169242532631409, 0.2308349889639448, 0.05317342992877834, 0.11335473374980447,
+    0.1165954775497186, 0.13343020495951433, 0.15385958725874677, 0.18190823843731022, 0.2226685272007511,
+    0.288099793589971, 0.4147711020571119, 0.8013712687730631,
 )
-# 2 zeta(k) / (k (k+1)), the coefficient of -x^(k+1) in the Q series, for odd
-# k = 45 down to 3: Horner order in x^2.
-_Q_COEF_HORNER = [2.0 * z / (k * (k + 1)) for k, z in zip(range(3, 47, 2), _ZETA_ODD)][::-1]
-# On [0, 1/2] the omitted terms k >= 47 sum to at most _Q_TAIL x^48: the first,
-# 2 zeta(47) / (47 * 48) with zeta(47) < 1 + 1e-14, over 1 - x^2 >= 3/4.
-_Q_TAIL = 8.0 / (3.0 * 47 * 48) * (1.0 + 1e-14)
+# The coefficient of -x^(2j+4) in the Q series: H's t^j coefficient over 2j + 4,
+# since the integral of u^3 (u^2)^j over [0, x] is x^(2j+4) / (2j + 4).
+_Q_COEF_HORNER = tuple(c / (2 * j + 4) for j, c in zip(range(12, -1, -1), _H_COEF_HORNER))
+# The same integral bounds the Q series' truncation error by
+# (sum_{j > 12} |c_j|) x^4 / 4 <= _Q_TRUNC x^4.
+_Q_TRUNC = 5.2e-17
 _SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
 # zeta(2), zeta(4), ..., zeta(44), each the double nearest the true value.
 _ZETA_EVEN = (
@@ -210,36 +198,44 @@ def _q(x: float) -> tuple[float, float, float]:
     """(Q(x) - Q(0), absolute error bound, -ln x') for x in [0, 1], Q(x) = P(x) + P(1 - x),
     x' = min(x, 1 - x) the end the log singularity sits at (inf where x' = 0).
 
-    Q' = ln Gamma(x) - ln Gamma(1 - x) = -ln x - 2 euler_gamma x
-    - 2 sum_{k odd >= 3} zeta(k) x^k / k on (0, 1) (DLMF 5.7.3), so for
-    0 <= x <= 1/2
+    Q' = ln Gamma(x) - ln Gamma(1 - x) = -ln x - 2 euler_gamma x - x^3 H(x^2)
+    on (0, 1) (DLMF 5.7.3), so for 0 <= x <= 1/2
 
-        Q(x) - Q(0) = x - x ln x - euler_gamma x^2 - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)),
+        Q(x) - Q(0) = x - x ln x - euler_gamma x^2 - sum_j q_j x^(2j+4),
 
-    summed through k = 45 by Horner in x^2 <= 1/4; x > 1/2 uses
-    Q(x) = Q(1 - x), where 1 - x is exact.  err: 4 eps (x - x ln x) bounds the
-    rounding of the log, the products and the two subtractions, since every
-    partial sum and euler_gamma x^2 are at most x - x ln x; 40 eps the
-    series' Horner steps and rounded coefficients; _Q_TAIL x^48 the omitted
-    terms; 4 ulps of 0 the same roundings where x is subnormal and the eps
-    terms underflow.  The heights' err reuses -ln x for the input rounding of
-    x, so each point takes one log.  Plain floats keep result objects off the
-    per-point path; the cache serves repeated weights (grids, tables), not a
-    sweep of fresh ones.
+    with q_j = c_j / (2j + 4) from the 13 economized coefficients c_j of H on
+    [0, 1/4] (``_H_COEF_HORNER``), summed as one Horner expression in
+    t = x^2 <= 1/4; x > 1/2 uses Q(x) = Q(1 - x), where 1 - x is exact.  err:
+    4 eps (x - x ln x) bounds the rounding of the log, the products and the
+    two subtractions, since every partial sum and euler_gamma x^2 are at most
+    x - x ln x.  40 eps series bounds the series' rounding, which is at most
+    21.5 eps sum_j |q_j| t^(j+2): 12 eps for the 24 roundings of the 12
+    Horner steps, 8 eps for the rounding of t (raised to at most t^12), of
+    t^2 and of the last product, and 1.5 eps for each literal (within an ulp
+    of c_j) and its division.  Only q_11 is negative, so sum_j |q_j| t^j
+    exceeds the signed sum by 2 |q_11| t^11, under 2e-8 of it at t = 1/4 and
+    less below; the bound in terms of the signed series holds.  _Q_TRUNC x^4
+    bounds the truncation of H; 4 ulps of 0 the same roundings where x is
+    subnormal and the eps terms underflow.  The heights' err reuses -ln x
+    for the input rounding of x, so each point takes one log.  Plain floats
+    keep result objects off the per-point path; the cache serves repeated
+    weights (grids, tables), not a sweep of fresh ones.
     """
     if x > 0.5:
         x = 1.0 - x
     if x == 0.0:
         return 0.0, 0.0, math.inf
-    x2 = x * x
-    series = 0.0
-    for c in _Q_COEF_HORNER:
-        series = series * x2 + c
-    series *= x2 * x2
+    q12, q11, q10, q9, q8, q7, q6, q5, q4, q3, q2, q1, q0 = _Q_COEF_HORNER
+    t = x * x
+    t2 = t * t
+    series = (
+        ((((((((((((q12 * t + q11) * t + q10) * t + q9) * t + q8) * t + q7) * t + q6) * t + q5) * t + q4) * t + q3) * t + q2) * t + q1) * t + q0)
+        * t2
+    )
     log_x = math.log(x)
     main = x - x * log_x
-    err = _EPS * (4.0 * main + 40.0 * series) + _Q_TAIL * x2**24 + _SUBNORMAL_ULPS
-    return main - _EULER_GAMMA * x2 - series, err, -log_x
+    err = _EPS * (4.0 * main + 40.0 * series) + _Q_TRUNC * t2 + _SUBNORMAL_ULPS
+    return main - _EULER_GAMMA * t - series, err, -log_x
 
 
 def _zeta_prime_m1() -> tuple[float, float]:

@@ -3,9 +3,9 @@
 It evaluates the Gamma-ratio product as the package first did: ``np.where``
 for the branches of ln |l|, four argument rows per block whatever the
 weights, and fresh arrays for every intermediate.  It reads the same 13
-literals ``_L_COEF_HORNER`` (the degree-12 Chebyshev economization of the
-odd-zeta series in u^2 on [0, 1/4], truncation error below 2.6e-17) and
-runs the same Horner pass.  Each element goes through the same operations
+literals ``specfun._H_COEF_HORNER`` (the degree-12 Chebyshev economization
+of the odd-zeta series in u^2 on [0, 1/4], truncation error below 2.6e-17,
+which the heights' Q series shares) and runs the same Horner pass.  Each element goes through the same operations
 in the same order as in ``periods``, so the in-place workspace there must
 reproduce these values bit for bit.
 """
@@ -14,19 +14,19 @@ import math
 
 import numpy as np
 
-from orbiheight.periods import _BLOCK, _L_COEF_HORNER, PeriodConfig
-from orbiheight.specfun import _EULER_GAMMA
+from orbiheight.periods import _BLOCK, PeriodConfig
+from orbiheight.specfun import _EULER_GAMMA, _H_COEF_HORNER
 
 
 def log_l(x: np.ndarray) -> np.ndarray:
     """ln |l(x)| on (-1, 1) minus 0, by the Chebyshev-economized odd-zeta
-    series of ``periods._log_l``: 13 coefficients, truncation error below 2.6e-17."""
+    series of ``periods._log_l``: the 13 shared literals, truncation error below 2.6e-17."""
     high = x > 0.5
     low = x < -0.5
     u = np.where(high, 1.0 - x, np.where(low, x + 1.0, x))
     u2 = u * u
     series = np.zeros_like(u)
-    for c in _L_COEF_HORNER:
+    for c in _H_COEF_HORNER:
         series *= u2
         series += c
     series *= u2

@@ -96,6 +96,13 @@ def test_periods_csv(capsys):
     assert out.splitlines()[0] == "N,estimate,gap"
 
 
+def test_periods_oracle_refuses_csv(capsys):
+    # the oracle line is not a CSV row: the refusal names the format that carries it
+    code, out, err = run(capsys, "periods", "--weights", "0.75,0.75,0.75", "--N-list", "100", "--oracle", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: --oracle has no CSV form; use --format json\n"
+
+
 def test_faltings(capsys):
     code, out, _ = run(capsys, "faltings", "--weights", "0.6666666667,0.6666666667,0.6666666666", "--format", "json")
     assert code == 0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from orbiheight._pairquad import pair_integral
 from orbiheight.heights import WeightVector
 from orbiheight.periods import (
-    _L_COEF_HORNER,
     ConvergenceRow,
     PeriodConfig,
     _log_l,
@@ -86,42 +85,6 @@ def test_log_l_dense_against_mpmath():
             if abs(value - ref) > 4.0 * np.finfo(float).eps * max(1.0, abs(ref)):
                 bad.append((x, value, float(ref)))
     assert not bad
-
-
-def _economized_h():
-    """H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt with mpmath.
-
-    H(t) = (-ln l(u) - ln u - 2 euler_gamma u)/u^3 at u = sqrt(t) is
-    interpolated at 64 Chebyshev points at 50 digits.  Returns the monomial
-    coefficients in t of its first 13 terms, t^12 first, and the sum of
-    |c_j| over the Chebyshev coefficients c_j with j > 12.
-    """
-    nodes = 64
-    with mpmath.workdps(50):
-        thetas = [mpmath.pi * (k + mpmath.mpf(1) / 2) / nodes for k in range(nodes)]
-        hs = []
-        for theta in thetas:
-            u = mpmath.sqrt((1 + mpmath.cos(theta)) / 8)  # t = (1 + cos theta)/8 on [0, 1/4]
-            hs.append(-(_mp_log_l(u) + mpmath.log(u) + 2 * mpmath.euler * u) / u**3)
-        c = [2 * mpmath.fsum(h * mpmath.cos(j * theta) for h, theta in zip(hs, thetas)) / nodes for j in range(nodes)]
-        c[0] /= 2
-        # T_j(8t - 1) as monomials in t, lowest first: T_{j+1} = (16t - 2) T_j - T_{j-1}
-        ts = [[mpmath.mpf(1)], [mpmath.mpf(-1), mpmath.mpf(8)]]
-        while len(ts) < 13:
-            cur, prev = ts[-1], ts[-2]
-            ts.append([16 * a - 2 * b - p for a, b, p in zip([0, *cur], [*cur, 0], [*prev, 0, 0])])
-        mono = [mpmath.fsum(cj * tj[i] for cj, tj in zip(c, ts) if i < len(tj)) for i in range(13)]
-        return mono[::-1], mpmath.fsum(abs(x) for x in c[13:])
-
-
-def test_log_l_coefficients_are_the_economized_series():
-    rebuilt, tail = _economized_h()
-    rebuilt_floats = [float(x) for x in rebuilt]
-    assert len(_L_COEF_HORNER) == len(rebuilt) == 13, rebuilt_floats
-    for literal, ref in zip(_L_COEF_HORNER, rebuilt):
-        assert abs(mpmath.mpf(literal) - ref) <= math.ulp(literal), rebuilt_floats
-    # the truncation bound in the _log_l docstring: |u|^3 <= 1/8 times the tail
-    assert tail / 8 <= 2.6e-17
 
 
 # (weights, N, log Z_N, err) of the Gamma-ratio product as first evaluated

@@ -9,6 +9,8 @@ Nothing is asserted that was not computed here.
 
 import functools
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiheight import heights, specfun
+from orbiheight import heights, periods, specfun
 from orbiheight.heights import h_can, k_semistable
 from orbiheight.specfun import (
     EvalResult,
@@ -185,17 +187,108 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
 
 
 def test_zeta_literals_against_mpmath():
-    # the odd zeta values of the Q series are the doubles nearest the true values
-    assert len(specfun._ZETA_ODD) == 22
-    for k, z in zip(range(3, 47, 2), specfun._ZETA_ODD):
-        assert z == float(mpmath.zeta(k)), k
+    # euler_gamma, the even zeta values of the A series and 1 - ln(2 pi) are
+    # the doubles nearest the true values
     assert specfun._EULER_GAMMA == float(mpmath.euler)
-    # and so are the even zeta values of the A series and 1 - ln(2 pi)
     assert len(specfun._ZETA_EVEN) == 22
     for k, z in zip(range(2, 46, 2), specfun._ZETA_EVEN):
         assert z == float(mpmath.zeta(k)), k
     with mpmath.workdps(40):
         assert specfun._ONE_MINUS_LOG_2PI == float(1 - mpmath.log(2 * mpmath.pi))
+
+
+def _economized_h():
+    """H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt with mpmath.
+
+    H(t) = (-ln l(u) - ln u - 2 euler_gamma u)/u^3 at u = sqrt(t), with
+    l(u) = Gamma(u)/Gamma(1 - u), is interpolated at 64 Chebyshev points at
+    50 digits.  Returns the monomial coefficients in t of its first 13 terms,
+    t^12 first, and the sum of |c_j| over the Chebyshev coefficients c_j
+    with j > 12.
+    """
+    nodes = 64
+    with mpmath.workdps(50):
+        thetas = [mpmath.pi * (k + mpmath.mpf(1) / 2) / nodes for k in range(nodes)]
+        hs = []
+        for theta in thetas:
+            u = mpmath.sqrt((1 + mpmath.cos(theta)) / 8)  # t = (1 + cos theta)/8 on [0, 1/4]
+            log_l = mpmath.loggamma(u) - mpmath.loggamma(1 - u)
+            hs.append(-(log_l + mpmath.log(u) + 2 * mpmath.euler * u) / u**3)
+        c = [2 * mpmath.fsum(h * mpmath.cos(j * theta) for h, theta in zip(hs, thetas)) / nodes for j in range(nodes)]
+        c[0] /= 2
+        # T_j(8t - 1) as monomials in t, lowest first: T_{j+1} = (16t - 2) T_j - T_{j-1}
+        ts = [[mpmath.mpf(1)], [mpmath.mpf(-1), mpmath.mpf(8)]]
+        while len(ts) < 13:
+            cur, prev = ts[-1], ts[-2]
+            ts.append([16 * a - 2 * b - p for a, b, p in zip([0, *cur], [*cur, 0], [*prev, 0, 0])])
+        mono = [mpmath.fsum(cj * tj[i] for cj, tj in zip(c, ts) if i < len(tj)) for i in range(13)]
+        return mono[::-1], mpmath.fsum(abs(x) for x in c[13:])
+
+
+def test_odd_zeta_literals_are_the_economized_series():
+    rebuilt, tail = _economized_h()
+    rebuilt_floats = [float(x) for x in rebuilt]
+    assert len(specfun._H_COEF_HORNER) == len(rebuilt) == 13, rebuilt_floats
+    for literal, ref in zip(specfun._H_COEF_HORNER, rebuilt):
+        assert abs(mpmath.mpf(literal) - ref) <= math.ulp(literal), rebuilt_floats
+    # the truncation bounds: |u|^3 <= 1/8 times the tail for ln |l| (the
+    # periods._log_l docstring), x^4/4 times the tail for Q (_Q_TRUNC x^4)
+    assert tail / 8 <= 2.6e-17
+    assert tail / 4 <= specfun._Q_TRUNC
+
+
+def test_q_coefficients_are_the_shared_literals_over_2j_plus_4():
+    # q_j = fl(c_j / (2j + 4)): the double nearest the exact quotient
+    assert len(specfun._Q_COEF_HORNER) == len(specfun._H_COEF_HORNER) == 13
+    for j, (q, c) in enumerate(zip(reversed(specfun._Q_COEF_HORNER), reversed(specfun._H_COEF_HORNER))):
+        exact = Fraction(c) / (2 * j + 4)
+        assert abs(Fraction(q) - exact) <= Fraction(math.ulp(q)) / 2, j
+
+
+def test_periods_sums_the_same_literals():
+    assert periods._H_COEF_HORNER is specfun._H_COEF_HORNER
+
+
+def q_by_quadrature_mp(x: float) -> mpmath.mpf:
+    """Q(x) - Q(0) by mpmath at 40 digits, for x in [0, 1].
+
+    With y = min(x, 1 - x) (exact where x > 1/2), it is the integral of
+    ln(Gamma(u)/Gamma(1 - u)) = -ln u + ln Gamma(1 + u) - ln Gamma(1 - u)
+    over [0, y]: y - y ln y in closed form, plus the integral of a smooth
+    function, which tanh-sinh quadrature takes to full relative precision
+    however small y is.  Nothing cancels, so subnormal y costs no extra
+    digits.
+    """
+    with mpmath.workdps(40):
+        y = min(mpmath.mpf(x), 1 - mpmath.mpf(x))
+        if y == 0:
+            return mpmath.mpf(0)
+        smooth = mpmath.quad(lambda u: mpmath.loggamma(1 + u) - mpmath.loggamma(1 - u), [0, y])
+        return y - y * mpmath.log(y) + smooth
+
+
+_DENSE_RNG = random.Random(23)
+# about 1,000 points: uniform on (0, 1], log-uniform down to the subnormals,
+# 1/2 and its float neighbours, 1 - 2^-53 and the smallest subnormal
+_Q_DENSE_XS = sorted(
+    {*(1.0 - _DENSE_RNG.random() for _ in range(500))}
+    | {2.0 ** (-1074.0 * _DENSE_RNG.random()) for _ in range(490)}
+    | {0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 5e-324}
+)
+
+
+def test_q_against_mpmath_dense():
+    # err bounds the actual error and is within 10^3 of it, or of half an
+    # ulp of the value (written 500 ulps, which does not underflow to 0 at
+    # a subnormal value), plus the 4-ulp floor at 0
+    assert len(_Q_DENSE_XS) > 990
+    bad = []
+    for x in _Q_DENSE_XS:
+        value, err, _ = specfun._q(x)
+        d = abs(mpmath.mpf(value) - q_by_quadrature_mp(x))
+        if not (d <= err <= max(1e3 * float(d), 500.0 * math.ulp(value)) + 4.0 * math.ulp(0.0)):
+            bad.append((x, value, err, float(d)))
+    assert not bad
 
 
 def _ratio_integral_mp(a, b):
