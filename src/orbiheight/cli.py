@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import fermat as fm
@@ -303,6 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel", choices=sorted(_KERNELS))
     p.add_argument("x", type=float, nargs="*", help="kernel arguments")
     p.add_argument("--field", default=None, help="field id for dedekind_log_deriv (default Q)")
+    # argparse takes -1e-05 (the repr of -0.00001) for an unknown option; read
+    # every negative decimal literal, exponent or not, as a kernel argument
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.set_defaults(fn=_cmd_specfun)
 
     p = sub.add_parser("height", help="closed-form canonical height on the line")

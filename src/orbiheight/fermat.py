@@ -28,7 +28,7 @@ from functools import cache
 from .heights import _height_positive
 from .lcombo import LogCombo
 from .specfun import EvalResult
-from .tables import TABLE1
+from .tables import table1_row
 
 __all__ = [
     "FermatSpec",
@@ -42,7 +42,7 @@ __all__ = [
 
 
 # the second bound's m-independent constant, f((3/4)^3) + (1/2) ln pi
-_SECOND_CONSTANT = next(r for r in TABLE1 if r.indices.m == (4, 4, 4)).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
+_SECOND_CONSTANT = table1_row(4, 4, 4).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
 
 
 @cache

@@ -14,9 +14,11 @@ are the local discrepancies h(p) between the two models.  Everything here is
 exact Fraction arithmetic on :class:`LogCombo`; no floating point enters
 until a caller evaluates.
 
-Case data ships as JSON fixtures (``data/shimura_cases.json``).  Two entries
-carry deliberate per-case overrides documented in the fixture itself and in
-the tests: the sqrt-6 case uses its reference derivation's 7/4 * ln 2 prime term
+Case data ships as JSON fixtures (``data/shimura_cases.json``); each case
+names its `tables.TABLE1` row by indices, and the loader builds its optimal
+height once, from the row's field and Petersson height.  Two entries carry
+deliberate per-case overrides documented in the fixture itself and in the
+tests: the sqrt-6 case uses its reference derivation's 7/4 * ln 2 prime term
 (the generic c(2) = 5/4 contradicts it) together with its printed table row,
 and the modular curve reports the normalized-difference coefficients
 directly (scale 1 rather than twice the orbifold degree).
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -34,10 +36,10 @@ from importlib import resources
 from .fields import get_field
 from .heights import RamIndices
 from .lcombo import LogCombo
+from .tables import PRINTED_DEVIATIONS, table1_row
 
 __all__ = [
     "RamifiedPrime",
-    "OptimalModel",
     "ShimuraCase",
     "yuan_prime_coeff",
     "yuan_height",
@@ -78,19 +80,13 @@ class RamifiedPrime:
 
 
 @dataclass(frozen=True)
-class OptimalModel:
-    """Optimal-model data: table row (as a full Petersson LogCombo) + correction."""
-
-    pet_closed_form: LogCombo
-    correction: LogCombo = field(default_factory=LogCombo)
-
-
-@dataclass(frozen=True)
 class ShimuraCase:
+    """One curve; `optimal` is its optimal model's Petersson height."""
+
     id: str
     field_id: str
     ramified: tuple[RamifiedPrime, ...]
-    optimal: OptimalModel
+    optimal: LogCombo
     k_degree: Fraction
     expected_h: dict[int, Fraction]
     h_scale: Fraction | None = None
@@ -98,8 +94,6 @@ class ShimuraCase:
     def __post_init__(self):
         if self.k_degree <= 0:
             raise ValueError(f"case {self.id!r}: orbifold degree must be positive")
-        if self.optimal.pet_closed_form.zeta_terms != {self.field_id: Fraction(-1)}:
-            raise ValueError(f"case {self.id!r}: table-row field term does not match field {self.field_id!r}")
         get_field(self.field_id)
 
     def scale(self) -> Fraction:
@@ -120,8 +114,8 @@ def yuan_height(case: ShimuraCase) -> LogCombo:
 
 
 def optimal_pet_height(case: ShimuraCase) -> LogCombo:
-    """Petersson height of the optimal model: table row plus correction."""
-    return case.optimal.pet_closed_form + case.optimal.correction
+    """Petersson height of the optimal model: table row, printed offset, correction."""
+    return case.optimal
 
 
 def h_p_map(case: ShimuraCase) -> dict[int, Fraction]:
@@ -160,14 +154,19 @@ def _parse_case(doc: dict) -> ShimuraCase:
         )
         for r in doc.get("ramified", [])
     )
-    opt = doc["optimal"]
-    optimal = OptimalModel(
-        pet_closed_form=LogCombo.from_json(json.dumps(opt["pet_closed_form"])),
-        correction=LogCombo.from_json(json.dumps(opt.get("correction", {}))),
-    )
+    try:
+        row = table1_row(*doc["row"])
+    except KeyError as exc:
+        raise ValueError(f"case {doc['id']!r}: {exc.args[0]}") from None
+    optimal = row.pet_height() + LogCombo.from_json(json.dumps(doc.get("correction", {})))
+    if doc.get("printed"):
+        label = f"table1:({','.join(map(str, doc['row']))})"
+        if label not in PRINTED_DEVIATIONS:
+            raise ValueError(f"case {doc['id']!r}: no printed variant of {label} is recorded")
+        optimal += PRINTED_DEVIATIONS[label]["offset"]
     return ShimuraCase(
         id=doc["id"],
-        field_id=doc["field"],
+        field_id=row.field_id,
         ramified=ramified,
         optimal=optimal,
         k_degree=frac(doc["k_degree"]),

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .heights import RamIndices
 from .lcombo import LogCombo
 
-__all__ = ["Table1Row", "Table2Row", "TABLE1", "TABLE2", "PRINTED_DEVIATIONS"]
+__all__ = ["Table1Row", "Table2Row", "TABLE1", "TABLE2", "PRINTED_DEVIATIONS", "table1_row"]
 
 F = Fraction
 
@@ -73,6 +73,16 @@ TABLE1: tuple[Table1Row, ...] = (
     Table1Row(_ram(7, 7, 7), "Qcos7", LogCombo(logs={7: F(-95, 144)})),
     Table1Row(_ram(9, 9, 9), "Qcos9", LogCombo(logs={3: F(-31, 24)})),
 )
+
+
+def table1_row(*m) -> Table1Row:
+    """The TABLE1 row with ramification indices m (None for infinity), in order."""
+    indices = _ram(*m)
+    for row in TABLE1:
+        if row.indices == indices:
+            return row
+    raise KeyError(f"no Table 1 row has indices {m}")
+
 
 TABLE2: tuple[Table2Row, ...] = (
     Table2Row(_ram(2, 2, 3), LogCombo(logs={2: F(-1, 6), 3: F(1, 2)})),

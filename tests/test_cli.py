@@ -122,6 +122,15 @@ def test_specfun_kernels(capsys):
     assert code == 1 and "argument" in err
 
 
+@pytest.mark.parametrize("with_exponent, plain", [("-1e-05", "-0.00001"), ("-2.5e-3", "-0.0025")])
+def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent, plain):
+    # -1e-05 is the repr of -0.00001: both spellings are one kernel argument
+    first = run(capsys, "specfun", "hurwitz_zeta", with_exponent, "0.5")
+    second = run(capsys, "specfun", "hurwitz_zeta", plain, "0.5")
+    assert first == second
+    assert first[0] == 0 and first[1] and first[2] == ""
+
+
 # Case ids are positional (argv0, argv1, ...): replace a retired case in
 # place or append a new one at the end, so the ids of the others stay put.
 @pytest.mark.parametrize(

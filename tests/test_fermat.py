@@ -15,7 +15,7 @@ from orbiheight.fermat import (
 )
 from orbiheight.heights import h_can_positive
 from orbiheight.lcombo import LogCombo
-from orbiheight.tables import PRINTED_DEVIATIONS, TABLE1
+from orbiheight.tables import PRINTED_DEVIATIONS, table1_row
 
 LN = math.log
 PRINTED_SECOND = PRINTED_DEVIATIONS["arakelov:second_constant"]
@@ -104,8 +104,7 @@ def test_arakelov_constant():
     # plus (3/2) ln 2 (h_Pet = f + (1/2) ln(pi V / 2) at V = 1/4)
     const = b.second_constant
     assert const.logs == {2: Fraction(-1, 12)}
-    row = next(r for r in TABLE1 if r.indices.m == (4, 4, 4))
-    assert const == row.pet_height() + LogCombo(logs={2: Fraction(3, 2)})
+    assert const == table1_row(4, 4, 4).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
     assert PRINTED_SECOND["printed"] - const == PRINTED_SECOND["offset"] == LogCombo(logs={2: Fraction(-1)})
 
 

@@ -7,9 +7,9 @@ import pytest
 from orbiheight.heights import RamIndices, h_pet
 from orbiheight.lcombo import LogCombo
 from orbiheight.shimura import (
-    OptimalModel,
     RamifiedPrime,
     ShimuraCase,
+    _parse_case,
     get_case,
     h_p_map,
     optimal_pet_height,
@@ -17,7 +17,7 @@ from orbiheight.shimura import (
     yuan_height,
     yuan_prime_coeff,
 )
-from orbiheight.tables import PRINTED_DEVIATIONS, TABLE1, TABLE2
+from orbiheight.tables import PRINTED_DEVIATIONS, TABLE1, TABLE2, table1_row
 
 F = Fraction
 
@@ -59,8 +59,8 @@ def test_sqrt6_carries_source_overrides():
     assert y.logs == {2: F(7, 8)}
     # the shipped row for this case is the printed one, ln(2)/2 off the
     # validated (3, 4, 6) table row
-    validated = next(r for r in TABLE1 if r.field_id == "Qsqrt6").pet_height()
-    offset = case.optimal.pet_closed_form - validated
+    validated = table1_row(3, 4, 6).pet_height()
+    offset = case.optimal - validated
     assert offset == LogCombo(logs={2: F(1, 2)})
 
 
@@ -68,22 +68,56 @@ def test_modular_case_shift_consistency():
     # Table row (2, 3, inf) plus the j-invariant shift (1/12) ln(12^3) equals
     # the prime-free closed formula exactly, coefficient by coefficient.
     case = get_case("modular")
-    row = case.optimal.pet_closed_form
+    row = table1_row(2, 3, None).pet_height()
     shift = LogCombo(logs={2: F(1, 2), 3: F(1, 4)})  # (1/12) ln(12^3)
     assert row + shift == yuan_height(case)
     assert h_p_map(case) == {2: F(1, 2), 3: F(1, 4)}
 
 
+@pytest.mark.parametrize(
+    "cid, indices, extra",
+    [
+        ("modular", (2, 3, None), LogCombo()),
+        ("disc6", (6, 2, 6), LogCombo(logs={2: F(1, 2)})),  # the degree-two substitution correction
+        ("sqrt3", (2, 4, 12), LogCombo()),
+        ("sqrt6", (3, 4, 6), PRINTED_DEVIATIONS["table1:(3,4,6)"]["offset"]),  # the printed row
+    ],
+)
+def test_case_holds_its_named_row(cid, indices, extra):
+    case = get_case(cid)
+    row = table1_row(*indices)
+    assert case.optimal == optimal_pet_height(case) == row.pet_height() + extra
+    assert case.field_id == row.field_id
+
+
+def _fixture(**changes) -> dict:
+    doc = {"id": "probe", "row": [6, 2, 6], "k_degree": [1, 3], "expected_h": {}}
+    return {**doc, **changes}
+
+
+def test_loader_refuses_rows_it_cannot_name():
+    assert _parse_case(_fixture()).optimal == table1_row(6, 2, 6).pet_height()
+    with pytest.raises(ValueError, match="'probe'.*no Table 1 row"):
+        _parse_case(_fixture(row=[6, 6, 2]))  # the indices are read in order
+    with pytest.raises(ValueError, match=r"'probe'.*no printed variant of table1:\(6,2,6\)"):
+        _parse_case(_fixture(printed=True))
+
+
+def test_table1_lookup_by_indices():
+    for row in TABLE1:
+        assert table1_row(*(None if x == float("inf") else x for x in row.indices.m)) is row
+    with pytest.raises(KeyError, match="no Table 1 row"):
+        table1_row(2, 3, 7)
+
+
 def test_field_term_cancellation_required():
     case = get_case("disc6")
+    # an optimal height with a stray field term: -2/3 where Yuan's has -1
     broken = ShimuraCase(
         id="broken",
         field_id="Q",
         ramified=case.ramified,
-        optimal=OptimalModel(
-            pet_closed_form=LogCombo(q0=F(-1, 2), zeta_terms={"Q": F(-1)}, logs={}),
-            correction=LogCombo(zeta_terms={"Q": F(1, 3)}),
-        ),
+        optimal=LogCombo(q0=F(-1, 2), zeta_terms={"Q": F(-2, 3)}),
         k_degree=F(1, 3),
         expected_h={},
     )
@@ -117,8 +151,8 @@ def test_printed_deviations_are_exactly_as_recorded():
     recognizable offsets (ln 5, ln 2 / 2, ln 3 / 6); shipping the validated
     values is what keeps the closed-form checks green."""
     by_label = {
-        "table1:(5,5,5)": next(r for r in TABLE1 if r.field_id == "Qsqrt5"),
-        "table1:(3,4,6)": next(r for r in TABLE1 if r.field_id == "Qsqrt6"),
+        "table1:(5,5,5)": table1_row(5, 5, 5),
+        "table1:(3,4,6)": table1_row(3, 4, 6),
         "table2:(2,2,3)": TABLE2[0],
     }
     for label, row in by_label.items():
