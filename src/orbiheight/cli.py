@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad weights, poles, unknown ids),
-2 verification failure from `verify`.  Output is byte-stable for fixed
-inputs and seed; exact rationals are printed as "n/d" strings, never as
-floats.
+2 verification failure from `verify` or a command line that does not parse.
+Output is byte-stable for fixed inputs and seed; exact rationals are printed
+as "n/d" strings, never as floats.
 
 Subcommands
 -----------
@@ -55,19 +55,14 @@ _KERNELS = {
 }
 
 
-def _parse_weights(text: str) -> hg.WeightVector:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated weights, got {text!r}")
-    return hg.WeightVector(tuple(float(p) for p in parts))
+def _items(text: str, convert) -> tuple:
+    """The items of a comma list, each through convert; the type that takes
+    them checks how many there are."""
+    return tuple(convert(p.strip()) for p in text.split(","))
 
 
-def _parse_ram(text: str) -> hg.RamIndices:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated indices, got {text!r}")
-    vals = tuple(math.inf if p in ("inf", "oo", "infinity") else int(p) for p in parts)
-    return hg.RamIndices(vals)
+def _ram_index(text: str) -> float:
+    return math.inf if text in ("inf", "oo", "infinity") else int(text)
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_lines: list[str] | None = None):
@@ -113,7 +108,7 @@ def _cmd_specfun(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    wv = _parse_ram(args.ram).weights() if args.ram else _parse_weights(args.weights)
+    wv = hg.WeightVector(_items(args.weights, float) if args.ram is None else hg.RamIndices(_items(args.ram, _ram_index)))
     v = wv.volume
     if args.kind == "pet":
         r = hg.h_pet(wv)
@@ -190,10 +185,10 @@ def _cmd_fermat(args) -> int:
     if args.m_to is not None and args.m_to < args.m:
         raise ValueError(f"--m-to {args.m_to} is below --m {args.m}")
     ms = range(args.m, args.m_to + 1) if args.m_to is not None else [args.m]
-    a = tuple(int(p) for p in args.a.split(",")) if args.a else (-1, 1, 1)
+    spec = fm.FermatSpec(args.m) if args.a is None else fm.FermatSpec(args.m, _items(args.a, int))
     rows = []
     for m in ms:
-        h = fm.fermat_h_can(fm.FermatSpec(m, a))
+        h = fm.fermat_h_can(fm.FermatSpec(m, spec.a))
         b = fm.arakelov_upper_bound(m)
         rows.append(
             {
@@ -213,7 +208,7 @@ def _cmd_fermat(args) -> int:
         f"{r['m']},{r['h_can']:.17g},{r['gap']:.17g},{r['bound1']:.17g},{r['bound2']:.17g},{r['epsilon']:.17g}"
         for r in rows
     ]
-    _emit(args, {"twist": list(a), "rows": rows}, lines, csv_lines)
+    _emit(args, {"twist": list(spec.a), "rows": rows}, lines, csv_lines)
     return 0
 
 
@@ -236,8 +231,8 @@ def _cmd_periods(args) -> int:
     from . import periods as pd  # numpy loads here, not at start-up
 
     _check_oracle_options(args)
-    wv = _parse_weights(args.weights)
-    n_list = [int(x) for x in args.n_list.split(",")]
+    wv = hg.WeightVector(_items(args.weights, float))
+    n_list = _items(args.n_list, int)
     polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
     rows = pd.convergence_report(wv, polarity, n_list)
     payload = {
@@ -268,7 +263,7 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_faltings(args) -> int:
-    wv = _parse_weights(args.weights)
+    wv = hg.WeightVector(_items(args.weights, float))
     r = hg.faltings_log_cy(wv)
     _emit(
         args,
@@ -294,19 +289,28 @@ def _cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
+# argparse takes -1e-05 (the repr of -0.00001), -inf and the twist -1,1,1 for
+# unknown options, as it reads only plain decimals such as -1 and -.5 as
+# values; on every subcommand "-" then a digit, ".digit", inf or nan is a value
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="orbiheight", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+
+    def subparser(**kw) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(parents=[common], **kw)
+        p._negative_number_matcher = _NEGATIVE_VALUE
+        return p
+
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p = sub.add_parser("specfun", help="evaluate one special-function kernel")
     p.add_argument("kernel", choices=sorted(_KERNELS))
     p.add_argument("x", type=float, nargs="*", help="kernel arguments")
     p.add_argument("--field", default=None, help="field id for dedekind_log_deriv (default Q)")
-    # argparse takes -1e-05 (the repr of -0.00001) for an unknown option; read
-    # every negative decimal literal, exponent or not, as a kernel argument
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.set_defaults(fn=_cmd_specfun)
 
     p = sub.add_parser("height", help="closed-form canonical height on the line")
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fermat", help="Fermat heights and Arakelov bounds")
     p.add_argument("--m", type=int, required=True, help="degree (>= 4), or range start")
     p.add_argument("--m-to", type=int, default=None, help="optional range end (inclusive)")
-    p.add_argument("--a", default=None, help="twist coefficients a0,a1,a2 (default -1,1,1)")
+    p.add_argument("--a", default=None, help=f"twist coefficients a0,a1,a2 (default {','.join(map(str, fm.FermatSpec.a))})")
     p.set_defaults(fn=_cmd_fermat)
 
     p = sub.add_parser(

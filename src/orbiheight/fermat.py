@@ -55,10 +55,10 @@ def _second_constant_value() -> float:
 _DEGREE_LIMIT = 2**511
 
 
-def _check_degree(m: int) -> None:
-    """Refuse degrees from 2^511 on, where the bounds would overflow a float."""
-    if m >= _DEGREE_LIMIT:
-        raise ValueError(f"degree must be below 2^511, got {m!r}")
+def _check_degree(m: int, least: int) -> None:
+    """Refuse, with ValueError, a degree that is not an integer with least <= m < 2^511."""
+    if not (isinstance(m, int) and least <= m < _DEGREE_LIMIT):
+        raise ValueError(f"degree must be an integer at least {least} and below 2^511, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class FermatSpec:
     a: tuple[int, int, int] = (-1, 1, 1)
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError(f"degree must be >= 3, got {self.m!r}")
-        _check_degree(self.m)
+        _check_degree(self.m, 3)
         if len(self.a) != 3:
             raise ValueError(f"a twist has exactly three coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):
@@ -84,8 +82,7 @@ def fermat_h_can(spec: FermatSpec) -> EvalResult:
     f(1-1/m, 1-1/m, 1-1/m) + ln m + ((m-3)/2 + 1) (1/m) sum_i ln |a_i|,
     requiring m >= 4 so that the canonical bundle is ample.
     """
-    if spec.m < 4:
-        raise ValueError("the canonical-side formula requires degree m >= 4")
+    _check_degree(spec.m, 4)
     t = 1.0 - 1.0 / spec.m
     base, err = _height_positive((t, t, t), "fermat_h_can")
     twist = ((spec.m - 3) / 2.0 + 1.0) / spec.m * math.fsum(math.log(abs(x)) for x in spec.a)
@@ -94,8 +91,7 @@ def fermat_h_can(spec: FermatSpec) -> EvalResult:
 
 def genus(m: int) -> int:
     """Genus of a smooth degree-m plane curve: (m-1)(m-2)/2."""
-    if m < 3 or int(m) != m:
-        raise ValueError(f"degree must be an integer >= 3, got {m!r}")
+    _check_degree(m, 3)
     return (m - 1) * (m - 2) // 2
 
 
@@ -107,9 +103,7 @@ def epsilon_m(m: int) -> float:
     with A = (m-1)(m-2) - 2 = 2g - 2.  Tends to 0 as m grows (from below for
     large m: it decreases through 0 near m = 30 and creeps back up).
     """
-    if m < 4:
-        raise ValueError(f"epsilon_m requires m >= 4, got {m!r}")
-    _check_degree(m)
+    _check_degree(m, 4)
     a = (m - 1) * (m - 2) - 2
     return 0.5 * (4.0 * math.log(a) + 1.0) / ((m - 1) * (m - 2) / 2.0 - 1.0) + 0.5 * math.log(a / m**2)
 
@@ -119,10 +113,8 @@ def arakelov_gap(m: int) -> float:
 
         (1/2) [ (4 ln(2g-2) + 1) / (g-1) + ln(pi (g-1)) ].
     """
+    _check_degree(m, 4)
     g = genus(m)
-    if g < 2:
-        raise ValueError(f"the gap bound requires genus >= 2 (m >= 4), got m = {m!r}")
-    _check_degree(m)
     return 0.5 * ((4.0 * math.log(2 * g - 2) + 1.0) / (g - 1) + math.log(math.pi * (g - 1)))
 
 

@@ -76,6 +76,8 @@ class RamIndices:
 
     def __post_init__(self):
         m = tuple(self.m)
+        if len(m) != 3:
+            raise ValueError(f"a ramification triple has exactly three indices, got {len(m)}")
         for x in m:
             # the weight 1 - 1/m is taken in floats, so m must not overflow one
             if x != math.inf and not (1 <= x <= sys.float_info.max and int(x) == x):

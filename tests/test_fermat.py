@@ -35,12 +35,13 @@ def test_spec_validation():
         fermat_h_can(FermatSpec(3))  # canonical side needs m >= 4
 
 
-@pytest.mark.parametrize("f", [epsilon_m, arakelov_gap, arakelov_upper_bound, FermatSpec])
+@pytest.mark.parametrize("f", [epsilon_m, arakelov_gap, arakelov_upper_bound, FermatSpec, genus])
 def test_degree_limit_is_a_value_error(f):
     # (m - 1)(m - 2) in floats overflows from 2^512; every entry point refuses
-    # the same degrees with ValueError, not OverflowError
+    # the same degrees, and degrees that are not integers, with ValueError,
+    # not OverflowError or a value
     f(2**511 - 1)
-    for m in (2**511, 2**512, 10**400):
+    for m in (2**511, 2**512, 10**400, 4.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="below 2\\^511"):
             f(m)
 

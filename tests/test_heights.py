@@ -61,6 +61,9 @@ def test_volume_and_types():
                 WeightVector(tuple(w))
     with pytest.raises(ValueError):
         RamIndices((2, 3, 2.5))
+    for m in ((2, 3), (2, 3, 4, 5)):  # checked by the type, not only when weights are taken
+        with pytest.raises(ValueError, match="exactly three indices"):
+            RamIndices(m)
 
 
 def test_k_semistable():
