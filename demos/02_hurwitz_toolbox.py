@@ -21,7 +21,7 @@ print(__doc__)
 print("--- zeta(-1, x) is a polynomial: -B2(x)/2 ---")
 for x in (0.25, 1.0, 1.7):
     z = hurwitz_zeta(-1.0, x)
-    print(f"  x = {x}: zeta(-1,x) = {z.value:+.15f}   -B2(x)/2 = {-bernoulli2(x)/2:+.15f}")
+    print(f"  x = {x}: zeta(-1,x) = {z.value:+.15f}   -B2(x)/2 = {-bernoulli2(x).value/2:+.15f}")
 print()
 
 print("--- the s-derivative at -1 on (0, 1] and the multiplication theorem ---")

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (bad weights, poles, unknown ids),
+Exit codes: 0 success, 1 domain error (bad weights or numbers, poles, unknown ids),
 2 verification failure from `verify` or a command line that does not parse.
 Output is byte-stable for fixed inputs and seed; exact rationals are printed
 as "n/d" strings, never as floats.
@@ -34,19 +34,8 @@ from .fields import dedekind_log_deriv, get_field
 from .lcombo import LogCombo
 
 
-def _bernoulli2(a: float) -> sf.EvalResult:
-    """B_2(a) = a*a - a + 1/6 with its rounding bound.
-
-    The product, the difference, the stored 1/6 and the sum each round by at
-    most eps/2 of a partial result, and those are at most a^2, a^2 + |a|,
-    1/6 and a^2 + |a| + 1/6 (to first order in eps): eps (3a^2/2 + |a| + 1/6)
-    in all, which 2 eps (a^2 + |a| + 1/6) covers with the higher orders.
-    """
-    return sf.EvalResult(sf.bernoulli2(a), 2.0 * sf._EPS * (a * a + abs(a) + 1.0 / 6.0))
-
-
 _KERNELS = {
-    "bernoulli2": (1, _bernoulli2),
+    "bernoulli2": (1, sf.bernoulli2),
     "hurwitz_zeta": (2, sf.hurwitz_zeta),
     "hurwitz_zeta_ds": (1, sf.hurwitz_zeta_ds),
     "loggamma_primitive": (1, sf.loggamma_primitive),
@@ -55,10 +44,17 @@ _KERNELS = {
 }
 
 
-def _items(text: str, convert) -> tuple:
-    """The items of a comma list, each through convert; the type that takes
-    them checks how many there are."""
-    return tuple(convert(p.strip()) for p in text.split(","))
+def _value(text: str | None, convert, option: str):
+    """text through convert, None as None; a refusal names the option."""
+    try:
+        return None if text is None else convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _items(text: str, convert, option: str) -> tuple:
+    """Each item of a comma list through _value; the type that takes them checks how many."""
+    return tuple(_value(p.strip(), convert, option) for p in text.split(","))
 
 
 def _ram_index(text: str) -> float:
@@ -97,7 +93,7 @@ def _cmd_specfun(args) -> int:
     elif args.field is not None:
         raise ValueError("--field applies only to dedekind_log_deriv")
     else:
-        r = fn(*args.x)
+        r = fn(*(_value(x, float, f"{name} argument") for x in args.x))
     _emit(
         args,
         {"kernel": name, "value": r.value, "err": r.err},
@@ -108,7 +104,7 @@ def _cmd_specfun(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    wv = hg.WeightVector(_items(args.weights, float) if args.ram is None else hg.RamIndices(_items(args.ram, _ram_index)))
+    wv = hg.WeightVector(_items(args.weights, float, "--weights") if args.ram is None else hg.RamIndices(_items(args.ram, _ram_index, "--ram")))
     v = wv.volume
     if args.kind == "pet":
         r = hg.h_pet(wv)
@@ -182,10 +178,11 @@ def _cmd_shimura(args) -> int:
 
 
 def _cmd_fermat(args) -> int:
+    args.m, args.m_to = _value(args.m, int, "--m"), _value(args.m_to, int, "--m-to")
     if args.m_to is not None and args.m_to < args.m:
         raise ValueError(f"--m-to {args.m_to} is below --m {args.m}")
     ms = range(args.m, args.m_to + 1) if args.m_to is not None else [args.m]
-    spec = fm.FermatSpec(args.m) if args.a is None else fm.FermatSpec(args.m, _items(args.a, int))
+    spec = fm.FermatSpec(args.m) if args.a is None else fm.FermatSpec(args.m, _items(args.a, int, "--a"))
     rows = []
     for m in ms:
         h = fm.fermat_h_can(fm.FermatSpec(m, spec.a))
@@ -231,8 +228,8 @@ def _cmd_periods(args) -> int:
     from . import periods as pd  # numpy loads here, not at start-up
 
     _check_oracle_options(args)
-    wv = hg.WeightVector(_items(args.weights, float))
-    n_list = _items(args.n_list, int)
+    wv = hg.WeightVector(_items(args.weights, float, "--weights"))
+    n_list = _items(args.n_list, int, "--N-list")
     polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
     rows = pd.convergence_report(wv, polarity, n_list)
     payload = {
@@ -241,13 +238,13 @@ def _cmd_periods(args) -> int:
         "rows": [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows],
     }
     if args.oracle:
-        n = args.oracle_n or 2
+        n = _value(args.oracle_n or "2", int, "--oracle-n")
         est = pd.mc_oracle_z(
             n,
             wv,
             scheme=args.scheme or "quadrature",
-            budget=args.budget,
-            seed=args.seed or 0,
+            budget=_value(args.budget, int, "--budget"),
+            seed=_value(args.seed or "0", int, "--seed"),
             polarity=polarity,
         )
         cfg = pd.PeriodConfig(N=n, w=wv, polarity=polarity)
@@ -263,7 +260,7 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_faltings(args) -> int:
-    wv = hg.WeightVector(_items(args.weights, float))
+    wv = hg.WeightVector(_items(args.weights, float, "--weights"))
     r = hg.faltings_log_cy(wv)
     _emit(
         args,
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("specfun", help="evaluate one special-function kernel")
     p.add_argument("kernel", choices=sorted(_KERNELS))
-    p.add_argument("x", type=float, nargs="*", help="kernel arguments")
+    p.add_argument("x", nargs="*", help="kernel arguments")
     p.add_argument("--field", default=None, help="field id for dedekind_log_deriv (default Q)")
     p.set_defaults(fn=_cmd_specfun)
 
@@ -330,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_shimura)
 
     p = sub.add_parser("fermat", help="Fermat heights and Arakelov bounds")
-    p.add_argument("--m", type=int, required=True, help="degree (>= 4), or range start")
-    p.add_argument("--m-to", type=int, default=None, help="optional range end (inclusive)")
+    p.add_argument("--m", required=True, help="degree (>= 4), or range start")
+    p.add_argument("--m-to", default=None, help="optional range end (inclusive)")
     p.add_argument("--a", default=None, help=f"twist coefficients a0,a1,a2 (default {','.join(map(str, fm.FermatSpec.a))})")
     p.set_defaults(fn=_cmd_fermat)
 
@@ -345,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
-    p.add_argument("--seed", type=int, default=None, help="seed for the Monte-Carlo oracle (default 0)")
+    p.add_argument("--seed", default=None, help="seed for the Monte-Carlo oracle (default 0)")
     p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
-    p.add_argument("--oracle-n", type=int, default=None, choices=(2, 3), help="oracle N (default 2)")
+    p.add_argument("--oracle-n", default=None, help="oracle N, 2 or 3 (default 2)")
     p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature)")
-    p.add_argument("--budget", type=int, default=None, help="Monte-Carlo oracle sample budget")
+    p.add_argument("--budget", default=None, help="Monte-Carlo oracle sample budget")
     p.set_defaults(fn=_cmd_periods)
 
     p = sub.add_parser("faltings", help="log-Calabi-Yau height (V = 0)")
@@ -366,8 +363,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -14,8 +14,8 @@ wall V = 0 is excluded from the closed form; its value is the
 log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
 signed height approaches from both sides.  That integral is the N = 1 case
 of the Dotsenko-Fateev Gamma product behind the period route, so it too is
-a closed form in ln Gamma; the nested quadrature of the integral lives in
-the tests as an independent oracle.
+a closed form, in three ln(Gamma(x)/Gamma(1-x)) from the same series; the
+nested quadrature of the integral lives in the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .specfun import _EULER_GAMMA, EvalResult, _q
+from .specfun import _EULER_GAMMA, EvalResult, _ln_l, _q
 
 __all__ = [
     "WeightVector",
@@ -291,10 +291,10 @@ def faltings_log_cy(w) -> EvalResult:
 
         I = pi / (l(w1) l(w2) l(w3)),   l(x) = Gamma(x) / Gamma(1 - x),
 
-    so the value is -(1/2) (ln pi - sum_i [ln Gamma(w_i) - ln Gamma(1 - w_i)]).
-    err bounds the rounding of the six ln Gamma terms and their sum; the
-    tests check the product against nested quadrature of I and against a
-    2F1 radial reduction.
+    so the value is -(1/2) ln pi + (1/2) sum_i ln l(w_i), with ln l from the
+    odd-zeta kernel of :mod:`orbiheight.specfun`.  err is half the three
+    ln l bounds plus the rounding of ln pi and of the sum; the tests check
+    the product against nested quadrature of I and a 2F1 radial reduction.
 
     Weights with 0 < |V| <= 1e-9 are accepted too, and the value is still the
     one at V = 0.  The signed height K(t) of :func:`h_can` at t = V/2 is
@@ -314,9 +314,9 @@ def faltings_log_cy(w) -> EvalResult:
     # 0.9999999999999999)), where the integral is as divergent as at 1.
     if max(w1, w2, w3) >= 1.0 - _V0_TOL:
         raise ValueError("normalization integral diverges: a weight reaches 1 (pair is not klt)")
-    lg = [(math.lgamma(x), math.lgamma(1.0 - x)) for x in (w1, w2, w3)]
-    value = -0.5 * (math.log(math.pi) - math.fsum(a - b for a, b in lg))
-    err = 8.0 * _EPS * (1.0 + math.fsum(abs(a) + abs(b) for a, b in lg))
+    (l1, e1), (l2, e2), (l3, e3) = _ln_l(w1), _ln_l(w2), _ln_l(w3)
+    value = math.fsum((_NEG_HALF_LN_PI, 0.5 * l1, 0.5 * l2, 0.5 * l3))
+    err = 0.5 * (e1 + e2 + e3) + _EPS * (abs(value) - _NEG_HALF_LN_PI)
     t = math.fsum((w1, w2, w3, -2.0)) / 2.0
     if t:
         total = 0.0

@@ -19,11 +19,10 @@ Fano polarity (V < 0), where each l at a negative argument enters as -l
 of the dual; the sign of V picks the polarity.  Every factor is positive
 exactly when every argument of l lies in (-1, 1), which holds whenever Z_N
 converges (see ``PeriodConfig``).  ``df_log_z`` evaluates the product in log
-space (no overflow up to N = 10^6), with ln |l| from a Chebyshev-economized
-odd-zeta series (13 terms, truncation error below 2.6e-17), a block of
-j-values at a time in one workspace
-allocated once per call, so its memory does not grow with N and the blocks
-allocate nothing; equal weights share one row of ln |l|.  ``mc_oracle_z``
+space (no overflow up to N = 10^6), with ln |l| from the odd-zeta kernel
+``specfun._ln_l`` (the prefactor) and its array form ``_log_l`` (the N terms,
+a block of j-values at a time in one workspace allocated once per call, so
+its memory does not grow with N; equal weights share a row).  ``mc_oracle_z``
 estimates Z_N for N in {2, 3} by direct integration, independent of
 everything gamma: by quadrature, or by sampling from power-law disks.
 """
@@ -40,7 +39,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .heights import WeightVector, h_can
-from .specfun import _EULER_GAMMA, _H_COEF_HORNER, EvalResult
+from .specfun import _EULER_GAMMA, _H_COEF_HORNER, EvalResult, _ln_l
 
 __all__ = [
     "PeriodConfig",
@@ -103,23 +102,12 @@ class PeriodConfig:
 def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """ln |l(x)| for l(x) = Gamma(x)/Gamma(1-x) on (-1, 1) minus 0, vectorized.
 
-    For |u| <= 1/2, Gamma(u) = Gamma(1 + u)/u and DLMF 5.7.3 give
-
-        ln |l(u)| = -ln |u| - S(u),
-        S(u) = 2 euler_gamma u + 2 sum_{k odd >= 3} zeta(k) u^k / k
-             = u (2 euler_gamma + u^2 H(u^2)).
-
-    H on [0, 1/4] is its degree-12 Chebyshev-economized polynomial, the 13
-    odd-zeta literals ``specfun._H_COEF_HORNER`` that the heights' Q series
-    also sums, in 13 Horner steps in u^2, so the truncation error is
-    |S_exact - S| <= (1/8) sum_{j > 12} |c_j| <= 2.6e-17 on |u| <= 1/2, with
-    c_j the Chebyshev coefficients of H.  Above 1/2, l(x) = 1/l(1 - x); below -1/2,
-    ln |l(x)| = ln |l(x + 1)| - 2 ln |x|; both 1 - x and x + 1 are exact there.
-    l > 0 on (0, 1) and l < 0 on (-1, 0), so no sign is returned.
-
-    The result goes to ``out`` (which holds u along the way) and the Horner
-    pass runs in ``scratch`` (shape (2, *x.shape)); both are allocated when
-    not given, and neither may share memory with x.
+    The array form of ``specfun._ln_l`` (the same 13 odd-zeta literals in
+    the same order of operations), plus the branch below -1/2, where
+    ln |l(x)| = ln |l(x + 1)| - 2 ln |x| with x + 1 exact.  The result goes
+    to ``out`` (which holds u along the way) and the Horner pass runs in
+    ``scratch`` (shape (2, *x.shape)); both are allocated when not given,
+    and neither may share memory with x.
     """
     if out is None:
         out = np.empty_like(x)
@@ -195,7 +183,7 @@ def _df_prefactor(cfg: PeriodConfig) -> float:
     """log N! + N (log pi - log |l(h)|), the j-independent part of log Z_N."""
     n = cfg.N
     h = cfg.w.volume / (2.0 * (n - 1))
-    return math.lgamma(n + 1.0) + n * (math.log(math.pi) - float(_log_l(np.array([h]))[0]))
+    return math.lgamma(n + 1.0) + n * (math.log(math.pi) - _ln_l(h)[0])
 
 
 def df_log_z(cfg: PeriodConfig) -> EvalResult:

@@ -18,19 +18,17 @@ odd zeta values as coefficients, Chebyshev-economized on [0, 1/2] to 13
 literals and reflected by Q(x) = Q(1 - x).
 
 ``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel: the
-heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and the
-period route sums its derivative ln(Gamma(x)/Gamma(1-x)) from the same 13
-odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
+heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l``
+(array form ``periods._log_l``) sums its derivative ln(Gamma(x)/Gamma(1-x)) from
+the same 13 odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
 function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
 x^2 with even zeta values as coefficients; Q and A together give P and
 zeta'(-1, x) on (0, 1] (``loggamma_primitive``, ``hurwitz_zeta_ds``).  The
 general-s Euler-Maclaurin kernel ``hurwitz_zeta`` serves only the
 ``orbiheight specfun`` subcommand, the specfun suite of ``orbiheight verify``
 and the tests, as an independent reference.  All are pure functions in plain
-``math`` (no numpy), and every public one but ``bernoulli2`` returns an
-:class:`EvalResult` carrying an absolute error estimate; ``bernoulli2``
-returns a float, which the ``orbiheight specfun`` subcommand wraps with its
-rounding bound.
+``math`` (no numpy), and every public one returns an :class:`EvalResult`
+carrying an absolute error estimate.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ _H_COEF_HORNER = (
 # since the integral of u^3 (u^2)^j over [0, x] is x^(2j+4) / (2j + 4).
 _Q_COEF_HORNER = tuple(c / (2 * j + 4) for j, c in zip(range(12, -1, -1), _H_COEF_HORNER))
 # The same integral bounds the Q series' truncation error by
-# (sum_{j > 12} |c_j|) x^4 / 4 <= _Q_TRUNC x^4.
-_Q_TRUNC = 5.2e-17
+# (sum_{j > 12} |c_j|) x^4 / 4 <= _Q_TRUNC x^4; ln |l|'s by _H_TRUNC |u|^3.
+_H_TRUNC, _Q_TRUNC = 2.08e-16, 5.2e-17
 _SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
 # zeta(2), zeta(4), ..., zeta(44), each the double nearest the true value.
 _ZETA_EVEN = (
@@ -145,12 +143,14 @@ class EvalResult:
         return self.value
 
 
-def bernoulli2(a: float) -> float:
-    """Second Bernoulli polynomial B_2(a) = a^2 - a + 1/6."""
+def bernoulli2(a: float) -> EvalResult:
+    """Second Bernoulli polynomial B_2(a) = a^2 - a + 1/6.  err: a*a, the difference,
+    the stored 1/6 and the sum round by eps/2 of at most a^2, a^2 + |a|, 1/6 and
+    a^2 + |a| + 1/6, which 2 eps (a^2 + |a| + 1/6) covers with the higher orders."""
     v = a * a - a + 1.0 / 6.0
     if not math.isfinite(v):
         raise ValueError(f"bernoulli2({a!r}) cannot be evaluated in double precision")
-    return v
+    return EvalResult(v, 2.0 * _EPS * (a * a + abs(a) + 1.0 / 6.0))
 
 
 def hurwitz_zeta(s: float, x: float) -> EvalResult:
@@ -236,6 +236,26 @@ def _q(x: float) -> tuple[float, float, float]:
     main = x - x * log_x
     err = _EPS * (4.0 * main + 40.0 * series) + _Q_TRUNC * t2 + _SUBNORMAL_ULPS
     return main - _EULER_GAMMA * t - series, err, -log_x
+
+
+def _ln_l(x: float) -> tuple[float, float]:
+    """(ln |l(x)|, absolute error bound), l(x) = Gamma(x)/Gamma(1 - x) = exp Q'(x), for
+    x in (-1/2, 1) minus 0: with u = x, or u = 1 - x (exact) above 1/2, where l(x) = 1/l(u),
+    ln |l(u)| = -ln |u| - s, s = u (2 euler_gamma + t H(t)), t = u^2, H as in ``_q``.
+    err: _H_TRUNC |u|^3 the truncation of H; eps |ln u| the log; 5 eps |s| the series, as
+    the 24 roundings of the 12 Horner steps, that of t (up to t^13), the literals and the
+    product by t move t H by 19.5 eps of it, t H <= 0.168 (2 euler_gamma + t H), and
+    2 euler_gamma, the sum and the product by u add eps/2 each; eps |value| / 2 the
+    difference; 4 ulps of 0 a subnormal s.  l < 0 on (-1/2, 0); no sign is returned."""
+    u = 1.0 - x if x > 0.5 else x
+    c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = _H_COEF_HORNER
+    t = u * u
+    h = (((((((((((c12 * t + c11) * t + c10) * t + c9) * t + c8) * t + c7) * t + c6) * t + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+    s = (h * t + 2.0 * _EULER_GAMMA) * u
+    log_u = math.log(abs(u))
+    v = -log_u - s
+    err = _EPS * (abs(log_u) + 5.0 * abs(s) + 0.5 * abs(v)) + _H_TRUNC * abs(u) * t + _SUBNORMAL_ULPS
+    return (-v if x > 0.5 else v), err
 
 
 def _zeta_prime_m1() -> tuple[float, float]:

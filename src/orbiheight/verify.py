@@ -103,7 +103,7 @@ def _hurwitz_recurrence(s_values, xs):
 @_register("specfun", "Bernoulli identity zeta(-1,x) = -B2(x)/2", 1e-13, "09", seed=2024, n=200)
 def _bernoulli_identity(seed, n):
     xs = _rng(seed).uniform(1e-6, 2.0, size=n)
-    return max(abs(sf.hurwitz_zeta(-1.0, float(x)).value + sf.bernoulli2(float(x)) / 2.0) for x in xs)
+    return max(abs(sf.hurwitz_zeta(-1.0, float(x)).value + sf.bernoulli2(float(x)).value / 2.0) for x in xs)
 
 
 @_register("specfun", "multiplication theorem", 1e-11, "09", ks=tuple(range(2, 13)), s_values=(-1.0, -0.5, 2.0))
@@ -174,7 +174,7 @@ def _dedekind_real():
 @_register("specfun", "L(-1, chi_8) matches Bernoulli arithmetic", 1e-12)
 def _chi8_bernoulli():
     # 8 * sum chi(a) (-B2(a/8)/2), summed plainly and exactly
-    parts = [s * (-sf.bernoulli2(a / 8.0) / 2.0) for a, s in ((1, 1.0), (3, -1.0), (5, -1.0), (7, 1.0))]
+    parts = [s * (-sf.bernoulli2(a / 8.0).value / 2.0) for a, s in ((1, 1.0), (3, -1.0), (5, -1.0), (7, 1.0))]
     value = fl.dirichlet_L(fl.get_field("Qsqrt2").characters[1]).value.real
     return max(abs(value - 8.0 * sum(parts)), abs(value - 8.0 * math.fsum(parts)))
 
@@ -376,11 +376,11 @@ def _df_sum(seed, ns, fixed_ns):
 
 @_register("periods", "Stirling consistency", 1e-3, n=100000)
 def _stirling(n):
-    v = hg.volume(_W_CAN)
-    h = v / (2.0 * (n - 1))
-    log_l = math.lgamma(h) - math.lgamma(1.0 - h)
-    lhs = (math.lgamma(n + 1.0) + n * math.log(math.pi) - n * log_l) / (2.0 * n)
-    return lhs - 0.5 * (math.log(v / 2.0) - 1.0 + math.log(math.pi))
+    # the prefactor of log Z_N over 2N against its large-N limit (1/2)(ln(V/2) - 1 + ln pi)
+    from . import periods as pd
+
+    cfg = pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN))
+    return pd._df_prefactor(cfg) / (2.0 * n) - 0.5 * (math.log(cfg.w.volume / 2.0) - 1.0 + math.log(math.pi))
 
 
 def _direct_integration(polarity, w):

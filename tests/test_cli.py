@@ -176,6 +176,14 @@ def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent
         ("faltings", "--weights", "-1,0,0"),
         ("height", "--ram", ""),
         ("fermat", "--m", "4", "--a", ""),
+        ("verify", "--suite", "nope"),
+        ("fermat", "--m", "4.5"),
+        ("fermat", "--m", "4", "--m-to", "x"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--seed", "1.5"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "1e3"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "x"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "4"),
+        ("specfun", "hurwitz_zeta", "abc", "0.5"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -183,6 +191,7 @@ def test_invalid_input_is_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err[len("error: ")] not in "\"'"  # the message bare, not a quoted KeyError
 
 
 def test_verify_suite_exit_codes(capsys, monkeypatch):
@@ -243,20 +252,13 @@ _SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse.
 _VALUE_ACTIONS = [(name, a) for name, p in _SUBPARSERS.items() for a in p._actions if a.nargs != 0 and a.choices is None]
 
 
-def _refuses(convert, token) -> bool:
-    try:
-        convert(token)
-    except ValueError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("token", ["-1", "-1e-3", "-1,1,1"])
 @pytest.mark.parametrize("name, action", _VALUE_ACTIONS, ids=lambda x: x if isinstance(x, str) else x.dest)
 def test_a_leading_minus_starts_a_value_on_every_subcommand(capsys, name, action, token):
     # every option or positional that takes a free value (no choices) reads
-    # the token as its value: the command answers 0 or 1, or the option's own
-    # type refuses the token by name; never "expected one argument"
+    # the token as its value and converts it in the command: the command
+    # answers 0 or 1, never "expected one argument" or an argparse type error
+    assert action.type is None, (name, action.dest)
     argv = list(_ACCEPTED[name])
     if action.option_strings and action.option_strings[-1] in argv:
         argv[argv.index(action.option_strings[-1]) + 1] = token
@@ -267,10 +269,7 @@ def test_a_leading_minus_starts_a_value_on_every_subcommand(capsys, name, action
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
-    if action.type is not None and _refuses(action.type, token):
-        assert code == 2 and f"invalid {action.type.__name__} value: {token!r}" in err, argv
-    else:
-        assert code in (0, 1), (argv, err)
+    assert code in (0, 1), (argv, err)
 
 
 def test_usage_error_prints_flags():
@@ -330,24 +329,14 @@ _ARGV = st.one_of(
 )
 
 
-def _numeric(argv) -> bool:
-    """Whether each drawn value of argv is a comma list of items that float() reads."""
-    values = argv[2:] if argv[0] == "specfun" else argv[2::2]
-    return not any(_refuses(float, item) for v in values for item in v.split(","))
-
-
 @settings(max_examples=400, deadline=None)
 @given(_ARGV)
 def test_cli_fuzz_exits_cleanly(argv):
-    # 0 or 1 from main, or 2 from argparse for a value that is not a number;
-    # an error is one stderr line, never a traceback
+    # 0 or 1 from main, never an argparse exit; an error is one stderr line,
+    # never a traceback
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-            assert code == 2 and not _numeric(argv), argv
-    assert code in (0, 1, 2), argv
+        code = main(list(argv))
+    assert code in (0, 1), argv
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

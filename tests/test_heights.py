@@ -421,6 +421,18 @@ def test_faltings_log_cy():
         faltings_log_cy((0.5, 0.5, 0.5))  # V != 0
 
 
+def test_heights_take_no_log_gamma(monkeypatch):
+    # ln Gamma(x) - ln Gamma(1 - x) comes from the odd-zeta kernel specfun._ln_l
+    def refuse(x):
+        raise AssertionError("math.lgamma called")
+
+    monkeypatch.setattr(math, "lgamma", refuse)
+    assert faltings_log_cy((0.6, 0.7, 0.7)).value == pytest.approx(-1.6065176710273832, abs=1e-14)
+    assert faltings_log_cy((0.5, 0.75, 0.75 + 1e-10)).err > 0.0  # the |V| slope term too
+    for w in ((0.75, 0.75, 0.75), (0.25, 0.25, 0.25), (1.0, 0.5, 0.75)):
+        h_can(w)
+
+
 def test_faltings_radial_reduction_cross_check():
     # independent radial form: I = int_0^1 (r^(1-2w1) + r^(1-2w3)) G(r) dr with
     # G the angular ring integral 2 pi 2F1(w2, w2; 1; r^2)

@@ -22,6 +22,7 @@ from orbiheight.periods import (
     mc_oracle_z,
     report_to_csv,
 )
+from orbiheight.specfun import _ln_l
 
 W_CAN = WeightVector((0.75, 0.75, 0.75))
 W_FANO = WeightVector((0.5, 0.5, 0.5))
@@ -48,6 +49,18 @@ def _mp_log_l(x):
     return mpmath.log(abs(mpmath.gamma(x) / mpmath.gamma(1 - mpmath.mpf(x))))
 
 
+def _ln_l_within_err(x, ref) -> bool:
+    """Whether the scalar specfun._ln_l at x, where x lies in its domain
+    (-1/2, 1), carries an err that bounds the actual error and is within 10^3
+    of it, or of half an ulp of the value (written 500 ulps), plus 1e-15: the
+    err at x = 1/2, where -ln u and the series, both ln 2, cancel to 0."""
+    if not -0.5 < x < 1.0:
+        return True
+    value, err = _ln_l(x)
+    d = abs(mpmath.mpf(value) - ref)
+    return d <= err <= max(1e3 * float(d), 500.0 * math.ulp(value)) + 1e-15
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True).filter(lambda x: x != 0.0))
 @example(0.5)
@@ -61,17 +74,20 @@ def _mp_log_l(x):
 @example(-1.0 + 1e-12)
 @example(math.nextafter(1.0, 0.0))
 @example(math.nextafter(-1.0, 0.0))
+@example(-5e-324)
+@example(math.nextafter(0.5, 0.0))
 def test_log_l_against_mpmath(x):
     with mpmath.workdps(40):
         ref = _mp_log_l(x)
         value = float(_log_l(np.array([x]))[0])
         assert abs(value - ref) <= 4.0 * np.finfo(float).eps * max(1.0, abs(ref))
+        assert _ln_l_within_err(x, ref)
 
 
-# the same tolerance as above, over ~1,000 evenly spaced points and the float
+# the same checks as above, over ~1,000 evenly spaced points and the float
 # neighbours of the branch points -1/2, 0 and 1/2
 _DENSE_XS = sorted(
-    {*np.linspace(-1.0, 1.0, 1002)[1:-1].tolist(), 1.0 - 1e-12, -1.0 + 1e-12}
+    {*np.linspace(-1.0, 1.0, 1002)[1:-1].tolist(), 1.0 - 1e-12, -1.0 + 1e-12, 1.0 - 2.0**-53}
     | {s * y for s in (1.0, -1.0) for y in (0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324)}
 )
 
@@ -82,7 +98,7 @@ def test_log_l_dense_against_mpmath():
     with mpmath.workdps(40):
         for x, value in zip(_DENSE_XS, values.tolist()):
             ref = _mp_log_l(x)
-            if abs(value - ref) > 4.0 * np.finfo(float).eps * max(1.0, abs(ref)):
+            if abs(value - ref) > 4.0 * np.finfo(float).eps * max(1.0, abs(ref)) or not _ln_l_within_err(x, ref):
                 bad.append((x, value, float(ref)))
     assert not bad
 

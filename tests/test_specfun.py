@@ -74,9 +74,9 @@ def zeta_prime_m1_oracle() -> float:
 
 
 def test_bernoulli2():
-    assert bernoulli2(1.0) == pytest.approx(1.0 / 6.0, abs=1e-16)
-    assert bernoulli2(0.5) == pytest.approx(-1.0 / 12.0, abs=1e-16)
-    assert bernoulli2(0.0) == pytest.approx(1.0 / 6.0, abs=1e-16)
+    assert bernoulli2(1.0).value == pytest.approx(1.0 / 6.0, abs=1e-16)
+    assert bernoulli2(0.5).value == pytest.approx(-1.0 / 12.0, abs=1e-16)
+    assert bernoulli2(0.0).value == pytest.approx(1.0 / 6.0, abs=1e-16)
 
 
 def test_hurwitz_zeta_classical_values():
@@ -231,8 +231,9 @@ def test_odd_zeta_literals_are_the_economized_series():
     assert len(specfun._H_COEF_HORNER) == len(rebuilt) == 13, rebuilt_floats
     for literal, ref in zip(specfun._H_COEF_HORNER, rebuilt):
         assert abs(mpmath.mpf(literal) - ref) <= math.ulp(literal), rebuilt_floats
-    # the truncation bounds: |u|^3 <= 1/8 times the tail for ln |l| (the
-    # periods._log_l docstring), x^4/4 times the tail for Q (_Q_TRUNC x^4)
+    # the truncation bounds: |u|^3 times the tail for ln |l| (_H_TRUNC |u|^3,
+    # at most 2.6e-17 on |u| <= 1/2), x^4/4 times the tail for Q (_Q_TRUNC x^4)
+    assert tail <= specfun._H_TRUNC
     assert tail / 8 <= 2.6e-17
     assert tail / 4 <= specfun._Q_TRUNC
 
