@@ -48,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .heights import WeightVector
+from .periods import _ln_s
 
 _SWITCH = math.acos(0.25)
 _T_MAX = 3.1  # the tanh-sinh abscissae run over t in [-_T_MAX, _T_MAX]
@@ -176,12 +177,7 @@ def _cross_pairs(nodes, coupling: float) -> float:
             hi = min(lo + _ROWS, len(xa))
             k = kern[: hi - lo, : len(xb)]
             t = dy2[: hi - lo, : len(xb)]
-            np.subtract(xa[lo:hi, None], xb, out=k)
-            np.multiply(k, k, out=k)
-            np.subtract(ya[lo:hi, None], yb, out=t)
-            np.multiply(t, t, out=t)
-            k += t
-            np.log(k, out=k)
+            _ln_s(k, t, np.subtract(xa[lo:hi, None], xb, out=k), np.subtract(ya[lo:hi, None], yb, out=t))
             k *= coupling
             np.exp(k, out=k)
             total += float(va[lo:hi] @ (k @ vb))
@@ -269,4 +265,4 @@ def pair_integral(wv: WeightVector, coupling: float) -> tuple[float, float]:
     coarse = _level(wv, coupling, 1.0)
     fine = _level(wv, coupling, 1.4)
     err = 2.5 * abs(fine - coarse) + 1e-12 * abs(fine)
-    return fine, err
+    return float(fine), float(err)

@@ -209,25 +209,28 @@ def _cmd_fermat(args) -> int:
     return 0
 
 
-def _check_oracle_options(args) -> None:
-    """--seed, --oracle-n and --scheme belong to --oracle; --seed and --budget
-    drive the Monte-Carlo oracle and nothing else.  The oracle line has no CSV
-    column, so --oracle takes text or JSON output."""
+def _oracle_options(args) -> tuple[int, str]:
+    """The oracle's N and its scheme, by default quadrature at N = 2 and monte-carlo
+    otherwise.  --seed, --oracle-n and --scheme belong to --oracle; --seed and
+    --budget drive the Monte-Carlo oracle alone.  --oracle has no CSV form."""
     if args.oracle and args.format == "csv":
         raise ValueError("--oracle has no CSV form; use --format json")
     if not args.oracle:
         for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
             if v is not None:
                 raise ValueError(f"{flag} applies only to --oracle")
+    n = _value(args.oracle_n or "2", int, "--oracle-n")
+    scheme = args.scheme or ("quadrature" if n == 2 else "monte-carlo")
     for flag, v in (("--seed", args.seed), ("--budget", args.budget)):
-        if v is not None and args.scheme != "monte-carlo":
+        if v is not None and scheme != "monte-carlo":
             raise ValueError(f"{flag} applies only to --oracle --scheme monte-carlo")
+    return n, scheme
 
 
 def _cmd_periods(args) -> int:
     from . import periods as pd  # numpy loads here, not at start-up
 
-    _check_oracle_options(args)
+    n, scheme = _oracle_options(args)
     wv = hg.WeightVector(_items(args.weights, float, "--weights"))
     n_list = _items(args.n_list, int, "--N-list")
     polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
@@ -238,11 +241,10 @@ def _cmd_periods(args) -> int:
         "rows": [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows],
     }
     if args.oracle:
-        n = _value(args.oracle_n or "2", int, "--oracle-n")
         est = pd.mc_oracle_z(
             n,
             wv,
-            scheme=args.scheme or "quadrature",
+            scheme=scheme,
             budget=_value(args.budget, int, "--budget"),
             seed=_value(args.seed or "0", int, "--seed"),
             polarity=polarity,
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None, help="seed for the Monte-Carlo oracle (default 0)")
     p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
     p.add_argument("--oracle-n", default=None, help="oracle N, 2 or 3 (default 2)")
-    p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature)")
+    p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature at N = 2, monte-carlo at N = 3)")
     p.add_argument("--budget", default=None, help="Monte-Carlo oracle sample budget")
     p.set_defaults(fn=_cmd_periods)
 

@@ -24,7 +24,8 @@ space (no overflow up to N = 10^6), with ln |l| from the odd-zeta kernel
 a block of j-values at a time in one workspace allocated once per call, so
 its memory does not grow with N; equal weights share a row).  ``mc_oracle_z``
 estimates Z_N for N in {2, 3} by direct integration, independent of
-everything gamma: by quadrature, or by sampling from power-law disks.
+everything gamma: by quadrature, or by sampling from power-law disks into one
+workspace per call, with f and q from one log per squared distance.
 """
 
 from __future__ import annotations
@@ -248,87 +249,111 @@ def report_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _disk(d: np.ndarray, alpha: float, radius: float) -> np.ndarray:
-    """Density, at distance d from c, of c + radius u^(1/alpha) e^{i theta} for
-    uniform u and theta: alpha d^(alpha - 2) / (2 pi radius^alpha) on d <= radius."""
-    return np.where(d <= radius, alpha * np.maximum(d, 1e-300) ** (alpha - 2.0) / (2.0 * math.pi * radius**alpha), 0.0)
+def _ln_s(out: np.ndarray, t: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """out = ln(dx^2 + dy^2), with t overwritten; dx may be out and dy t."""
+    np.multiply(dx, dx, out=out)
+    out += np.multiply(dy, dy, out=t)
+    return np.log(out, out=out)
+
+
+def _add_disk(q: np.ndarray, e: np.ndarray, k, inside: np.ndarray) -> None:
+    """q += k exp(e) where inside holds, with e overwritten."""
+    np.multiply(np.exp(e, out=e), inside, out=e)
+    q += np.multiply(e, k, out=e)
 
 
 class _Mixture:
-    """Importance mixture over configurations of N points: each of its five
-    components draws a point center + (radius u^(1/alpha) e^{i theta})^flip.
+    """Importance mixture over configurations of N points, and the integrand
+    it weighs: each of its five components draws a point
+    center + (radius u^(1/alpha) e^{i theta})^flip.
 
     A point comes from a disk at 0 or 1 (alpha = 2 - 2 w, the local weight),
     the inverted disk matched to the decay at infinity or the uniform bulk
     disk; on the Fano side the pair component then moves one end of a random
     pair onto the disk about the other, matched to |z_i - z_j|^(2 coupling).
     All densities are exact, so f/q is bounded near every singular stratum.
+    A disk's density alpha d^(alpha - 2) / (2 pi radius^alpha) is
+    K exp(e ln d^2), e = -w1, -w2, 0, and w3 - 2 on the inverted disk (with
+    the |z|^-4 of z -> 1/z).  The points are real x, y in a workspace for
+    ``size`` configurations, allocated once.
     """
 
-    def __init__(self, wv: WeightVector, n_points: int, coupling: float, polarity: Polarity):
-        w1, w2, w3 = wv.w
+    def __init__(self, wv: WeightVector, n_points: int, coupling: float, polarity: Polarity, size: int):
+        w1, w2, w3 = self.w = wv.w
         self.probs = np.array([0.28, 0.28, 0.22, 0.22])
         self.alpha = np.array([2.0 - 2.0 * w1, 2.0 - 2.0 * w2, 2.0 - 2.0 * w3, 2.0])
         self.center = np.array([0.0, 1.0, 0.0, 0.0])
         self.radius = np.array([0.75, 0.75, 0.75, 1.75])
         self.flip = np.array([1.0, 1.0, -1.0, 1.0])
-        self.n_points = n_points
+        self.n_points, self.coupling = n_points, coupling
         self.pairs = list(itertools.combinations(range(n_points), 2)) if polarity == "anticanonical" else []
         self.pair_prob = 0.35 if self.pairs else 0.0
         self.pair_alpha, self.pair_radius = 2.0 + 2.0 * coupling, 0.5
+        self.xy, self._q = np.empty((2, n_points, size)), np.empty((n_points, size))
+        self._work, self._comp, self._mask = np.empty((6, size)), np.empty(size, np.intp), np.empty(size, bool)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n configurations, shape (n, N), drawn point by point, then the pair moves."""
-        cdf = self.probs.cumsum() / self.probs.sum()
-        z = np.empty((self.n_points, n), dtype=complex)
-        for zk in z:
-            v, u, ang = (rng.random(n) for _ in range(3))
+        """x, y of n configurations, shape (2, N, n), drawn point by point, then the pair moves."""
+        edges = (self.probs.cumsum() / self.probs.sum())[:-1, None]
+        scale, power = self.radius**self.flip, self.flip / self.alpha
+        xy, comp, mask = self.xy[:, :, :n], self._comp[:n], self._mask[:n]
+        v, u, ang, g = (row[:n] for row in self._work[:4])
+        for xk, yk in zip(*xy):
+            for row in (v, u, ang):
+                rng.random(out=row)
             # rng.choice(4, p=probs) draws cdf.searchsorted(v, side="right"):
             # the number of edges cdf[k] <= v, which this counts faster
-            comp = sum(v >= edge for edge in cdf[:-1])
-            ang = ang * 2.0 * math.pi
-            r = (self.radius**self.flip)[comp] * u ** (self.flip / self.alpha)[comp]
-            zk.real = self.center[comp] + r * np.cos(ang)
-            zk.imag = self.flip[comp] * r * np.sin(ang)
+            np.sum(v >= edges, axis=0, out=comp)
+            ang *= 2.0 * math.pi
+            np.power(u, np.take(power, comp, out=g), out=u)
+            u *= np.take(scale, comp, out=g)  # r
+            np.multiply(u, np.cos(ang, out=g), out=xk)
+            xk += np.take(self.center, comp, out=g)
+            np.multiply(u, np.sin(ang, out=g), out=yk)
+            yk *= np.take(self.flip, comp, out=g)
         if self.pairs:
-            sel = rng.random(n) < self.pair_prob
+            i = np.flatnonzero(np.less(rng.random(out=v), self.pair_prob, out=mask))
             pick = rng.integers(0, len(self.pairs), size=n)
-            swap = rng.random(n) < 0.5  # randomize which end of the pair is the base
-            u = rng.random(n)
-            ang = rng.random(n) * 2.0 * math.pi
-            delta = self.pair_radius * u ** (1.0 / self.pair_alpha) * np.exp(1j * ang)
-            ends = np.array(self.pairs)[pick]
-            base, moved = np.where(swap[:, None], ends[:, ::-1], ends).T
-            z[moved[sel], sel] = z[base[sel], sel] + delta[sel]
-        return z.T  # shape (n, N), one contiguous column per point
+            swap = rng.random(out=g) < 0.5  # randomize which end of the pair is the base
+            rng.random(out=u)
+            rng.random(out=ang)
+            # row 2 p + swap holds (base, moved) for pair p
+            base, moved = np.array([e for p in self.pairs for e in (p, p[::-1])])[2 * pick[i] + swap[i]].T
+            r, a = self.pair_radius * u[i] ** (1.0 / self.pair_alpha), ang[i] * 2.0 * math.pi
+            for c, trig in zip(xy, (np.cos(a), np.sin(a))):
+                c[moved, i] = c[base, i] + r * trig
+        return xy
 
-    def density(self, z: np.ndarray) -> np.ndarray:
-        per_point = []
-        for zk in z.T:  # a column at a time keeps the temporaries small
-            dist = {c: np.abs(zk - c) for c in set(self.center)}
-            qk = 0.0
-            for p, alpha, center, radius, flip in zip(self.probs, self.alpha, self.center, self.radius, self.flip):
-                if flip > 0.0:
-                    qk = qk + p * _disk(dist[center], alpha, radius)
-                else:  # the inverted disk: q(z) = q_disk(1/z) |z|^(-4), the Jacobian of z -> 1/z
-                    d = np.maximum(dist[center], 1e-300)
-                    qk = qk + p * _disk(1.0 / d, alpha, radius) * d**-4.0
-            per_point.append(qk)
-        q = (1.0 - self.pair_prob) * math.prod(per_point)
-        for i, j in self.pairs:
-            rest = math.prod(x for k, x in enumerate(per_point) if k not in (i, j))
-            qd = _disk(np.abs(z[:, j] - z[:, i]), self.pair_alpha, self.pair_radius)
-            q = q + self.pair_prob / len(self.pairs) * rest * 0.5 * (per_point[i] + per_point[j]) * qd
-        return q
-
-
-def _log_integrand(z: np.ndarray, wv: WeightVector, coupling: float) -> np.ndarray:
-    """log of the Vandermonde integrand on configurations z of shape (n, N)."""
-    w1, w2, _ = wv.w
-    out = -2.0 * w1 * np.log(np.abs(z)).sum(axis=1) - 2.0 * w2 * np.log(np.abs(z - 1.0)).sum(axis=1)
-    for i, j in itertools.combinations(range(z.shape[1]), 2):
-        out += 2.0 * coupling * np.log(np.abs(z[:, i] - z[:, j]))
-    return out
+    def weigh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """ln f and q of the n configurations last drawn, from one log per
+        squared distance (|z|^2, |z - 1|^2, |z_i - z_j|^2) shared by both."""
+        w1, w2, w3 = self.w
+        k = self.probs * self.alpha / (2.0 * math.pi * self.radius**self.alpha)
+        lr = 2.0 * np.log(self.radius)  # ln radius^2
+        (x, y), qs, mask = self.xy[:, :, :n], self._q[:, :n], self._mask[:n]
+        lnf, q, l0, l1, t, e = (row[:n] for row in self._work)
+        lnf.fill(0.0)
+        for xk, yk, qk in zip(x, y, qs):
+            _ln_s(l0, t, xk, yk)
+            _ln_s(l1, t, np.subtract(xk, 1.0, out=l1), yk)
+            np.multiply(np.less_equal(l0, lr[3], out=mask), k[3], out=qk)
+            lnf += np.multiply(l0, -w1, out=e)
+            _add_disk(qk, e, k[0], np.less_equal(l0, lr[0], out=mask))
+            lnf += np.multiply(l1, -w2, out=e)
+            _add_disk(qk, e, k[1], np.less_equal(l1, lr[1], out=mask))
+            _add_disk(qk, np.multiply(l0, w3 - 2.0, out=e), k[2], np.greater_equal(l0, -lr[2], out=mask))
+        q = np.multiply(np.prod(qs, axis=0, out=q), 1.0 - self.pair_prob, out=q)
+        for i, j in itertools.combinations(range(self.n_points), 2):
+            _ln_s(l0, t, np.subtract(x[i], x[j], out=l0), np.subtract(y[i], y[j], out=t))
+            lnf += np.multiply(l0, self.coupling, out=t)
+            if self.pairs:  # the pair moved from either end, times the other points
+                np.add(qs[i], qs[j], out=t)
+                for rest in set(range(self.n_points)) - {i, j}:
+                    t *= qs[rest]
+                t *= 0.5 * self.pair_prob / len(self.pairs) * self.pair_alpha / (2.0 * math.pi * self.pair_radius**self.pair_alpha)
+                np.multiply(l0, (self.pair_alpha - 2.0) / 2.0, out=e)
+                _add_disk(q, e, t, np.less_equal(l0, 2.0 * math.log(self.pair_radius), out=mask))
+        return lnf, q
 
 
 def mc_oracle_z(
@@ -345,11 +370,12 @@ def mc_oracle_z(
     scheme "quadrature" (N = 2 only) uses tensorized polar tanh-sinh patches
     with the plane split around the punctures {0, 1, infinity}; scheme
     "monte-carlo" uses importance sampling from singularity-matched power-law
-    disks with a counter-based generator (reproducible for a fixed seed);
-    budget, its sample count, belongs to that scheme alone.  The reported err
-    is a quadrature refinement bound or three standard errors of the mean.
-    The weights and polarity must pass ``PeriodConfig(N, w, polarity)``, and
-    the N = 3 Monte-Carlo scheme needs 5V + 4 > 0 for a finite variance.
+    disks, 2^15 configurations at a time from Philox keyed [seed, chunk] into
+    one workspace, f/q in log space; budget, its sample count, belongs to that
+    scheme alone.  The reported err is a quadrature refinement bound or three
+    standard errors of the mean.  The weights and polarity must pass
+    ``PeriodConfig(N, w, polarity)``, and the N = 3 Monte-Carlo scheme needs
+    5V + 4 > 0 for a finite variance.
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -375,15 +401,16 @@ def mc_oracle_z(
         raise ValueError(f"the N = 3 Monte-Carlo estimate has infinite variance where 5V + 4 <= 0, got V = {wv.volume!r}")
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
-    mix = _Mixture(wv, n_points, coupling, polarity)
     chunk = 1 << 15
+    mix = _Mixture(wv, n_points, coupling, polarity, min(chunk, budget))
     total = total_sq = 0.0
     for lo in range(0, budget, chunk):
-        rng = np.random.Generator(np.random.Philox(key=[seed, lo // chunk]))
-        z = mix.sample(rng, min(chunk, budget - lo))
-        ratio = np.exp(_log_integrand(z, wv, coupling)) / mix.density(z)
+        n = min(chunk, budget - lo)
+        mix.sample(np.random.Generator(np.random.Philox(key=[seed, lo // chunk])), n)
+        ratio, q = mix.weigh(n)
+        ratio = np.divide(np.exp(ratio, out=ratio), q, out=ratio)
         total += float(np.sum(ratio))
-        total_sq += float(np.sum(ratio * ratio))
+        total_sq += float(np.sum(np.multiply(ratio, ratio, out=q)))
     mean = total / budget
     var = max(total_sq / budget - mean * mean, 0.0)
     return EvalResult(mean, 3.0 * math.sqrt(var / budget))

@@ -105,6 +105,14 @@ def test_periods_csv(capsys):
     assert out.splitlines()[0] == "N,estimate,gap"
 
 
+def test_periods_oracle_scheme_follows_n(capsys):
+    # N = 3 has no quadrature, so its oracle samples without --scheme
+    code, out, err = run(capsys, "periods", "--weights", "0.8,0.8,0.8", "--N-list", "50",
+                         "--oracle", "--oracle-n", "3", "--budget", "2000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["N"] == 3
+
+
 def test_periods_oracle_refuses_csv(capsys):
     # the oracle line is not a CSV row: the refusal names the format that carries it
     code, out, err = run(capsys, "periods", "--weights", "0.75,0.75,0.75", "--N-list", "100", "--oracle", "--format", "csv")
@@ -184,6 +192,7 @@ def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "x"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "4"),
         ("specfun", "hurwitz_zeta", "abc", "0.5"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "3", "--scheme", "quadrature"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

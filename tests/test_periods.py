@@ -1,5 +1,6 @@
 """Period route: closed-form product, convergence, and direct integration."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -269,31 +270,97 @@ def test_monte_carlo_golden_values(n, w, polarity, budget, seed, value, err):
     assert r.err == pytest.approx(err, rel=1e-13)
 
 
-@pytest.mark.parametrize(
-    "n, w, polarity",
-    [
-        (2, (5 / 6,) * 3, "canonical"),
-        (3, (5 / 6,) * 3, "canonical"),
-        (2, (0.5,) * 3, "anticanonical"),
-        (3, (0.5,) * 3, "anticanonical"),
-        (2, (0.4, 0.5, 0.6), "anticanonical"),
-    ],
-)
+_MIXTURE_CASES = [
+    (2, (5 / 6,) * 3, "canonical"),
+    (3, (5 / 6,) * 3, "canonical"),
+    (2, (0.5,) * 3, "anticanonical"),
+    (3, (0.5,) * 3, "anticanonical"),
+    (2, (0.4, 0.5, 0.6), "anticanonical"),
+]
+
+
+@pytest.mark.parametrize("n, w, polarity", _MIXTURE_CASES)
 def test_mixture_density_is_the_density_of_its_sampler(n, w, polarity):
     # g, a product of unit Gaussians, integrates to 1 over C^N, so the mean of
     # g/q over the sampler's draws is 1 exactly when q is their density; a
     # component density off by a factor of 2 (the pair one included) moves it
     # by more than 6 standard errors
     wv = WeightVector(w)
-    mix = _Mixture(wv, n, wv.volume / (n - 1), polarity)
+    mix = _Mixture(wv, n, wv.volume / (n - 1), polarity, 1 << 15)
     centers = np.array([0.0, 1.0, 0.5 + 0.5j])[:n]
     ratios = []
     for c in range(12):  # 12 chunks of 2^15, about 400,000 configurations
-        z = mix.sample(np.random.Generator(np.random.Philox(key=[2026, c])), 1 << 15)
+        x, y = mix.sample(np.random.Generator(np.random.Philox(key=[2026, c])), 1 << 15)
+        z = (x + 1j * y).T
         g = np.prod(np.exp(-np.abs(z - centers) ** 2) / math.pi, axis=1)
-        ratios.append(g / mix.density(z))
+        ratios.append(g / mix.weigh(1 << 15)[1])
     r = np.concatenate(ratios)
     assert abs(r.mean() - 1.0) < 4.0 * r.std() / math.sqrt(r.size)
+
+
+# The reference for _Mixture.weigh: the integrand and the mixture density in
+# complex arithmetic, one |.| and one power per distance and component, with
+# no log shared between them.
+
+
+def _ref_disk(d, alpha, radius):
+    """Density, at distance d from c, of c + radius u^(1/alpha) e^{i theta} for
+    uniform u and theta: alpha d^(alpha - 2) / (2 pi radius^alpha) on d <= radius."""
+    return np.where(d <= radius, alpha * np.maximum(d, 1e-300) ** (alpha - 2.0) / (2.0 * math.pi * radius**alpha), 0.0)
+
+
+def _ref_density(mix, z):
+    per_point = []
+    for zk in z.T:  # a column at a time keeps the temporaries small
+        dist = {c: np.abs(zk - c) for c in set(mix.center)}
+        qk = 0.0
+        for p, alpha, center, radius, flip in zip(mix.probs, mix.alpha, mix.center, mix.radius, mix.flip):
+            if flip > 0.0:
+                qk = qk + p * _ref_disk(dist[center], alpha, radius)
+            else:  # the inverted disk: q(z) = q_disk(1/z) |z|^(-4), the Jacobian of z -> 1/z
+                d = np.maximum(dist[center], 1e-300)
+                qk = qk + p * _ref_disk(1.0 / d, alpha, radius) * d**-4.0
+        per_point.append(qk)
+    q = (1.0 - mix.pair_prob) * math.prod(per_point)
+    for i, j in mix.pairs:
+        rest = math.prod(x for k, x in enumerate(per_point) if k not in (i, j))
+        qd = _ref_disk(np.abs(z[:, j] - z[:, i]), mix.pair_alpha, mix.pair_radius)
+        q = q + mix.pair_prob / len(mix.pairs) * rest * 0.5 * (per_point[i] + per_point[j]) * qd
+    return q
+
+
+def _ref_log_integrand(z, wv, coupling):
+    """log of the Vandermonde integrand on configurations z of shape (n, N)."""
+    w1, w2, _ = wv.w
+    out = -2.0 * w1 * np.log(np.abs(z)).sum(axis=1) - 2.0 * w2 * np.log(np.abs(z - 1.0)).sum(axis=1)
+    for i, j in itertools.combinations(range(z.shape[1]), 2):
+        out += 2.0 * coupling * np.log(np.abs(z[:, i] - z[:, j]))
+    return out
+
+
+@pytest.mark.parametrize("n, w, polarity", _MIXTURE_CASES)
+def test_weigh_matches_the_complex_reference(n, w, polarity):
+    # On the draws of the test above.  Both sides take ln s of the same
+    # squared distances, each rounded to within about eps |ln s|.  The
+    # smallest |z| or |z - 1| drawn is 3e-20 and the largest |z| 6e16, so
+    # |ln s| <= 100 (asserted below) and each log is off by at most 2.2e-14.
+    # ln f sums at most 9 of them with factors below 1, so the two ln f
+    # differ by at most 9 * 2 * 2.2e-14 = 4e-13, and exp turns that absolute
+    # error into the same relative error of f.  Each density component is
+    # K exp(e ln s) with |e| < 2, off by at most 2 * 2 * 2.2e-14 relative, and
+    # q sums and multiplies positive ones.  Seen: 2.8e-14 on ln f, 2.0e-14
+    # on q.
+    wv = WeightVector(w)
+    coupling = wv.volume / (n - 1)
+    mix = _Mixture(wv, n, coupling, polarity, 1 << 15)
+    for c in range(12):
+        x, y = mix.sample(np.random.Generator(np.random.Philox(key=[2026, c])), 1 << 15)
+        z = (x + 1j * y).T
+        dists = [np.abs(z), np.abs(z - 1.0)] + [np.abs(z[:, i] - z[:, j]) for i, j in itertools.combinations(range(n), 2)]
+        assert max(np.max(np.abs(2.0 * np.log(d))) for d in dists) <= 100.0
+        ln_f, q = mix.weigh(1 << 15)
+        np.testing.assert_allclose(ln_f, _ref_log_integrand(z, wv, coupling), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(q, _ref_density(mix, z), rtol=1e-12, atol=0.0)
 
 
 def _peak_mb(fn, *args):
@@ -312,3 +379,16 @@ def test_period_layers_memory_stays_flat():
     assert _peak_mb(pair_integral, W_FANO, W_FANO.volume) < 8.0
     assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=W_CAN)) < 1.5
     assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=WeightVector((0.4, 0.5, 0.6)), polarity="anticanonical")) < 1.5
+    # the Monte-Carlo oracle draws into one workspace of 2^15 configurations
+    # (3.9 MB at N = 3), so its peak does not grow with the budget; the first
+    # call imports numpy.random
+    mc_oracle_z(3, W_FANO, "monte-carlo", 2000, 0, "anticanonical")
+    peaks = [_peak_mb(mc_oracle_z, 3, W_FANO, "monte-carlo", b, 0, "anticanonical") for b in (10**5, 4 * 10**5)]
+    assert max(peaks) < 6.0
+    assert abs(peaks[1] - peaks[0]) < 0.05
+
+
+@pytest.mark.parametrize("scheme", ["quadrature", "monte-carlo"])
+def test_oracle_returns_plain_floats(scheme):
+    r = mc_oracle_z(2, (5 / 6,) * 3, scheme, 2000 if scheme == "monte-carlo" else None)
+    assert type(r.value) is float and type(r.err) is float
