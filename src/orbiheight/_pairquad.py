@@ -18,9 +18,15 @@ All arithmetic is real and in log space: each per-variable factor
 |z|^(-2w1) |z-1|^(-2w2) (times the measure) is one exp of logs of the chart
 radius and of the squared distance to the other puncture.
 
+Complex conjugation fixes the integrand, the patches and the rule (each
+angle segment is symmetric about a multiple of pi), so the a-side of each
+cross pair and the theta loop of each same patch take one node of each
+mirror pair at twice its weight, and a node on the real axis once.  The
+weight-free nodes are built once per process.
+
 Pairs of distinct patches are tensor products over the two node sets.  The
 kernel |z1 - z2|^(2V) is symmetric, so each unordered pair of patches is
-summed once and doubled; it is evaluated as exp(V ln(dx^2 + dy^2)) 64 rows
+summed once and doubled; it is evaluated as exp(V ln(dx^2 + dy^2)) 32 rows
 at a time in two buffers allocated once, so no temporary grows with the
 square of the node count.
 
@@ -41,6 +47,7 @@ times over, but on the anticanonical side it understates it: at (0.4, 0.5,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,8 +61,9 @@ _SWITCH = math.acos(0.25)
 _T_MAX = 3.1  # the tanh-sinh abscissae run over t in [-_T_MAX, _T_MAX]
 
 
+@functools.cache
 def tanh_sinh_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """~n tanh-sinh nodes and weights on (0, 1), clustering at both endpoints."""
+    """~n tanh-sinh nodes and weights on (0, 1), clustering at both endpoints (read-only, shared)."""
     k = np.arange(-(n // 2), n // 2 + 1)
     h = 2.0 * _T_MAX / max(n - 1, 1)
     t = k * h
@@ -63,12 +71,9 @@ def tanh_sinh_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = 0.5 * (1.0 + np.tanh(u))
     w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
     keep = (x > 0.0) & (x < 1.0) & (w > 1e-300)
-    return x[keep], w[keep]
-
-
-def _gl(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    x, w = x[keep], w[keep]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -95,24 +100,32 @@ def _r_max_pinf(phi: np.ndarray) -> np.ndarray:
     return np.where(c >= 0.25, root, 0.5)
 
 
-def _patches() -> tuple[_Patch, ...]:
-    a = _SWITCH
-    return (
-        _Patch(0.0, False, ((-a, a), (a, 2.0 * math.pi - a)), _r_max_p0),
-        _Patch(1.0, False, ((math.pi - a, math.pi + a), (math.pi + a, 3.0 * math.pi - a)), _r_max_p1),
-        _Patch(0.0, True, ((-a, a), (a, 2.0 * math.pi - a)), _r_max_pinf),
-    )
+_PATCHES = (
+    _Patch(0.0, False, ((-_SWITCH, _SWITCH), (_SWITCH, 2.0 * math.pi - _SWITCH)), _r_max_p0),
+    _Patch(1.0, False, ((math.pi - _SWITCH, math.pi + _SWITCH), (math.pi + _SWITCH, 3.0 * math.pi - _SWITCH)), _r_max_p1),
+    _Patch(0.0, True, ((-_SWITCH, _SWITCH), (_SWITCH, 2.0 * math.pi - _SWITCH)), _r_max_pinf),
+)
 
 
-def _theta_nodes(patch: _Patch, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _theta_nodes(patch: _Patch, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, weight, fold) of the per-segment Gauss-Legendre angles, read-only.
+
+    theta -> 2k pi - theta maps a segment's nodes and weights onto themselves.
+    The first len(fold) angles are each segment's lower half, fold 2, and the
+    middle node of an odd one, on the real axis, fold 1; their mirrors follow.
+    """
     total = sum(b - a for a, b in patch.segments)
-    xs, ws = [], []
+    kept, mirrored = [], []
     for a, b in patch.segments:
         n = max(8, int(round(n_theta * (b - a) / total)))
-        x, w = _gl(a, b, n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+        x, w = np.polynomial.legendre.leggauss(n)
+        seg = np.stack([0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w, np.where(2 * np.arange(n) < n - 1, 2.0, 1.0)])
+        kept.append(seg[:, : n - n // 2])
+        mirrored.append(seg[:, n - n // 2 :])
+    nodes = np.concatenate(kept + mirrored, axis=1)
+    nodes.flags.writeable = False
+    return nodes[0], nodes[1], nodes[2, : sum(k.shape[1] for k in kept)]
 
 
 def _powers(patch: _Patch, wv: WeightVector) -> tuple[float, float, float]:
@@ -139,8 +152,8 @@ def _powers(patch: _Patch, wv: WeightVector) -> tuple[float, float, float]:
 
 
 def _variable_nodes(patch: _Patch, wv: WeightVector, n_theta: int, n_r: int):
-    """Flat real arrays (x, y, weight*factor) of the representative points z = x + iy."""
-    theta, w_theta = _theta_nodes(patch, n_theta)
+    """Flat (x, y, weight*factor) of the points z = x + iy, and the folded weights of the first len(fold) rows."""
+    theta, w_theta, fold = _theta_nodes(patch, n_theta)
     ts_x, ts_w = tanh_sinh_01(n_r)
     rmax = patch.r_max(theta)[:, None]
     r = rmax * ts_x
@@ -153,28 +166,26 @@ def _variable_nodes(patch: _Patch, wv: WeightVector, n_theta: int, n_r: int):
         x, y = cos / r, -sin / r
     else:
         x, y = patch.center + r * cos, r * sin
-    return x.ravel(), y.ravel(), vals.ravel()
+    return x.ravel(), y.ravel(), vals.ravel(), (vals[: len(fold)] * fold[:, None]).ravel()
 
 
-_ROWS = 64
+_ROWS = 32  # 16 to 64 cost alike; at 32 the 1.1 MB fine-level buffers raise glibc's mmap threshold, sparing later calls page faults
 
 
 def _cross_pairs(nodes, coupling: float) -> float:
     """Sum of va K vb over ordered pairs of distinct patches, K = |za - zb|^(2 coupling).
 
-    K is symmetric, so each unordered pair is summed once and doubled.  K is
-    built _ROWS rows at a time as exp(coupling log(dx^2 + dy^2)) in two
-    buffers allocated once.
+    K is symmetric, so each unordered pair is summed once and doubled.  The
+    b-side sum is unchanged by conjugating za, so the a-side runs over the
+    folded nodes.  K is built _ROWS rows at a time as
+    exp(coupling log(dx^2 + dy^2)) in two buffers allocated once.
     """
-    width = max(len(x) for x, _, _ in nodes)
-    kern = np.empty((_ROWS, width))
-    dy2 = np.empty((_ROWS, width))
+    kern, dy2 = np.empty((2, _ROWS, max(len(x) for x, *_ in nodes)))
     total = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        xa, ya, va = nodes[i]
-        xb, yb, vb = nodes[j]
-        for lo in range(0, len(xa), _ROWS):
-            hi = min(lo + _ROWS, len(xa))
+        (xa, ya, _, va), (xb, yb, vb, _) = nodes[i], nodes[j]
+        for lo in range(0, len(va), _ROWS):
+            hi = min(lo + _ROWS, len(va))
             k = kern[: hi - lo, : len(xb)]
             t = dy2[: hi - lo, : len(xb)]
             _ln_s(k, t, np.subtract(xa[lo:hi, None], xb, out=k), np.subtract(ya[lo:hi, None], yb, out=t))
@@ -191,10 +202,13 @@ def _same_patch(patch: _Patch, wv: WeightVector, coupling: float, counts) -> flo
     cap = min(1, r_max(theta+psi)/r).  The coupling is (r |1 - s e^{i psi}|)^(2c)
     on direct charts and (|1 - s e^{i psi}| / (s r))^(2c) on the inverted one.
     Per theta, the (s, psi r) grid holds only -b ln q2 + c ln|1 - s e^{i psi}|^2;
-    every factor of one or two of the variables is applied outside it.
+    every factor of one or two of the variables is applied outside it.  As
+    (theta, psi) -> (-theta, -psi) fixes the psi rule and the integrand,
+    theta runs over the folded nodes.
     """
     n_theta, n_r, n_psi, n_s = counts
-    theta, w_theta = _theta_nodes(patch, n_theta)
+    theta, w_theta, fold = _theta_nodes(patch, n_theta)
+    theta, w_theta = theta[: len(fold)], w_theta[: len(fold)] * fold
     ts_rx, ts_rw = tanh_sinh_01(n_r)
     sx, sw = tanh_sinh_01(n_s)
     # psi in (-pi, 0) and (0, pi), tanh-sinh clustering at psi = 0 where the
@@ -249,13 +263,9 @@ def _same_patch(patch: _Patch, wv: WeightVector, coupling: float, counts) -> flo
 
 
 def _level(wv: WeightVector, coupling: float, scale: float) -> float:
-    n_theta = int(36 * scale)
-    n_r = int(30 * scale)
-    n_psi = int(20 * scale)
-    n_s = int(28 * scale)
-    patches = _patches()
-    total = _cross_pairs([_variable_nodes(p, wv, n_theta, n_r) for p in patches], coupling)
-    for p in patches:
+    n_theta, n_r, n_psi, n_s = (int(c * scale) for c in (36, 30, 20, 28))
+    total = _cross_pairs([_variable_nodes(p, wv, n_theta, n_r) for p in _PATCHES], coupling)
+    for p in _PATCHES:
         total += _same_patch(p, wv, coupling, (n_theta, n_r, n_psi, n_s))
     return total
 

@@ -356,6 +356,16 @@ class _Mixture:
         return lnf, q
 
 
+# Philox draws no nonzero double below u = 2^-53, so the disk of radius 3/4
+# about a puncture of weight w (alpha = 2 - 2w) draws distances down to
+# (3/4) 2^(-53/alpha), and the inverted disk |z| up to (4/3) 2^(53/alpha).  The
+# squared distance s stays a normal double, and ln s finite, while
+# 106/alpha <= 1022 + 2 log2(3/4), that is w <= 1 - 53/1021.17 = 0.948099;
+# there each density K exp(e ln s), K s^(-w) at most 2^(1022 w) on the disks
+# about 0 and 1, is finite too.
+_MC_MAX_WEIGHT = 1.0 - 53.0 / (1022.0 + 2.0 * math.log2(0.75))
+
+
 def mc_oracle_z(
     n_points: int,
     w,
@@ -374,8 +384,9 @@ def mc_oracle_z(
     one workspace, f/q in log space; budget, its sample count, belongs to that
     scheme alone.  The reported err is a quadrature refinement bound or three
     standard errors of the mean.  The weights and polarity must pass
-    ``PeriodConfig(N, w, polarity)``, and the N = 3 Monte-Carlo scheme needs
-    5V + 4 > 0 for a finite variance.
+    ``PeriodConfig(N, w, polarity)``; the Monte-Carlo scheme needs every weight
+    at most 0.948099, where its draws stay finite, and at N = 3 also 5V + 4 > 0
+    for a finite variance.
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -393,6 +404,8 @@ def mc_oracle_z(
         return EvalResult(*pair_integral(wv, coupling))
     if scheme != "monte-carlo":
         raise ValueError(f"unknown scheme {scheme!r}")
+    if max(wv.w) > _MC_MAX_WEIGHT:
+        raise ValueError(f"the Monte-Carlo oracle needs every weight at most {_MC_MAX_WEIGHT:.6f}, got {wv.w}")
     # Where three points meet at scale r, f ~ r^(3V) while the pair component
     # samples with density ~ r^V (no component places all three), over the
     # volume r^3 dr: the second moment of f/q, about r^(5V + 3) dr, diverges

@@ -193,6 +193,7 @@ def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "4"),
         ("specfun", "hurwitz_zeta", "abc", "0.5"),
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "3", "--scheme", "quadrature"),
+        ("periods", "--weights", "0.99,0.99,0.5", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "1000"),
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

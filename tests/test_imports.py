@@ -3,7 +3,8 @@
 Each case runs in a fresh interpreter, since this test process has long
 imported both.  The package and most subcommands load neither; only the
 period route and the ``verify`` checks that draw seeded samples or run the
-period route load numpy.  scipy serves the tests and the benchmark alone.
+period route load numpy, and only the N = 2 oracle loads the quadrature
+module.  scipy serves the tests and the benchmark alone.
 """
 
 import ast
@@ -20,13 +21,12 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints whether numpy / scipy are loaded once the statements above it ran
-REPORT = "import json, sys; print(json.dumps(['numpy' in sys.modules, 'scipy' in sys.modules]))"
 
-
-def loaded_after(code: str) -> list[bool]:
+def loaded_after(code: str, modules: tuple[str, ...] = ("numpy", "scipy")) -> list[bool]:
+    # whether each module is loaded once code ran
+    report = f"import json, sys; print(json.dumps([m in sys.modules for m in {list(modules)!r}]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT}"], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -55,6 +55,21 @@ def test_period_names_load_on_first_use():
     code = "import orbiheight\nassert 'df_log_z' in dir(orbiheight)\nassert callable(orbiheight.df_log_z)"
     # the same probe sees numpy once the period route is used, and no scipy
     assert loaded_after(code) == [True, False]
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import orbiheight.periods", False),
+        (run_cli("periods", "--weights", "0.75,0.75,0.75"), False),
+        (run_cli("periods", "--weights", "0.75,0.75,0.75", "--N-list", "10", "--oracle"), True),
+    ],
+    ids=["import orbiheight.periods", "periods", "periods --oracle"],
+)
+def test_pair_quadrature_loads_only_with_its_oracle(code, loaded):
+    # the quadrature builds its node cache on first use, so start-up and the
+    # period product never pay for it
+    assert loaded_after(code, ("orbiheight._pairquad",)) == [loaded]
 
 
 @pytest.mark.parametrize(

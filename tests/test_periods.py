@@ -11,7 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiheight._pairquad import pair_integral
+from orbiheight._pairquad import (
+    _PATCHES,
+    _cross_pairs,
+    _powers,
+    _same_patch,
+    _theta_nodes,
+    _variable_nodes,
+    pair_integral,
+    tanh_sinh_01,
+)
 from orbiheight.heights import WeightVector
 from orbiheight.periods import (
     ConvergenceRow,
@@ -253,6 +262,98 @@ def test_pair_integral_golden_values(w, coupling, value, err):
     assert e == pytest.approx(err, rel=1e-8)
 
 
+# The quadrature sums one node of each mirror pair with its weight doubled.
+# That rests on the angle nodes mapping onto themselves under conjugation;
+# the references below sum the unfolded rule, every node with its own weight,
+# from its definition.
+
+
+@pytest.mark.parametrize("n_theta", [36, 50], ids=["coarse", "fine"])
+@pytest.mark.parametrize("patch", _PATCHES, ids=["P0", "P1", "Pinf"])
+def test_pair_angle_nodes_map_onto_themselves_under_conjugation(patch, n_theta):
+    theta, w_theta, fold = _theta_nodes(patch, n_theta)
+    for a, b in patch.segments:
+        k = round(0.5 * (a + b) / math.pi)
+        assert 0.5 * (a + b) == pytest.approx(k * math.pi, abs=1e-15)
+        inside = (theta > a) & (theta < b)
+        order = np.argsort(theta[inside])
+        t, w = theta[inside][order], w_theta[inside][order]
+        # theta -> 2k pi - theta reverses the sorted nodes; seen: within 1 ulp
+        np.testing.assert_allclose(2.0 * k * math.pi - t[::-1], t, rtol=0.0, atol=4.0 * np.spacing(np.abs(t).max()))
+        np.testing.assert_allclose(w[::-1], w, rtol=0.0, atol=4.0 * np.spacing(w.max()))
+    # the folded nodes: one of each mirror pair with fold 2, the nodes on the
+    # real axis with fold 1, the same total weight
+    head = theta[: len(fold)]
+    assert set(fold.tolist()) <= {1.0, 2.0}
+    np.testing.assert_allclose(np.sin(head[fold == 1.0]), 0.0, atol=1e-15)
+    assert math.fsum(w_theta[: len(fold)] * fold) == pytest.approx(math.fsum(w_theta), rel=1e-15)
+    assert len(theta) == 2 * len(fold) - np.count_nonzero(fold == 1.0)
+
+
+def _ref_cross_pairs(nodes, coupling):
+    """The unfolded cross sum: every a-side node, rows of K in one expression."""
+    total = 0.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        xa, ya, va, _ = nodes[i]
+        xb, yb, vb, _ = nodes[j]
+        for lo in range(0, len(xa), 64):
+            k = np.exp(coupling * np.log((xa[lo : lo + 64, None] - xb) ** 2 + (ya[lo : lo + 64, None] - yb) ** 2))
+            total += float(va[lo : lo + 64] @ (k @ vb))
+    return 2.0 * total
+
+
+def _ref_same_patch(patch, wv, coupling, counts):
+    """The unfolded same-patch sum, node by node from the chart: z1 at (r, theta),
+    z2 at radius s r and angle theta + psi, s = cap sx, with the measure
+    r dr dtheta r2 dr2 dpsi and dr2 = r cap dsx; every angle theta, each with its weight."""
+    n_theta, n_r, n_psi, n_s = counts
+    theta, w_theta, _ = _theta_nodes(patch, n_theta)
+    rx, rw = tanh_sinh_01(n_r)
+    sx, sw = tanh_sinh_01(n_s)
+    px, pw = tanh_sinh_01(n_psi)
+    psi = np.concatenate([-math.pi * px[::-1], math.pi * px])[:, None]
+    w_psi = np.concatenate([math.pi * pw[::-1], math.pi * pw])[:, None]
+    a, b, sigma = _powers(patch, wv)
+    total = 0.0
+    for th, wth in zip(theta, w_theta):
+        rmax = float(patch.r_max(np.array(th)))
+        for r, wr in zip(rmax * rx, rmax * rw):
+            cap = np.minimum(1.0, patch.r_max(th + psi) / r)
+            s = cap * sx  # (psi, sx)
+            r2 = s * r
+            ln_rel = np.log((1.0 - s) ** 2 + 4.0 * s * np.sin(0.5 * psi) ** 2)  # |1 - s e^{i psi}|^2
+            # |z1 - z2| is r |1 - s e^{i psi}| on direct charts, |1 - s e^{i psi}| / (r r2) on the inverted one
+            ln_k = coupling * (ln_rel - 2.0 * np.log(r2) if patch.inverted else ln_rel + 2.0 * math.log(r))
+            ln_f1 = a * math.log(r) - b * math.log(r * (r + 2.0 * sigma * math.cos(th)) + 1.0)
+            ln_f2 = a * np.log(r2) - b * np.log(r2 * (r2 + 2.0 * sigma * np.cos(th + psi)) + 1.0)
+            vals = np.exp(ln_f1 + ln_f2 + ln_k + np.log(r * r2 * r * cap))
+            total += wth * wr * float(np.sum(w_psi * vals * sw))
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("w, coupling", [g[:2] for g in _PAIR_GOLDEN])
+def test_folded_pair_sums_match_the_unfolded_rule(w, coupling):
+    # at scale 1.0, the coarse level of pair_integral; every term of both sums
+    # is positive, so the relative gap is that of the mirrored nodes (seen:
+    # 2.1e-15 at most)
+    wv = WeightVector(w)
+    counts = (36, 30, 20, 28)
+    nodes = [_variable_nodes(p, wv, 36, 30) for p in _PATCHES]
+    assert _cross_pairs(nodes, coupling) == pytest.approx(_ref_cross_pairs(nodes, coupling), rel=1e-14, abs=0.0)
+    for p in _PATCHES:
+        assert _same_patch(p, wv, coupling, counts) == pytest.approx(_ref_same_patch(p, wv, coupling, counts), rel=1e-14, abs=0.0)
+
+
+def test_pair_nodes_are_built_once_and_read_only():
+    nodes = _theta_nodes(_PATCHES[1], 36)
+    assert all(x is y for x, y in zip(_theta_nodes(_PATCHES[1], 36), nodes))
+    for arr in (*nodes, *tanh_sinh_01(30)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    first = pair_integral(W_FANO, W_FANO.volume)
+    assert pair_integral(W_FANO, W_FANO.volume) == first  # bit for bit
+
+
 # (N, weights, polarity, budget, seed, value, err) of the Monte-Carlo oracle
 # as first sampled with rng.choice and masked complex exponentials; the same
 # random stream must give the same estimate.
@@ -261,6 +362,14 @@ _MC_GOLDEN = [
     (3, (0.5,) * 3, "anticanonical", 100_000, 7, 5929.097404442786, 119.88157821609535),
     (2, (0.5,) * 3, "anticanonical", 100_000, 11, 372.3956911769393, 6.771315638530872),
 ]
+
+
+@pytest.mark.parametrize("w", [(0.99, 0.99, 0.5), (0.998, 0.6, 0.6), (0.6, 0.6, 0.998)])
+def test_monte_carlo_refuses_weights_whose_draws_leave_the_doubles(w):
+    # once nan +- nan at 100,000 and 200,000 samples, seed 1: a disk's |z|^2
+    # underflowed or its density overflowed
+    with pytest.raises(ValueError, match="every weight at most 0.948099"):
+        mc_oracle_z(2, w, "monte-carlo", 200_000, 1)
 
 
 @pytest.mark.parametrize("n, w, polarity, budget, seed, value, err", _MC_GOLDEN)
