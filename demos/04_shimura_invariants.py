@@ -10,13 +10,13 @@ h(p) >= 0, which vanish exactly where the two models agree.
 Run:  python demos/04_shimura_invariants.py
 """
 
-from orbiheight import builtin_cases, h_p_map, optimal_pet_height, yuan_height
+from orbiheight import builtin_cases, h_p_map, yuan_height
 
 print(__doc__)
 
 for cid, case in sorted(builtin_cases().items()):
     y = yuan_height(case)
-    o = optimal_pet_height(case)
+    o = case.optimal
     d = y - o
     hp = h_p_map(case)
     print(f"=== case {cid} (field {case.field_id}, orbifold degree {case.k_degree}) ===")

@@ -16,19 +16,16 @@ from .heights import (
     bound_linear_fano,
     bound_semiample,
     faltings_log_cy,
-    four_point_h_can,
-    fujita_height_pn,
     h_can,
     h_can_fano,
     h_can_positive,
     h_pet,
     h_pi_normalized,
     k_semistable,
-    shift_by_a,
     volume,
 )
-from .lcombo import LogCombo, rationalize
-from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_degree, optimal_pet_height, yuan_height
+from .lcombo import LogCombo
+from .shimura import ShimuraCase, builtin_cases, get_case, h_p_map, orbifold_degree, yuan_height
 from .specfun import (
     EvalResult,
     bernoulli2,

@@ -158,7 +158,7 @@ def _cmd_table(args, which: int) -> int:
 def _cmd_shimura(args) -> int:
     case = sh.get_case(args.case)
     hp = sh.h_p_map(case)
-    diff = sh.yuan_height(case) - sh.optimal_pet_height(case)
+    diff = sh.yuan_height(case) - case.optimal
     scale = case.scale()
     payload = {
         "case": case.id,

@@ -36,9 +36,6 @@ __all__ = [
     "h_can_fano",
     "h_pet",
     "h_pi_normalized",
-    "four_point_h_can",
-    "shift_by_a",
-    "fujita_height_pn",
     "faltings_log_cy",
     "bound_linear_fano",
     "bound_semiample",
@@ -239,46 +236,6 @@ def h_pi_normalized(w) -> EvalResult:
     signed, err = _signed_height(w1, w2, w3, v)
     value = signed if v > 0.0 else -signed
     return EvalResult(value + math.copysign(0.5 * math.log(math.pi), v), err)
-
-
-def four_point_h_can(w0: float, w1: float, winf: float) -> EvalResult:
-    """Canonical height for the divisor at {0, 1, -1, infinity} with weights
-    (w0, w1, w1, winf).
-
-    The degree-two substitution y = x^2 folds the pair {1, -1} together,
-    reducing to the three-point weights (1 + (w0-1)/2, w1, 1 + (winf-1)/2)
-    at the cost of an extra (1/2) ln 2.
-    """
-    _triple((w0, w1, winf))  # a refusal names the given weights, not the folded ones
-    value, err = _height_positive((1.0 + (w0 - 1.0) / 2.0, w1, 1.0 + (winf - 1.0) / 2.0), "four_point_h_can")
-    return EvalResult(value + 0.5 * math.log(2.0), err)
-
-
-def shift_by_a(h: float, w, a: int) -> float:
-    """Height after moving the middle divisor point from 1 to an integer a >= 1.
-
-    The change of variables z -> a z rescales the period integrand and shifts
-    the height by -(sum_i w_i / 2 - (w1 + w2)) ln a, where w1, w2 are the
-    weights at the two finite points.
-    """
-    if a < 1 or int(a) != a:
-        raise ValueError(f"shift requires an integer a >= 1, got {a!r}")
-    w1, w2, w3, _ = _triple(w)
-    bracket = (w1 + w2 + w3) / 2.0 - (w1 + w2)
-    return h - bracket * math.log(a)
-
-
-def fujita_height_pn(n: int) -> float:
-    """Canonical height of projective n-space with empty boundary.
-
-    (1/2) (n+1)^(n+1) [ (n+1) H_n - n + ln(pi^n / n!) ],  H_n = sum_{k<=n} 1/k.
-    Normalizing by [Q:Q] * deg(-K)^n * (n+1) recovers the n = 1 value
-    (1 + ln pi)/2 used as the sharp Fano bound.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-    return 0.5 * (n + 1) ** (n + 1) * ((n + 1) * harmonic - n + math.log(math.pi**n / math.factorial(n)))
 
 
 def faltings_log_cy(w) -> EvalResult:

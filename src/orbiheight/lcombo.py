@@ -7,9 +7,7 @@ local invariants of integral models) all live in the Q-module spanned by
 
 :class:`LogCombo` stores the rational coefficients of these four kinds of
 term exactly; addition and scaling are componentwise on `fractions.Fraction`,
-and only `evaluate` touches floating point.  `rationalize` goes the other
-way, certifying that a computed double is a small rational (continued-fraction
-reconstruction).
+and only `evaluate` touches floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Mapping
 from . import fields as _fields
 from .specfun import EvalResult
 
-__all__ = ["LogCombo", "rationalize"]
+__all__ = ["LogCombo"]
 
 # the keys of the JSON form; any other key must be empty, as the
 # "named": {} of older documents is
@@ -81,10 +79,6 @@ class LogCombo:
             {f: c * r for f, c in self.zeta_terms.items()},
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self == LogCombo()
-
     def evaluate(self) -> EvalResult:
         """Numeric value with propagated absolute error."""
         value = float(self.q0) + float(self.c_logpi) * math.log(math.pi)
@@ -131,18 +125,3 @@ class LogCombo:
             zeta_terms={f: frac(c) for f, c in doc.get("zeta", {}).items()},
         )
 
-
-def rationalize(x: float, max_den: int = 10_000, tol: float = 1e-8) -> Fraction:
-    """Best rational p/q with q <= max_den; raises if it misses x by more than tol.
-
-    Continued-fraction reconstruction; use it to certify that a numerically
-    computed coefficient is the exact small rational it is supposed to be.
-    """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    if not math.isfinite(x):
-        raise ValueError(f"cannot rationalize {x!r}")
-    cand = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(cand)) > tol:
-        raise ValueError(f"{x!r} is not within {tol} of a rational with denominator <= {max_den}")
-    return cand

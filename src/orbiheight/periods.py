@@ -34,6 +34,7 @@ import csv
 import io
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -249,10 +250,12 @@ def report_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ln_s(out: np.ndarray, t: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """out = ln(dx^2 + dy^2), with t overwritten; dx may be out and dy t."""
+def _ln_s(out: np.ndarray, t: np.ndarray, dx: np.ndarray, dy: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """out = ln max(dx^2 + dy^2, floor), with t overwritten; dx may be out and dy t."""
     np.multiply(dx, dx, out=out)
     out += np.multiply(dy, dy, out=t)
+    if floor:
+        np.maximum(out, floor, out=out)
     return np.log(out, out=out)
 
 
@@ -271,7 +274,9 @@ class _Mixture:
     the inverted disk matched to the decay at infinity or the uniform bulk
     disk; on the Fano side the pair component then moves one end of a random
     pair onto the disk about the other, matched to |z_i - z_j|^(2 coupling).
-    All densities are exact, so f/q is bounded near every singular stratum.
+    All densities are exact, so f/q is bounded where one point meets a
+    puncture or two points meet away from one (where two meet at a puncture,
+    see ``mc_oracle_z``).
     A disk's density alpha d^(alpha - 2) / (2 pi radius^alpha) is
     K exp(e ln d^2), e = -w1, -w2, 0, and w3 - 2 on the inverted disk (with
     the |z|^-4 of z -> 1/z).  The points are real x, y in a workspace for
@@ -289,6 +294,14 @@ class _Mixture:
         self.pairs = list(itertools.combinations(range(n_points), 2)) if polarity == "anticanonical" else []
         self.pair_prob = 0.35 if self.pairs else 0.0
         self.pair_alpha, self.pair_radius = 2.0 + 2.0 * coupling, 0.5
+        # A pair offset below the spacing of the doubles about its base rounds
+        # the two points onto each other, d^2 = 0, where f and the pair density
+        # are both infinite.  That density has f's factor d^(2 coupling) exactly,
+        # so f/q has a finite limit there.  d^2 is floored at 2^(256/coupling),
+        # where the factor is 2^256: q's other terms are negligible beside it, so
+        # f/q is that limit, and f times it stays finite.  Where |coupling| < 1/4
+        # the floor is the least normal double instead, and f/q finite still.
+        self.pair_floor = max(2.0 ** (256.0 / coupling), sys.float_info.min) if self.pairs else 0.0
         self.xy, self._q = np.empty((2, n_points, size)), np.empty((n_points, size))
         self._work, self._comp, self._mask = np.empty((6, size)), np.empty(size, np.intp), np.empty(size, bool)
 
@@ -344,7 +357,7 @@ class _Mixture:
             _add_disk(qk, np.multiply(l0, w3 - 2.0, out=e), k[2], np.greater_equal(l0, -lr[2], out=mask))
         q = np.multiply(np.prod(qs, axis=0, out=q), 1.0 - self.pair_prob, out=q)
         for i, j in itertools.combinations(range(self.n_points), 2):
-            _ln_s(l0, t, np.subtract(x[i], x[j], out=l0), np.subtract(y[i], y[j], out=t))
+            _ln_s(l0, t, np.subtract(x[i], x[j], out=l0), np.subtract(y[i], y[j], out=t), self.pair_floor)
             lnf += np.multiply(l0, self.coupling, out=t)
             if self.pairs:  # the pair moved from either end, times the other points
                 np.add(qs[i], qs[j], out=t)
@@ -385,8 +398,10 @@ def mc_oracle_z(
     scheme alone.  The reported err is a quadrature refinement bound or three
     standard errors of the mean.  The weights and polarity must pass
     ``PeriodConfig(N, w, polarity)``; the Monte-Carlo scheme needs every weight
-    at most 0.948099, where its draws stay finite, and at N = 3 also 5V + 4 > 0
-    for a finite variance.
+    at most 0.948099, where its draws stay finite, and for a variance that is
+    finite, or diverges only like a log, 5V + 4 > 0 at N = 3 and not both
+    3w - c > 2 and w - c > 1 for w the larger weight at 0 and 1 and the
+    coupling c = V/(N - 1).
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -412,6 +427,19 @@ def mc_oracle_z(
     # unless 5V + 4 > 0, and the standard error with it.
     if n_points == 3 and 5.0 * wv.volume + 4.0 <= 0.0:
         raise ValueError(f"the N = 3 Monte-Carlo estimate has infinite variance where 5V + 4 <= 0, got V = {wv.volume!r}")
+    # Where two points meet at the puncture 0 or 1, of weight w, at scale r,
+    # f ~ r^(2c - 4w) over the volume r^3 dr, while the mixture draws that
+    # cluster with density about r^(2c - 2w) (the pair component, its base
+    # from the puncture's disk) plus r^(-4w) (two draws from that disk).  The
+    # second moment of f/q, about r^(max(2c - 6w, 4c - 4w) + 3) dr, diverges
+    # like a power of r where both 3w - c > 2 and w - c > 1, and the standard
+    # error then means nothing.  On the border it diverges like ln r; every
+    # equal-weight N = 2 point with w <= 1/2 lies there, and is kept.
+    w = max(wv.w[:2])
+    if 3.0 * w - coupling > 2.0 and w - coupling > 1.0:
+        raise ValueError(
+            f"the Monte-Carlo estimate has infinite variance where two points meet at a puncture: 3w - c > 2 and w - c > 1 at w = {w!r}, c = V/(N - 1) = {coupling!r}"
+        )
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
     chunk = 1 << 15

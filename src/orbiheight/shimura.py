@@ -15,8 +15,10 @@ exact Fraction arithmetic on :class:`LogCombo`; no floating point enters
 until a caller evaluates.
 
 Case data ships as JSON fixtures (``data/shimura_cases.json``); each case
-names its `tables.TABLE1` row by indices, and the loader builds its optimal
-height once, from the row's field and Petersson height.  Two entries carry
+names its `tables.TABLE1` row by indices (``row``), or gives the indices of a
+four-point divisor at {0, 1, -1, infinity} (``four_points``) that the loader
+folds onto a row, and the loader builds its optimal height once, from the
+row's field and Petersson height.  Two entries carry
 deliberate per-case overrides documented in the fixture itself and in the
 tests: the sqrt-6 case uses its reference derivation's 7/4 * ln 2 prime term
 (the generic c(2) = 5/4 contradicts it) together with its printed table row,
@@ -43,7 +45,6 @@ __all__ = [
     "ShimuraCase",
     "yuan_prime_coeff",
     "yuan_height",
-    "optimal_pet_height",
     "h_p_map",
     "orbifold_degree",
     "builtin_cases",
@@ -81,7 +82,8 @@ class RamifiedPrime:
 
 @dataclass(frozen=True)
 class ShimuraCase:
-    """One curve; `optimal` is its optimal model's Petersson height."""
+    """One curve; `optimal` is its optimal model's Petersson height: its table
+    row, plus the printed offset or the fold's (1/2) ln 2 where it has one."""
 
     id: str
     field_id: str
@@ -113,18 +115,13 @@ def yuan_height(case: ShimuraCase) -> LogCombo:
     return LogCombo(q0=Fraction(-1, 2), zeta_terms={case.field_id: Fraction(-1)}, logs=logs)
 
 
-def optimal_pet_height(case: ShimuraCase) -> LogCombo:
-    """Petersson height of the optimal model: table row, printed offset, correction."""
-    return case.optimal
-
-
 def h_p_map(case: ShimuraCase) -> dict[int, Fraction]:
     """Exact local discrepancies h(p), read off the height difference.
 
     The constant, ln pi and Dedekind terms of the two heights must cancel
     exactly; surviving terms indicate inconsistent case data.
     """
-    diff = yuan_height(case) - optimal_pet_height(case)
+    diff = yuan_height(case) - case.optimal
     if diff.zeta_terms:
         raise ValueError(f"case {case.id!r}: field terms do not cancel: {diff.zeta_terms}")
     if diff.q0 != 0 or diff.c_logpi != 0:
@@ -141,6 +138,21 @@ def orbifold_degree(m: RamIndices) -> Fraction:
     return total
 
 
+# The degree-two map y = x^2 folds a divisor at {0, 1, -1, infinity} with
+# indices (m0, m1, m1, m_inf) onto {0, 1, infinity} with (2 m0, m1, 2 m_inf);
+# the optimal height of the four-point curve is the folded row's plus (1/2) ln 2.
+_FOLD_CORRECTION = LogCombo(logs={2: Fraction(1, 2)})
+
+
+def _fold_four_points(m) -> tuple[tuple, LogCombo]:
+    """TABLE1 indices of the fold of the indices m at (0, 1, -1, infinity),
+    None for infinity, with the fold's exact correction."""
+    if len(m) != 4 or m[1] != m[2]:
+        raise ValueError(f"'four_points' lists the indices at 0, 1, -1 and infinity, one index at both 1 and -1, got {m!r}")
+    m0, m1, _, m_inf = m
+    return (None if m0 is None else 2 * m0, m1, None if m_inf is None else 2 * m_inf), _FOLD_CORRECTION
+
+
 def _parse_case(doc: dict) -> ShimuraCase:
     def frac(v) -> Fraction:
         return Fraction(v[0], v[1])
@@ -154,13 +166,16 @@ def _parse_case(doc: dict) -> ShimuraCase:
         )
         for r in doc.get("ramified", [])
     )
+    if ("row" in doc) == ("four_points" in doc):
+        raise ValueError(f"case {doc['id']!r}: exactly one of 'row' and 'four_points' must name its Table 1 row")
     try:
-        row = table1_row(*doc["row"])
-    except KeyError as exc:
+        indices, correction = (tuple(doc["row"]), LogCombo()) if "row" in doc else _fold_four_points(doc["four_points"])
+        row = table1_row(*indices)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"case {doc['id']!r}: {exc.args[0]}") from None
-    optimal = row.pet_height() + LogCombo.from_json(json.dumps(doc.get("correction", {})))
+    optimal = row.pet_height() + correction
     if doc.get("printed"):
-        label = f"table1:({','.join(map(str, doc['row']))})"
+        label = f"table1:({','.join(map(str, indices))})"
         if label not in PRINTED_DEVIATIONS:
             raise ValueError(f"case {doc['id']!r}: no printed variant of {label} is recorded")
         optimal += PRINTED_DEVIATIONS[label]["offset"]

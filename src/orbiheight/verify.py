@@ -412,7 +412,7 @@ def _hp_nonnegative(cid):
 
 def _hp_numeric(cid):
     case = sh.get_case(cid)
-    numeric = (sh.yuan_height(case) - sh.optimal_pet_height(case)).evaluate().value
+    numeric = (sh.yuan_height(case) - case.optimal).evaluate().value
     parts = [float(v) / float(case.scale()) * math.log(p) for p, v in sh.h_p_map(case).items()]
     return max(abs(numeric - sum(parts)), abs(numeric - math.fsum(parts)))
 

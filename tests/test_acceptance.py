@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 from conftest import LABELS
 from ratio_quad import loggamma_ratio_integral_quad
+from rational import rationalize
 
 from orbiheight.fermat import FermatSpec, arakelov_gap, arakelov_upper_bound, epsilon_m, fermat_h_can
 from orbiheight.fields import dedekind_log_deriv, get_field
 from orbiheight.heights import h_can_fano, h_pet
-from orbiheight.lcombo import rationalize
-from orbiheight.shimura import builtin_cases, h_p_map, optimal_pet_height, yuan_height
+from orbiheight.shimura import builtin_cases, h_p_map, yuan_height
 from orbiheight.tables import PRINTED_DEVIATIONS, TABLE1
 from orbiheight.specfun import loggamma_ratio_integral
 from orbiheight.verify import CHECKS, semistable_grid
@@ -91,7 +91,7 @@ def test_criterion_03_shimura_exact():
         case = builtin_cases()[cid]
         got = h_p_map(case)
         assert got == want, cid
-        diff = yuan_height(case) - optimal_pet_height(case)
+        diff = yuan_height(case) - case.optimal
         assert diff.zeta_terms == {} and diff.q0 == 0 and diff.c_logpi == 0
         # the coefficients certify as small rationals too
         for p, coeff in got.items():

@@ -282,6 +282,39 @@ def test_a_leading_minus_starts_a_value_on_every_subcommand(capsys, name, action
     assert code in (0, 1), (argv, err)
 
 
+# A valid command line for each subcommand, quick to run.
+_VALID = {
+    "specfun": ["specfun", "hurwitz_zeta", "2", "0.5"],
+    "height": ["height", "--weights", "0.8,0.8,0.8"],
+    "table1": ["table1"],
+    "table2": ["table2"],
+    "shimura": ["shimura", "--case", "disc6"],
+    "fermat": ["fermat", "--m", "4"],
+    "periods": ["periods", "--weights", "0.75,0.75,0.75", "--N-list", "100"],
+    "faltings": ["faltings", "--weights", "0.6,0.7,0.7"],
+    "verify": ["verify", "--suite", "fermat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBPARSERS))
+def test_every_declared_option_is_read(capsys, name):
+    # an option the parser accepts but the command never reads is ignored
+    # without a word; the fuzz test draws no option names, so it cannot see one
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    args = build_parser().parse_args(_VALID[name], namespace=Recorder())
+    read.clear()  # argparse reads the namespace while it fills it
+    assert args.fn(args) == 0
+    capsys.readouterr()
+    declared = {a.dest for a in _SUBPARSERS[name]._actions if a.dest != "help"}
+    assert declared - read == set()
+
+
 def test_usage_error_prints_flags():
     with pytest.raises(SystemExit):
         main(["height"])  # missing required group

@@ -20,17 +20,15 @@ from orbiheight.heights import (
     bound_linear_fano,
     bound_semiample,
     faltings_log_cy,
-    four_point_h_can,
-    fujita_height_pn,
     h_can,
     h_can_fano,
     h_can_positive,
     h_pet,
     h_pi_normalized,
     k_semistable,
-    shift_by_a,
     volume,
 )
+from orbiheight.shimura import _FOLD_CORRECTION
 from orbiheight.specfun import EvalResult, _q
 
 LN = math.log
@@ -290,7 +288,6 @@ def test_each_closed_form_height_builds_one_result(monkeypatch):
         (h_pet, ((0.75, 0.75, 0.75),)),
         (h_pi_normalized, ((0.75, 0.75, 0.75),)),
         (h_pi_normalized, (RamIndices((2, 3, 3)),)),
-        (four_point_h_can, (2.0 / 3.0, 0.5, 2.0 / 3.0)),
     ]
     for fn, args in calls:
         built.clear()
@@ -364,6 +361,49 @@ def test_h_pi_normalized():
     assert h_pi_normalized(w).value == pytest.approx(h_can_positive(w).value + 0.5 * LN(math.pi), abs=1e-15)
     with pytest.raises(ValueError):
         h_pi_normalized((2 / 3, 2 / 3, 2 / 3))
+
+
+# Reference formulas kept with their tests: the package has no caller for them.
+
+
+def four_point_h_can(w0: float, w1: float, winf: float) -> EvalResult:
+    """Canonical height for the divisor at {0, 1, -1, infinity} with weights
+    (w0, w1, w1, winf): the float form of the Shimura loader's fold.
+
+    The degree-two substitution y = x^2 folds the pair {1, -1} together,
+    reducing to the three-point weights (1 + (w0-1)/2, w1, 1 + (winf-1)/2)
+    at the cost of the fold's exact correction, (1/2) ln 2.
+    """
+    heights._triple((w0, w1, winf))  # a refusal names the given weights, not the folded ones
+    value, err = heights._height_positive((1.0 + (w0 - 1.0) / 2.0, w1, 1.0 + (winf - 1.0) / 2.0), "four_point_h_can")
+    return EvalResult(value + _FOLD_CORRECTION.evaluate().value, err)
+
+
+def shift_by_a(h: float, w, a: int) -> float:
+    """Height after moving the middle divisor point from 1 to an integer a >= 1.
+
+    The change of variables z -> a z rescales the period integrand and shifts
+    the height by -(sum_i w_i / 2 - (w1 + w2)) ln a, where w1, w2 are the
+    weights at the two finite points.
+    """
+    if a < 1 or int(a) != a:
+        raise ValueError(f"shift requires an integer a >= 1, got {a!r}")
+    w1, w2, w3, _ = heights._triple(w)
+    bracket = (w1 + w2 + w3) / 2.0 - (w1 + w2)
+    return h - bracket * math.log(a)
+
+
+def fujita_height_pn(n: int) -> float:
+    """Canonical height of projective n-space with empty boundary.
+
+    (1/2) (n+1)^(n+1) [ (n+1) H_n - n + ln(pi^n / n!) ],  H_n = sum_{k<=n} 1/k.
+    Normalizing by [Q:Q] * deg(-K)^n * (n+1) recovers the n = 1 value
+    (1 + ln pi)/2 used as the sharp Fano bound.
+    """
+    if n < 1 or int(n) != n:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
+    return 0.5 * (n + 1) ** (n + 1) * ((n + 1) * harmonic - n + math.log(math.pi**n / math.factorial(n)))
 
 
 def test_four_point_reduction():

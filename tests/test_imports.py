@@ -128,6 +128,29 @@ def test_exported_names_resolve():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def test_exported_names_have_callers():
+    # a name in a module's __all__ is read somewhere in the package (its
+    # __init__ aside), a demo or the benchmark; one that only the tests call
+    # belongs with those tests
+    import orbiheight
+
+    root = Path(orbiheight.__file__).parent
+    sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root.parents[1] / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for info in pkgutil.iter_modules(orbiheight.__path__):
+        mod = importlib.import_module(f"orbiheight.{info.name}")
+        unread += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if n not in read]
+    assert unread == []
+
+
 def test_benchmark_worker_surface_resolves():
     # perfbench/worker.py drives the package through these attributes, some
     # of them only in --trace runs; a name renamed or removed here breaks the

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import df_product
 import mpmath
@@ -242,6 +243,48 @@ def test_three_point_monte_carlo_needs_a_finite_variance():
     with pytest.raises(ValueError, match="infinite variance"):
         mc_oracle_z(3, (0.24, 0.24, 0.22), "monte-carlo", 20000, 1, "anticanonical")
     assert mc_oracle_z(3, (0.4, 0.4, 0.42), "monte-carlo", 2000, 1, "anticanonical").err > 0.0  # 5V + 4 = 0.1
+
+
+@pytest.mark.parametrize(
+    "w, refused",
+    [((0.4, 0.4, 0.3), True), ((0.37, 0.37, 0.36), True), ((0.36, 0.36, 0.33), True), ((0.34, 0.34, 0.34), False)],
+)
+def test_monte_carlo_near_v_minus_one_is_never_nan(w, refused):
+    # once nan +- nan at seed 1 and 100,000 samples, with RuntimeWarnings: the
+    # pair component (alpha = 2 + 2V, near 0) drew offsets that rounded two
+    # points onto each other, where f and q were both infinite.  Three of the
+    # points put two points at a puncture with a variance that diverges like
+    # a power (3w - V > 2 and w - V > 1); equal weights sit on the border,
+    # where it diverges like a log, and (0.34)^3 reads 3864.7 +- 84.6 here
+    # against the product's 3949.6.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(ValueError, match="infinite variance where two points meet at a puncture"):
+                mc_oracle_z(2, w, "monte-carlo", 100_000, 1, "anticanonical")
+        else:
+            r = mc_oracle_z(2, w, "monte-carlo", 100_000, 1, "anticanonical")
+            assert math.isfinite(r.value) and 0.0 < r.err < math.inf
+            assert abs(r.value / math.exp(df_log_z(PeriodConfig(N=2, w=w, polarity="anticanonical")).value) - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_points_rounded_onto_each_other_weigh_as_their_limit(n):
+    # two points that coincide in doubles give ln d^2 = -inf; the weight is
+    # then the limit of f/q as they meet, which a pair 1e-150 apart reads too
+    wv = WeightVector((0.45, 0.45, 0.5))
+    mix = _Mixture(wv, n, wv.volume / (n - 1), "anticanonical", 4)
+    base = np.array([[0.3, -0.7, 1.2, 40.0], [0.1, 0.5, -0.2, -3.0]])
+    ratios = []
+    for gap in (0.0, 1e-150):
+        mix.xy[:, 0, :] = base
+        mix.xy[:, 1, :] = base + [[gap], [0.0]]
+        if n == 3:
+            mix.xy[:, 2, :] = [[0.6], [0.6]]
+        lnf, q = mix.weigh(4)
+        ratios.append(np.exp(lnf) / q)
+    assert np.all(np.isfinite(ratios[0]))
+    np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
 
 
 # (weights, coupling, value, err) of the N = 2 quadrature rule as first

@@ -9,10 +9,10 @@ from orbiheight.lcombo import LogCombo
 from orbiheight.shimura import (
     RamifiedPrime,
     ShimuraCase,
+    _fold_four_points,
     _parse_case,
     get_case,
     h_p_map,
-    optimal_pet_height,
     orbifold_degree,
     yuan_height,
     yuan_prime_coeff,
@@ -34,7 +34,7 @@ def test_disc6_decomposition():
     y = yuan_height(case)
     assert y.logs == {2: F(5, 4), 3: F(1)}
     assert y.zeta_terms == {"Q": F(-1)}
-    opt = optimal_pet_height(case)
+    opt = case.optimal
     assert opt.logs == {2: F(1, 2) - F(1, 6), 3: F(1, 8)}
     diff = y - opt
     assert diff.zeta_terms == {} and diff.q0 == 0
@@ -78,7 +78,7 @@ def test_modular_case_shift_consistency():
     "cid, indices, extra",
     [
         ("modular", (2, 3, None), LogCombo()),
-        ("disc6", (6, 2, 6), LogCombo(logs={2: F(1, 2)})),  # the degree-two substitution correction
+        ("disc6", (6, 2, 6), LogCombo(logs={2: F(1, 2)})),  # the fold of its four points
         ("sqrt3", (2, 4, 12), LogCombo()),
         ("sqrt6", (3, 4, 6), PRINTED_DEVIATIONS["table1:(3,4,6)"]["offset"]),  # the printed row
     ],
@@ -86,7 +86,7 @@ def test_modular_case_shift_consistency():
 def test_case_holds_its_named_row(cid, indices, extra):
     case = get_case(cid)
     row = table1_row(*indices)
-    assert case.optimal == optimal_pet_height(case) == row.pet_height() + extra
+    assert case.optimal == row.pet_height() + extra
     assert case.field_id == row.field_id
 
 
@@ -101,6 +101,26 @@ def test_loader_refuses_rows_it_cannot_name():
         _parse_case(_fixture(row=[6, 6, 2]))  # the indices are read in order
     with pytest.raises(ValueError, match=r"'probe'.*no printed variant of table1:\(6,2,6\)"):
         _parse_case(_fixture(printed=True))
+    # a missing key is named as missing, not as a failed table lookup
+    no_row = {k: v for k, v in _fixture().items() if k != "row"}
+    with pytest.raises(ValueError, match="'probe': exactly one of 'row' and 'four_points'"):
+        _parse_case(no_row)
+    with pytest.raises(ValueError, match="'probe': exactly one of 'row' and 'four_points'"):
+        _parse_case(_fixture(four_points=[3, 2, 2, 3]))  # both keys
+    assert _parse_case({**no_row, "four_points": [3, 2, 2, 3]}).optimal == get_case("disc6").optimal
+    with pytest.raises(ValueError, match="'probe': 'four_points' lists the indices at 0, 1, -1 and infinity"):
+        _parse_case({**no_row, "four_points": [3, 2, 3]})
+    with pytest.raises(ValueError, match="'probe': no Table 1 row has indices \\(4, 2, 4\\)"):
+        _parse_case({**no_row, "four_points": [2, 2, 2, 2]})
+
+
+def test_fold_of_four_points():
+    # y = x^2 doubles the indices at 0 and infinity and merges 1 with -1;
+    # the correction is the one exact (1/2) ln 2
+    assert _fold_four_points((3, 2, 2, 3)) == ((6, 2, 6), LogCombo(logs={2: F(1, 2)}))
+    assert _fold_four_points((1, 3, 3, None)) == ((2, 3, None), LogCombo(logs={2: F(1, 2)}))
+    with pytest.raises(ValueError, match="one index at both 1 and -1, got \\(3, 2, 4, 3\\)"):
+        _fold_four_points((3, 2, 4, 3))
 
 
 def test_table1_lookup_by_indices():
