@@ -14,8 +14,7 @@ by its value at m = 4, which is the largest along the diagonal.  Its
 m-independent constant is therefore f((3/4)^3) + (1/2) ln pi, read off the
 validated (4,4,4) table row.  The printed constant is smaller by exactly
 ln 2, which would put the second bound below the first for every m and below
-h_can + gap for m <= 12; it is kept in `tables.PRINTED_DEVIATIONS` with its
-offset.
+h_can + gap for m <= 12; it is kept in `tables.PRINTED_DEVIATIONS`.
 """
 
 from __future__ import annotations

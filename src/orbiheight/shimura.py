@@ -18,12 +18,15 @@ Case data ships as JSON fixtures (``data/shimura_cases.json``); each case
 names its `tables.TABLE1` row by indices (``row``), or gives the indices of a
 four-point divisor at {0, 1, -1, infinity} (``four_points``) that the loader
 folds onto a row, and the loader builds its optimal height once, from the
-row's field and Petersson height.  Two entries carry
+row's field and Petersson height.  Each ramified prime is given by its
+rational ``prime`` and ``residue_degree`` (the norm prime^residue_degree is
+derived), with an optional exact ``coeff``.  Two entries carry
 deliberate per-case overrides documented in the fixture itself and in the
 tests: the sqrt-6 case uses its reference derivation's 7/4 * ln 2 prime term
-(the generic c(2) = 5/4 contradicts it) together with its printed table row,
-and the modular curve reports the normalized-difference coefficients
-directly (scale 1 rather than twice the orbifold degree).
+(the generic c(2) = 5/4 contradicts it) together with its printed table row
+(``"printed": true``: the printed constant of ``tables.PRINTED_DEVIATIONS``
+replaces the row's), and the modular curve reports the normalized-difference
+coefficients directly (scale 1 rather than twice the orbifold degree).
 """
 
 from __future__ import annotations
@@ -61,20 +64,24 @@ def yuan_prime_coeff(norm: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RamifiedPrime:
-    """A prime ideal in the ramification locus: residue norm N = p^f.
+    """A prime ideal in the ramification locus, above `prime` with residue
+    degree f: residue norm N = prime^f.
 
     `coeff` overrides the generic (3N-1)/(4(N-1)) coefficient when the case
     derivation fixes a different exact value.
     """
 
-    norm: int
     prime: int
     residue_degree: int
     coeff: Fraction | None = None
 
     def __post_init__(self):
-        if self.prime**self.residue_degree != self.norm:
-            raise ValueError(f"norm {self.norm} is not prime^residue_degree = {self.prime}^{self.residue_degree}")
+        if self.prime < 2 or self.residue_degree < 1:
+            raise ValueError(f"a ramified prime needs prime >= 2 and residue degree >= 1, got {self.prime}, {self.residue_degree}")
+
+    @property
+    def norm(self) -> int:
+        return self.prime**self.residue_degree
 
     def coefficient(self) -> Fraction:
         return self.coeff if self.coeff is not None else yuan_prime_coeff(self.norm)
@@ -159,7 +166,6 @@ def _parse_case(doc: dict) -> ShimuraCase:
 
     ramified = tuple(
         RamifiedPrime(
-            norm=int(r["norm"]),
             prime=int(r["prime"]),
             residue_degree=int(r["residue_degree"]),
             coeff=frac(r["coeff"]) if "coeff" in r else None,
@@ -178,7 +184,7 @@ def _parse_case(doc: dict) -> ShimuraCase:
         label = f"table1:({','.join(map(str, indices))})"
         if label not in PRINTED_DEVIATIONS:
             raise ValueError(f"case {doc['id']!r}: no printed variant of {label} is recorded")
-        optimal += PRINTED_DEVIATIONS[label]["offset"]
+        optimal += PRINTED_DEVIATIONS[label] - row.constant
     return ShimuraCase(
         id=doc["id"],
         field_id=row.field_id,

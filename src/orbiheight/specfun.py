@@ -22,8 +22,9 @@ heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l`
 (array form ``periods._log_l``) sums its derivative ln(Gamma(x)/Gamma(1-x)) from
 the same 13 odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
 function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
-x^2 with even zeta values as coefficients; Q and A together give P and
-zeta'(-1, x) on (0, 1] (``loggamma_primitive``, ``hurwitz_zeta_ds``).  The
+x^2 with even zeta values as coefficients, built as Q's is: Chebyshev-economized
+on [0, 1/2] to 13 literals.  Q and A together give P and zeta'(-1, x) on
+(0, 1] (``loggamma_primitive``, ``hurwitz_zeta_ds``).  The
 general-s Euler-Maclaurin kernel ``hurwitz_zeta`` serves only the
 ``orbiheight specfun`` subcommand, the specfun suite of ``orbiheight verify``
 and the tests, as an independent reference.  All are pure functions in plain
@@ -94,37 +95,18 @@ _Q_COEF_HORNER = tuple(c / (2 * j + 4) for j, c in zip(range(12, -1, -1), _H_COE
 # (sum_{j > 12} |c_j|) x^4 / 4 <= _Q_TRUNC x^4; ln |l|'s by _H_TRUNC |u|^3.
 _H_TRUNC, _Q_TRUNC = 2.08e-16, 5.2e-17
 _SUBNORMAL_ULPS = 4.0 * math.ulp(0.0)
-# zeta(2), zeta(4), ..., zeta(44), each the double nearest the true value.
-_ZETA_EVEN = (
-    1.6449340668482264,
-    1.0823232337111381,
-    1.0173430619844492,
-    1.0040773561979444,
-    1.000994575127818,
-    1.000246086553308,
-    1.0000612481350588,
-    1.0000152822594086,
-    1.000003817293265,
-    1.0000009539620338,
-    1.0000002384505027,
-    1.000000059608189,
-    1.0000000149015549,
-    1.000000003725334,
-    1.0000000009313275,
-    1.000000000232831,
-    1.0000000000582077,
-    1.000000000014552,
-    1.000000000003638,
-    1.0000000000009095,
-    1.0000000000002274,
-    1.0000000000000568,
+# G(t) = sum_{k>=1} zeta(2k) / (k (2k+1)) t^(k-1), the even-zeta series of the
+# Clausen half A: A(y) = y (1 - ln 2 pi y + t G(t)) at t = y^2.  As for H, these
+# are the coefficients of t^12 down to t^0 of G's degree-12 Chebyshev truncation
+# on [0, 1/4], rebuilt with mpmath in tests/test_specfun.py; G's Chebyshev
+# coefficients c_j shrink about 16-fold per degree through j = 20, and
+# sum_{j > 12} |c_j| <= 6.33e-18 <= _A_TRUNC.
+_A_COEF_HORNER = (
+    0.013468205664354957, -0.006451242300671631, 0.008584735345237704, 0.0034138305988611014, 0.006106459674196992,
+    0.007319511003398231, 0.009527344725091383, 0.012823494800132632, 0.018199907842728253, 0.027891037528325214,
+    0.0484449077152007, 0.10823232337110635, 0.5483113556160755,
 )
-# zeta(2k) / (k (2k+1)), the coefficient of x^(2k+1) in the A series, for
-# k = 22 down to 1: Horner order in x^2.
-_A_COEF_HORNER = [z / (k * (2 * k + 1)) for k, z in enumerate(_ZETA_EVEN, start=1)][::-1]
-# On [0, 1/2] the omitted terms k >= 23 sum to at most _A_TAIL x^47: the first,
-# zeta(46) / (23 * 47) with zeta(46) < 1 + 1e-13, over 1 - x^2 >= 3/4.
-_A_TAIL = 4.0 / (3.0 * 23 * 47) * (1.0 + 1e-13)
+_A_TRUNC = 6.4e-18
 _ONE_MINUS_LOG_2PI = -0.8378770664093455  # 1 - ln(2 pi), the double nearest
 
 
@@ -279,28 +261,39 @@ def _primitive_kernel(x: float, b: float) -> EvalResult:
     A(y) = Cl_2(2 pi y) / (2 pi).  The product formula for sin(pi y)/(pi y)
     gives
 
-        A(y) = y - y ln(2 pi y) + y sum_{k>=1} zeta(2k) y^(2k) / (k (2k+1)),
+        A(y) = y - y ln(2 pi y) + y sum_{k>=1} zeta(2k) y^(2k) / (k (2k+1))
+             = y (1 - ln(2 pi y) + t G(t)),   t = y^2 <= 1/4,
 
-    summed through k = 22 by Horner in y^2 <= 1/4, with the -ln y that _q
+    with G summed as ``_q`` sums H: one Horner expression over its 13
+    economized coefficients (``_A_COEF_HORNER``), with the -ln y that _q
     returns.  err: the bounds of zeta'(-1) and of _q; 4 eps y (1 - ln y +
-    series) the rounding of the log, of the literals 1 - ln 2pi and
-    zeta(2k) / (k (2k+1)), of the Horner steps, the sums and the product by
-    y; _A_TAIL y^47 the omitted terms; 4 ulps of 0 where y is subnormal;
-    eps |b| the rounding of b; and half an eps of each of the three sums.
+    series) the rounding.  Of y (1 - ln y + series) in units of eps y: the
+    log rounds by at most -ln y, the literal 1 - ln 2pi by 1/2, the two sums
+    and the product by y by (1 - ln y + series)/2 each, and the series by
+    20 eps of sum_j |g_j| t^(j+1): 12 eps for the 24 roundings of the 12
+    Horner steps, 6.5 eps for the rounding of t (raised to at most t^13),
+    eps for the literals (each within an ulp of g_j) and eps/2 for the
+    product by t.  Only g_11 is negative, so that sum exceeds the signed
+    series by 2 |g_11| t^12, under 1e-8 of it; with series <= ln pi - 1 <
+    0.145 and -ln y >= ln 2 the total stays below 4 (1 - ln y + series).
+    _A_TRUNC y t bounds the truncation of G; 4 ulps of 0 the roundings where
+    y is subnormal; eps |b| the rounding of b; and half an eps of each of
+    the three sums.
     """
     z, err = _zeta_prime_m1()
     y = x if x <= 0.5 else 1.0 - x
     d = 0.0
     if y > 0.0:
         q, eq, neg_log_y = _q(y)
-        y2 = y * y
-        series = 0.0
-        for c in _A_COEF_HORNER:
-            series = series * y2 + c
-        series *= y2
+        g12, g11, g10, g9, g8, g7, g6, g5, g4, g3, g2, g1, g0 = _A_COEF_HORNER
+        t = y * y
+        series = (
+            ((((((((((((g12 * t + g11) * t + g10) * t + g9) * t + g8) * t + g7) * t + g6) * t + g5) * t + g4) * t + g3) * t + g2) * t + g1) * t + g0)
+            * t
+        )
         a = y * (neg_log_y + _ONE_MINUS_LOG_2PI + series)
         d = q + a if x <= 0.5 else q - a
-        err += 0.5 * (eq + 4.0 * _EPS * y * (neg_log_y + 1.0 + series) + _A_TAIL * y * y2**23 + _SUBNORMAL_ULPS)
+        err += 0.5 * (eq + 4.0 * _EPS * y * (neg_log_y + 1.0 + series) + _A_TRUNC * y * t + _SUBNORMAL_ULPS)
     s = d + b
     v = z + 0.5 * s
     return EvalResult(v, err + 0.5 * _EPS * (abs(d) + abs(b) + abs(s) + abs(v)))

@@ -13,8 +13,8 @@ that pass the closed-form validation (the derivations go through the Hurwitz
 multiplication theorem and exact Bernoulli arithmetic).  So does the constant
 of the second Fermat/Arakelov bound (:func:`orbiheight.fermat.arakelov_upper_bound`),
 which is the (4,4,4) row's Petersson height plus (3/2) ln 2.  The printed
-variants are kept in ``PRINTED_DEVIATIONS`` so the exact offsets remain
-documented:
+variants are kept in ``PRINTED_DEVIATIONS``; each exact offset is the printed
+value minus the shipped one, derived where it is used and pinned in the tests:
 
 * (5,5,5): shipped -23/48 * ln 5; printed +25/48 * ln 5 (offset ln 5),
 * (3,4,6): shipped -17/12 * ln 2 - 9/16 * ln 3; printed -11/12 * ln 2 (offset ln 2 / 2),
@@ -91,23 +91,11 @@ TABLE2: tuple[Table2Row, ...] = (
     Table2Row(_ram(2, 3, 4), LogCombo(logs={2: F(7, 12), 3: F(1, 8)})),
 )
 
-#: Printed-variant coefficients that fail closed-form validation, with the
-#: exact offset (printed value minus shipped value) as a LogCombo.
-PRINTED_DEVIATIONS: dict[str, dict] = {
-    "table1:(5,5,5)": {
-        "printed": LogCombo(logs={5: F(25, 48)}),
-        "offset": LogCombo(logs={5: F(1)}),
-    },
-    "table1:(3,4,6)": {
-        "printed": LogCombo(logs={2: F(-11, 12), 3: F(-9, 16)}),
-        "offset": LogCombo(logs={2: F(1, 2)}),
-    },
-    "table2:(2,2,3)": {
-        "printed": LogCombo(logs={2: F(-1, 6), 3: F(2, 3)}),
-        "offset": LogCombo(logs={3: F(1, 6)}),
-    },
-    "arakelov:second_constant": {
-        "printed": LogCombo(q0=F(-1, 2), logs={2: F(-13, 12)}, zeta_terms={"Qsqrt2": F(-1)}),
-        "offset": LogCombo(logs={2: F(-1)}),
-    },
+#: Printed variants of the coefficients that fail closed-form validation, by
+#: label; each differs from the shipped value by an exact offset (see above).
+PRINTED_DEVIATIONS: dict[str, LogCombo] = {
+    "table1:(5,5,5)": LogCombo(logs={5: F(25, 48)}),
+    "table1:(3,4,6)": LogCombo(logs={2: F(-11, 12), 3: F(-9, 16)}),
+    "table2:(2,2,3)": LogCombo(logs={2: F(-1, 6), 3: F(2, 3)}),
+    "arakelov:second_constant": LogCombo(q0=F(-1, 2), logs={2: F(-13, 12)}, zeta_terms={"Qsqrt2": F(-1)}),
 }

@@ -22,7 +22,7 @@ from conftest import LABELS
 from ratio_quad import loggamma_ratio_integral_quad
 from rational import rationalize
 
-from orbiheight.fermat import FermatSpec, arakelov_gap, arakelov_upper_bound, epsilon_m, fermat_h_can
+from orbiheight.fermat import arakelov_upper_bound, epsilon_m
 from orbiheight.fields import dedekind_log_deriv, get_field
 from orbiheight.heights import h_can_fano, h_pet
 from orbiheight.shimura import builtin_cases, h_p_map, yuan_height
@@ -127,7 +127,7 @@ def test_criterion_07_faltings_log_cy():
 def test_criterion_08a_arakelov_constant():
     budget = Budget(5.0)
     run_tagged("08a")
-    printed = PRINTED_DEVIATIONS["arakelov:second_constant"]["printed"].evaluate().value + epsilon_m(4)
+    printed = PRINTED_DEVIATIONS["arakelov:second_constant"].evaluate().value + epsilon_m(4)
     # the printed variant recomputed to full precision; the printed "-0.88..."
     # is a truncation of this value, so agreement is checked at two truncated
     # decimals (the registry check)
@@ -147,21 +147,14 @@ def test_criterion_08c_bound_chain():
 
     With the printed second-bound constant (ln 2 too small) the inequality
     fails for m in [4, 12], by up to ln(2)/2; the shipped constant is the
-    validated (4,4,4) value.  Full analysis:
-    test_fermat.py::test_bound_relationships and the README.
+    validated (4,4,4) value f((3/4)^3) + (1/2) ln pi
+    (arakelov_upper_bound(m).second_constant).  The check is the registry's;
+    full analysis: test_fermat.py::test_bound_relationships and the README.
     """
-    failures = []
-    for m in range(4, 61):
-        lhs = fermat_h_can(FermatSpec(m)).value + arakelov_gap(m)
-        rhs = arakelov_upper_bound(m).second
-        if lhs > rhs + 1e-9:
-            failures.append((m, lhs - rhs))
-    assert not failures, (
-        "chain inequality fails with the shipped second-bound constant "
-        "f((3/4)^3) + (1/2) ln pi (arakelov_upper_bound(m).second_constant, the validated (4,4,4) value): "
-        + ", ".join(f"m={m}: excess {d:.6f}" for m, d in failures[:4])
-        + f" ... ({len(failures)} degrees total)"
-    )
+    (check,) = [c for c in CHECKS if c.name == "bound chain h_can + gap <= second bound on [4, 60]"]
+    assert check.inputs["ms"] == tuple(range(4, 61))
+    result = check.run()
+    assert result.passed, result.detail
 
 
 def test_criterion_09_property_suite():

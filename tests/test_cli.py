@@ -7,7 +7,9 @@ import io
 import json
 import math
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -383,3 +385,24 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert code in (0, 1), argv
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The arguments of every ``orbiheight ...`` line in README's Command line block, comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("orbiheight ")]
+
+
+def test_readme_command_lines_run(capsys):
+    lines = _readme_command_lines()
+    assert lines
+    failed = []
+    for argv in lines:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        if code != 0:
+            failed.append((argv, code, capsys.readouterr().err))
+    assert not failed, failed

@@ -23,7 +23,7 @@ PRINTED_SECOND = PRINTED_DEVIATIONS["arakelov:second_constant"]
 
 def printed_second(m: int) -> float:
     """The second Arakelov bound with its printed constant."""
-    return PRINTED_SECOND["printed"].evaluate().value + epsilon_m(m) + 2.0 * LN(m)
+    return PRINTED_SECOND.evaluate().value + epsilon_m(m) + 2.0 * LN(m)
 
 
 def test_spec_validation():
@@ -96,7 +96,7 @@ def test_arakelov_constant():
     # truncating sense (-0.89 < printed < -0.88 is a registry check)
     assert math.floor(-printed * 100.0) / 100.0 == 0.88
     assert printed == pytest.approx(-0.887002, abs=5e-6)
-    assert PRINTED_SECOND["printed"].logs == {2: Fraction(-13, 12)}
+    assert PRINTED_SECOND.logs == {2: Fraction(-13, 12)}
     # the shipped constant is the printed one plus ln 2
     assert b.second - 2.0 * LN(4.0) == pytest.approx(printed + LN(2.0), abs=1e-12)
     assert b.second >= 0.0
@@ -106,7 +106,7 @@ def test_arakelov_constant():
     const = b.second_constant
     assert const.logs == {2: Fraction(-1, 12)}
     assert const == table1_row(4, 4, 4).pet_height() + LogCombo(logs={2: Fraction(3, 2)})
-    assert PRINTED_SECOND["printed"] - const == PRINTED_SECOND["offset"] == LogCombo(logs={2: Fraction(-1)})
+    assert PRINTED_SECOND - const == LogCombo(logs={2: Fraction(-1)})
 
 
 def test_bound_relationships():

@@ -80,7 +80,7 @@ def test_modular_case_shift_consistency():
         ("modular", (2, 3, None), LogCombo()),
         ("disc6", (6, 2, 6), LogCombo(logs={2: F(1, 2)})),  # the fold of its four points
         ("sqrt3", (2, 4, 12), LogCombo()),
-        ("sqrt6", (3, 4, 6), PRINTED_DEVIATIONS["table1:(3,4,6)"]["offset"]),  # the printed row
+        ("sqrt6", (3, 4, 6), LogCombo(logs={2: F(1, 2)})),  # the printed row
     ],
 )
 def test_case_holds_its_named_row(cid, indices, extra):
@@ -143,8 +143,12 @@ def test_field_term_cancellation_required():
     )
     with pytest.raises(ValueError, match="field terms"):
         h_p_map(broken)
-    with pytest.raises(ValueError):
-        RamifiedPrime(norm=4, prime=2, residue_degree=1)
+    # the residue norm is derived from the prime and the residue degree
+    assert RamifiedPrime(prime=2, residue_degree=2).norm == 4
+    assert [rp.norm for rp in case.ramified] == [2, 3]
+    for prime, degree in ((1, 1), (0, 1), (2, 0), (3, -1)):
+        with pytest.raises(ValueError, match="prime >= 2 and residue degree >= 1"):
+            RamifiedPrime(prime=prime, residue_degree=degree)
 
 
 def test_orbifold_degree():
@@ -171,14 +175,14 @@ def test_printed_deviations_are_exactly_as_recorded():
     recognizable offsets (ln 5, ln 2 / 2, ln 3 / 6); shipping the validated
     values is what keeps the closed-form checks green."""
     by_label = {
-        "table1:(5,5,5)": table1_row(5, 5, 5),
-        "table1:(3,4,6)": table1_row(3, 4, 6),
-        "table2:(2,2,3)": TABLE2[0],
+        "table1:(5,5,5)": (table1_row(5, 5, 5), LogCombo(logs={5: F(1)})),
+        "table1:(3,4,6)": (table1_row(3, 4, 6), LogCombo(logs={2: F(1, 2)})),
+        "table2:(2,2,3)": (TABLE2[0], LogCombo(logs={3: F(1, 6)})),
     }
-    for label, row in by_label.items():
-        rec = PRINTED_DEVIATIONS[label]
-        assert rec["printed"] - row.constant == rec["offset"]
+    for label, (row, offset) in by_label.items():
+        printed = PRINTED_DEVIATIONS[label]
+        assert printed - row.constant == offset
         # and the printed value really is off by that much numerically
-        printed_val = rec["printed"].evaluate().value
+        printed_val = printed.evaluate().value
         shipped_val = row.constant.evaluate().value
-        assert printed_val - shipped_val == pytest.approx(rec["offset"].evaluate().value, abs=1e-12)
+        assert printed_val - shipped_val == pytest.approx(offset.evaluate().value, abs=1e-12)

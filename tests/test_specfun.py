@@ -187,34 +187,47 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
 
 
 def test_zeta_literals_against_mpmath():
-    # euler_gamma, the even zeta values of the A series and 1 - ln(2 pi) are
-    # the doubles nearest the true values
+    # euler_gamma and 1 - ln(2 pi) are the doubles nearest the true values
     assert specfun._EULER_GAMMA == float(mpmath.euler)
-    assert len(specfun._ZETA_EVEN) == 22
-    for k, z in zip(range(2, 46, 2), specfun._ZETA_EVEN):
-        assert z == float(mpmath.zeta(k)), k
     with mpmath.workdps(40):
         assert specfun._ONE_MINUS_LOG_2PI == float(1 - mpmath.log(2 * mpmath.pi))
+    # the even-zeta literals of the A series are G's economized series, each
+    # within an ulp of the rebuild, and _A_TRUNC bounds the truncation
+    rebuilt, tail = _economized(_g_mp)
+    rebuilt_floats = [float(x) for x in rebuilt]
+    assert len(specfun._A_COEF_HORNER) == len(rebuilt) == 13, rebuilt_floats
+    for literal, ref in zip(specfun._A_COEF_HORNER, rebuilt):
+        assert abs(mpmath.mpf(literal) - ref) <= math.ulp(literal), rebuilt_floats
+    assert tail <= specfun._A_TRUNC
 
 
-def _economized_h():
-    """H's degree-12 Chebyshev truncation on [0, 1/4], rebuilt with mpmath.
+def _h_mp(t):
+    """H(t) = (-ln l(u) - ln u - 2 euler_gamma u)/u^3 at u = sqrt(t), l(u) = Gamma(u)/Gamma(1 - u)."""
+    u = mpmath.sqrt(t)
+    log_l = mpmath.loggamma(u) - mpmath.loggamma(1 - u)
+    return -(log_l + mpmath.log(u) + 2 * mpmath.euler * u) / u**3
 
-    H(t) = (-ln l(u) - ln u - 2 euler_gamma u)/u^3 at u = sqrt(t), with
-    l(u) = Gamma(u)/Gamma(1 - u), is interpolated at 64 Chebyshev points at
-    50 digits.  Returns the monomial coefficients in t of its first 13 terms,
+
+def _g_mp(t):
+    """G(t) = (A(y)/y - 1 + ln(2 pi y))/t at y = sqrt(t), A(y) = Cl_2(2 pi y)/(2 pi)."""
+    y = mpmath.sqrt(t)
+    a = mpmath.clsin(2, 2 * mpmath.pi * y) / (2 * mpmath.pi)
+    return (a / y - 1 + mpmath.log(2 * mpmath.pi * y)) / t
+
+
+def _economized(f):
+    """The degree-12 Chebyshev truncation of f on [0, 1/4], rebuilt with mpmath.
+
+    f (``_h_mp`` or ``_g_mp``) is interpolated at 64 Chebyshev points at 50
+    digits.  Returns the monomial coefficients in t of its first 13 terms,
     t^12 first, and the sum of |c_j| over the Chebyshev coefficients c_j
     with j > 12.
     """
     nodes = 64
     with mpmath.workdps(50):
         thetas = [mpmath.pi * (k + mpmath.mpf(1) / 2) / nodes for k in range(nodes)]
-        hs = []
-        for theta in thetas:
-            u = mpmath.sqrt((1 + mpmath.cos(theta)) / 8)  # t = (1 + cos theta)/8 on [0, 1/4]
-            log_l = mpmath.loggamma(u) - mpmath.loggamma(1 - u)
-            hs.append(-(log_l + mpmath.log(u) + 2 * mpmath.euler * u) / u**3)
-        c = [2 * mpmath.fsum(h * mpmath.cos(j * theta) for h, theta in zip(hs, thetas)) / nodes for j in range(nodes)]
+        fs = [f((1 + mpmath.cos(theta)) / 8) for theta in thetas]  # t = (1 + cos theta)/8 on [0, 1/4]
+        c = [2 * mpmath.fsum(v * mpmath.cos(j * theta) for v, theta in zip(fs, thetas)) / nodes for j in range(nodes)]
         c[0] /= 2
         # T_j(8t - 1) as monomials in t, lowest first: T_{j+1} = (16t - 2) T_j - T_{j-1}
         ts = [[mpmath.mpf(1)], [mpmath.mpf(-1), mpmath.mpf(8)]]
@@ -226,7 +239,7 @@ def _economized_h():
 
 
 def test_odd_zeta_literals_are_the_economized_series():
-    rebuilt, tail = _economized_h()
+    rebuilt, tail = _economized(_h_mp)
     rebuilt_floats = [float(x) for x in rebuilt]
     assert len(specfun._H_COEF_HORNER) == len(rebuilt) == 13, rebuilt_floats
     for literal, ref in zip(specfun._H_COEF_HORNER, rebuilt):
