@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from math import gcd
 
-from .specfun import EvalResult, _q, _zeta_prime_m1
+from .specfun import _ZETA_PRIME_M1, EvalResult, _q
 
 __all__ = [
     "Character",
@@ -178,7 +178,7 @@ def dirichlet_L_ds(chi: Character) -> ComplexEvalResult:
     """
     f = chi.modulus
     if f == 1:
-        value, err = _zeta_prime_m1()
+        value, err = _ZETA_PRIME_M1
         return ComplexEvalResult(complex(value), err)
     if not chi.is_even:
         raise ValueError(f"L'(-1, chi) from the Q series needs an even character; chi mod {f} is odd")

@@ -9,13 +9,15 @@ which the sign of V picks the polarity.  It is built from
 
     gamma(a, b) = integral over [a, b] of ln(Gamma(x)/Gamma(1-x)) dx,
 
-evaluated via the odd-zeta series of :mod:`orbiheight.specfun`.  The
-wall V = 0 is excluded from the closed form; its value is the
-log-Calabi-Yau normalization integral (:func:`faltings_log_cy`), which the
-signed height approaches from both sides.  That integral is the N = 1 case
-of the Dotsenko-Fateev Gamma product behind the period route, so it too is
-a closed form, in three ln(Gamma(x)/Gamma(1-x)) from the same series; the
-nested quadrature of the integral lives in the tests as an independent oracle.
+evaluated as Q(b) - Q(a) via the odd-zeta series of :mod:`orbiheight.specfun`.
+Each height sums four such terms, which ``_gamma`` caches with their error
+bounds: the one cache of the kernel.  The wall V = 0 is excluded from the
+closed form; its value is the log-Calabi-Yau normalization integral
+(:func:`faltings_log_cy`), which the signed height approaches from both
+sides.  That integral is the N = 1 case of the Dotsenko-Fateev Gamma product
+behind the period route, so it too is a closed form, in three
+ln(Gamma(x)/Gamma(1-x)) from the same series; the nested quadrature of the
+integral lives in the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .specfun import _EULER_GAMMA, EvalResult, _ln_l, _q
 
@@ -140,26 +143,33 @@ def _closed_form_weights(w, caller: str, sign: int = 0) -> tuple[float, float, f
     return w1, w2, w3, v
 
 
+@lru_cache(maxsize=1 << 12)
+def _gamma(a: float, b: float) -> tuple[float, float, float]:
+    """(gamma(a, b), |Q(b)| + |Q(a)|, err) of one term of :func:`h_can`, for
+    a and b in [0, 1], with Q taken as Q - Q(0); err adds the two series
+    bounds and the input rounding of the upper end b (see :func:`h_can`).
+
+    The cache serves repeated weights (grids, tables, the Fermat diagonals),
+    so a cached height adds four terms and takes no Q; a sweep of fresh
+    weights misses it.
+    """
+    qb, eb, ln_inv = _q(b)
+    qa, ea, _ = _q(a)
+    d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
+    return qb - qa, abs(qb) + abs(qa), eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+
+
 def _signed_height(w1: float, w2: float, w3: float, v: float) -> tuple[float, float]:
     """(s h, err) of :func:`h_can` for s = sign V, on weights that
     :func:`_closed_form_weights` has checked; plain floats, no result object.
-
-    The first gamma term, gamma(0, |V|/2), is Q(|V|/2) itself, as Q(0) - Q(0)
-    is 0 with err 0.
     """
     half = v / 2.0
-    b = abs(half)
-    bracket, err, ln_inv = _q(b)
-    mag = abs(bracket)
-    err += _EPS * (b + 1.0) * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+    bracket, mag, err = _gamma(0.0, abs(half))
     for a in (w1, w2, w3):
-        b = a - half
-        qb, eb, ln_inv = _q(b)
-        qa, ea, _ = _q(a)
-        bracket += qb - qa
-        mag += abs(qb) + abs(qa)
-        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
-        err += eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+        g, m, e = _gamma(a, a - half)
+        bracket += g
+        mag += m
+        err += e
     log_half = math.log(abs(half))
     tail = bracket / v
     signed = _NEG_HALF_LN_PI + 0.5 * math.copysign(1.0, v) * (1.0 - log_half) - tail

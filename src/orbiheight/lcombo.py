@@ -28,9 +28,14 @@ __all__ = ["LogCombo"]
 _JSON_KEYS = ("q0", "logpi", "logs", "zeta")
 
 
+def _frac(v) -> Fraction:
+    """v as a Fraction, converting only what is not one already."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _clean(m: Mapping) -> dict:
-    """Drop exact zeros and normalize coefficients to Fraction."""
-    return {k: Fraction(v) for k, v in m.items() if Fraction(v) != 0}
+    """A new dict of the nonzero coefficients, normalized to Fraction."""
+    return {k: c for k, v in m.items() if (c := _frac(v))}
 
 
 def _merge(a: Mapping, b: Mapping) -> dict:
@@ -54,8 +59,8 @@ class LogCombo:
     zeta_terms: dict[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", Fraction(self.q0))
-        object.__setattr__(self, "c_logpi", Fraction(self.c_logpi))
+        object.__setattr__(self, "q0", _frac(self.q0))
+        object.__setattr__(self, "c_logpi", _frac(self.c_logpi))
         object.__setattr__(self, "logs", _clean(self.logs))
         object.__setattr__(self, "zeta_terms", _clean(self.zeta_terms))
 
@@ -71,7 +76,7 @@ class LogCombo:
         return self + other.scale(Fraction(-1))
 
     def scale(self, r) -> "LogCombo":
-        r = Fraction(r)
+        r = _frac(r)
         return LogCombo(
             self.q0 * r,
             self.c_logpi * r,

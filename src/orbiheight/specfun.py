@@ -18,7 +18,8 @@ odd zeta values as coefficients, Chebyshev-economized on [0, 1/2] to 13
 literals and reflected by Q(x) = Q(1 - x).
 
 ``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel: the
-heights sum it, :mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l``
+heights sum it (and cache the differences Q(b) - Q(a) they take of it, not
+Q), :mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l``
 (array form ``periods._log_l``) sums its derivative ln(Gamma(x)/Gamma(1-x)) from
 the same 13 odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
 function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
@@ -38,7 +39,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "EvalResult",
@@ -175,7 +175,6 @@ def hurwitz_zeta(s: float, x: float) -> EvalResult:
     return EvalResult(total, err)
 
 
-@lru_cache(maxsize=1 << 12)
 def _q(x: float) -> tuple[float, float, float]:
     """(Q(x) - Q(0), absolute error bound, -ln x') for x in [0, 1], Q(x) = P(x) + P(1 - x),
     x' = min(x, 1 - x) the end the log singularity sits at (inf where x' = 0).
@@ -200,8 +199,9 @@ def _q(x: float) -> tuple[float, float, float]:
     bounds the truncation of H; 4 ulps of 0 the same roundings where x is
     subnormal and the eps terms underflow.  The heights' err reuses -ln x
     for the input rounding of x, so each point takes one log.  Plain floats
-    keep result objects off the per-point path; the cache serves repeated
-    weights (grids, tables), not a sweep of fresh ones.
+    keep result objects off the per-point path.  It has no cache: the
+    heights cache the gamma terms they build from it, and its other callers
+    run once per field or per point.
     """
     if x > 0.5:
         x = 1.0 - x
@@ -250,6 +250,9 @@ def _zeta_prime_m1() -> tuple[float, float]:
     return (0.25 - math.log(2.0) / 12.0 - q) / 3.0, e / 3.0 + 2.0 * _EPS * (0.25 + abs(q))
 
 
+_ZETA_PRIME_M1 = _zeta_prime_m1()  # taken once: L'(-1, 1) and every P(x) add it
+
+
 def _primitive_kernel(x: float, b: float) -> EvalResult:
     """zeta'(-1) + (2 (P(x) - P(1)) + b) / 2 for x in (0, 1], P = loggamma_primitive:
     b = B_2(x) - 1/6 gives zeta'(-1, x) = P(x) + B_2(x)/2 and b = -1/6 gives
@@ -280,7 +283,7 @@ def _primitive_kernel(x: float, b: float) -> EvalResult:
     y is subnormal; eps |b| the rounding of b; and half an eps of each of
     the three sums.
     """
-    z, err = _zeta_prime_m1()
+    z, err = _ZETA_PRIME_M1
     y = x if x <= 0.5 else 1.0 - x
     d = 0.0
     if y > 0.0:

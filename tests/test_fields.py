@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from orbiheight import fermat, heights, shimura, specfun
+from orbiheight import fermat, heights, shimura
 from orbiheight.fields import (
     Character,
     FieldSpec,
@@ -130,7 +130,7 @@ def test_exact_layer_runs_on_the_q_kernel_alone(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden(name))
     dedekind_log_deriv.cache_clear()
-    specfun._q.cache_clear()
+    heights._gamma.cache_clear()
     for fs in builtin_fields().values():
         assert math.isfinite(dedekind_log_deriv(fs).value)
     for row in TABLE1:

@@ -30,6 +30,7 @@ from orbiheight.heights import (
 )
 from orbiheight.shimura import _FOLD_CORRECTION
 from orbiheight.specfun import EvalResult, _q
+from orbiheight.verify import semistable_grid
 
 LN = math.log
 HALF_1_LNPI = 0.5 * (1.0 + LN(math.pi))
@@ -269,6 +270,80 @@ def test_h_can_matches_the_two_log_oracle(w):
     r = h_can(w)
     assert r.value.hex() == value.hex()
     assert err <= r.err <= 1.1 * err
+
+
+def _seven_q_signed_height(w1, w2, w3, v) -> tuple[float, float]:
+    """(s h, err) of h_can assembled from seven Q values, as before its gamma
+    terms were cached: Q(|V|/2), then Q(b) - Q(a) for each weight, in the
+    kernel's order of operations."""
+    eps = math.ulp(1.0)
+    d_slope, ln_inv_eps = 3.0 + math.log(2.0), -math.log(eps)
+    half = v / 2.0
+    b = abs(half)
+    bracket, err, ln_inv = _q(b)
+    mag = abs(bracket)
+    err += eps * (b + 1.0) * (d_slope + min(ln_inv, ln_inv_eps))
+    for a in (w1, w2, w3):
+        b = a - half
+        qb, eb, ln_inv = _q(b)
+        qa, ea, _ = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = eps * (b + 1.0)
+        err += eb + ea + d * (d_slope + min(ln_inv, ln_inv_eps))
+    log_half = math.log(abs(half))
+    tail = bracket / v
+    signed = -0.5 * math.log(math.pi) + 0.5 * math.copysign(1.0, v) * (1.0 - log_half) - tail
+    err = (err + 4.0 * eps * mag + 2.0 * eps * (0.5 + abs(tail))) / abs(v)
+    return signed, err + 4.0 * eps * (1.0 + abs(log_half) + abs(tail))
+
+
+def _same_as_seven_q(w) -> bool:
+    w1, w2, w3, v = heights._closed_form_weights(w, "test")
+    got, want = heights._signed_height(w1, w2, w3, v), _seven_q_signed_height(w1, w2, w3, v)
+    return [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@st.composite
+def _near_wall_weights(draw):
+    """A point with w3 = 2 + V - w1 - w2 for 1e-4 <= |V| <= 1e-2, of either sign."""
+    v = draw(st.floats(min_value=1e-4, max_value=1e-2)) * draw(st.sampled_from((-1.0, 1.0)))
+    w1 = draw(st.floats(min_value=max(0.0, v), max_value=1.0))
+    w2 = draw(st.floats(min_value=max(0.0, 1.0 + v - w1), max_value=1.0))
+    return w1, w2, min(max(2.0 + v - w1 - w2, 0.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_stable_weights(), _near_wall_weights()))
+@example((1.0, 1.0, 1.0))
+@example((1.0, 0.9, 1.0))
+@example((1.0, 0.0, 1.0))
+@example((0.0, 0.0, 0.0))
+@example((0.75, 0.75, math.nextafter(0.5001, 1.0)))  # V = +1e-4
+@example((0.75, 0.75, math.nextafter(0.4999, 0.0)))  # V = -1e-4
+def test_cached_gamma_terms_match_the_seven_q_assembly(w):
+    # value and err bit for bit, cusps and 1e-4 <= |V| <= 1e-2 included
+    assume(k_semistable(w) and abs(volume(w)) > 1e-12)
+    assert _same_as_seven_q(w)
+
+
+def test_cached_gamma_terms_match_the_seven_q_assembly_on_grid_and_fermat_diagonals():
+    diagonals = [(1.0 - 1.0 / m,) * 3 for m in range(4, 61)]
+    grid = list(semistable_grid(20))
+    assert len(diagonals) == 57 and len(grid) > 3000
+    for w in diagonals + grid:
+        assert _same_as_seven_q(w), w
+
+
+def test_gamma_cache_serves_a_repeated_grid():
+    heights._gamma.cache_clear()
+    grid = list(semistable_grid(20))
+    first = [h_can(w) for w in grid]
+    misses = heights._gamma.cache_info().misses
+    assert [h_can(w) for w in grid] == first
+    info = heights._gamma.cache_info()
+    assert info.misses == misses and info.hits >= 4 * len(grid)
+    assert info.currsize == misses <= info.maxsize
 
 
 def test_each_closed_form_height_builds_one_result(monkeypatch):

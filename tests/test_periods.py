@@ -56,6 +56,14 @@ def test_config_validation():
     PeriodConfig(N=10, w=W_CAN)
 
 
+def test_wall_distance_is_one_thousandth():
+    # a weight exactly 1e-3 below 1, as the check computes 1 - 1e-3 in
+    # floats, is accepted; one at half that distance is refused
+    PeriodConfig(N=10, w=WeightVector((1.0 - 1e-3, 0.75, 0.75)))
+    with pytest.raises(ValueError, match="within 0.001 of a stability wall"):
+        PeriodConfig(N=10, w=WeightVector((1.0 - 5e-4, 0.75, 0.75)))
+
+
 def _mp_log_l(x):
     return mpmath.log(abs(mpmath.gamma(x) / mpmath.gamma(1 - mpmath.mpf(x))))
 

@@ -177,13 +177,24 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
 
     p1 = general_s_primitive(1.0)
 
+    calls = []
+
     def general_s_q(x):
+        calls.append(x)
         near = min(x, 1.0 - x)
         return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0, -math.log(near) if near else math.inf
 
+    # the gamma terms of the hot pass are cached: clear them, or the reference
+    # is never called; clear them again after, so that no term built from
+    # mpmath serves a later test
     monkeypatch.setattr(heights, "_q", general_s_q)
-    for w, h in zip(sample, hot):
-        assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
+    heights._gamma.cache_clear()
+    try:
+        for w, h in zip(sample, hot):
+            assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
+    finally:
+        heights._gamma.cache_clear()
+    assert {x for w in sample for x in w} <= set(calls)  # every weight went through the reference
 
 
 def test_zeta_literals_against_mpmath():
