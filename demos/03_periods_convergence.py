@@ -19,13 +19,13 @@ print(__doc__)
 print("--- canonical side, weights (3/4, 3/4, 3/4) ---")
 w = WeightVector((0.75, 0.75, 0.75))
 print(f"closed form: {h_can_positive(w).value:.9f}")
-rows = convergence_report(w, "canonical", [10, 100, 1000, 10000, 100000])
+rows = convergence_report(w, [10, 100, 1000, 10000, 100000])
 print(report_to_csv(rows))
 
 print("--- Fano side, weights (1/2, 1/2, 1/2) ---")
 w2 = WeightVector((0.5, 0.5, 0.5))
 print(f"closed form: {h_can_fano(w2).value:.9f}  (= (1 + ln pi)/2 + ln(2)/2)")
-rows = convergence_report(w2, "anticanonical", [10, 100, 1000, 10000])
+rows = convergence_report(w2, [10, 100, 1000, 10000])
 print(report_to_csv(rows))
 
 print("--- direct integration at N = 2 (no Gamma products involved) ---")

@@ -234,7 +234,7 @@ def _cmd_periods(args) -> int:
     wv = hg.WeightVector(_items(args.weights, float, "--weights"))
     n_list = _items(args.n_list, int, "--N-list")
     polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
-    rows = pd.convergence_report(wv, polarity, n_list)
+    rows = pd.convergence_report(wv, n_list)
     payload = {
         "weights": list(wv.w),
         "polarity": polarity,

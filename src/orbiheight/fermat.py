@@ -143,15 +143,13 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     f((3/4)^3) - f((1-1/m)^3) >= 0.  The printed -13/12 ln 2 is off by -ln 2
     (see `tables.PRINTED_DEVIATIONS`).
 
-    The implied upper bound must be nonnegative (the Arakelov height of a
-    relatively ample canonical bundle is >= 0); a negative bound raises,
-    signalling inconsistency.  ``epsilon_m`` refuses degrees from 2^511 on.
+    The second bound is at least -1.137 - 0.019 + 2 ln 4 > 1.6 on every
+    admitted degree (eps_m >= -0.019, its minimum, at m = 35), so it agrees
+    with h_Arakelov >= 0.  ``epsilon_m`` refuses degrees from 2^511 on.
     """
     eps = epsilon_m(m)
     t = 1.0 - 1.0 / m
     base, err = _height_positive((t, t, t), "arakelov_upper_bound")
     first = EvalResult(base + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, err)
     second = _second_constant_value() + eps + 2.0 * math.log(m)
-    if second < 0.0:
-        raise ValueError(f"derived Arakelov upper bound is negative at m = {m}: inconsistent inputs")
     return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

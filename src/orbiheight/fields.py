@@ -126,10 +126,10 @@ class Character:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Abelian totally real field: id, modulus and its character group."""
+    """Abelian totally real field: id and its character group, each character
+    at its own conductor."""
 
     id: str
-    modulus: int
     characters: tuple[Character, ...]
 
     @property
@@ -143,6 +143,9 @@ class FieldSpec:
         # A totally real field has only even characters, and L'(-1, chi) below needs evenness.
         if not all(ch.is_even for ch in self.characters):
             raise ValueError(f"field {self.id!r}: odd character (chi(-1) = -1) in a totally real field")
+        # Each character is one L-factor of zeta_F, so none may occur twice.
+        if len({(ch.modulus, frozenset(ch.angles.items())) for ch in self.characters}) != self.degree:
+            raise ValueError(f"field {self.id!r}: a character occurs more than once")
         # Non-real characters must occur in conjugate pairs so products are real.
         pool = [ch for ch in self.characters if not ch.is_real]
         while pool:
@@ -218,10 +221,11 @@ def dedekind_log_deriv(field: FieldSpec) -> EvalResult:
 def _field_from_dict(doc: dict) -> FieldSpec:
     chars = []
     for entry in doc["characters"]:
-        mod = int(entry.get("modulus", doc["modulus"]))
+        if "modulus" not in entry:
+            raise ValueError(f"field {doc['id']!r}: a character has no modulus")
         angles = {int(a): Fraction(k, n) for a, (k, n) in entry["values"].items()}
-        chars.append(Character(mod, angles))
-    return FieldSpec(doc["id"], int(doc["modulus"]), tuple(chars))
+        chars.append(Character(int(entry["modulus"]), angles))
+    return FieldSpec(doc["id"], tuple(chars))
 
 
 def load_fields(text: str) -> dict[str, FieldSpec]:

@@ -23,10 +23,6 @@ from .specfun import EvalResult
 
 __all__ = ["LogCombo"]
 
-# the keys of the JSON form; any other key must be empty, as the
-# "named": {} of older documents is
-_JSON_KEYS = ("q0", "logpi", "logs", "zeta")
-
 
 def _frac(v) -> Fraction:
     """v as a Fraction, converting only what is not one already."""
@@ -98,7 +94,7 @@ class LogCombo:
             err += abs(float(c)) * dd.err / fs.degree
         return EvalResult(value, err)
 
-    # -- JSON round-trip ---------------------------------------------------
+    # -- JSON form (written for output, never read back) --------------------
 
     def to_json(self) -> str:
         def frac(x: Fraction):
@@ -112,21 +108,3 @@ class LogCombo:
                 "zeta": {f: frac(c) for f, c in sorted(self.zeta_terms.items())},
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogCombo":
-        doc = json.loads(text)
-        unknown = sorted(k for k, v in doc.items() if k not in _JSON_KEYS and v)
-        if unknown:
-            raise ValueError(f"unknown terms {unknown} in a log-combination; known: {list(_JSON_KEYS)}")
-
-        def frac(v) -> Fraction:
-            return Fraction(v[0], v[1])
-
-        return cls(
-            q0=frac(doc.get("q0", [0, 1])),
-            c_logpi=frac(doc.get("logpi", [0, 1])),
-            logs={int(p): frac(c) for p, c in doc.get("logs", {}).items()},
-            zeta_terms={f: frac(c) for f, c in doc.get("zeta", {}).items()},
-        )
-

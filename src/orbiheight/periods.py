@@ -82,8 +82,8 @@ class PeriodConfig:
     polarity: Polarity = "canonical"
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N!r}")
+        if not (isinstance(self.N, int) and self.N >= 2):
+            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
         if self.polarity not in ("canonical", "anticanonical"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
         wv = self.w if isinstance(self.w, WeightVector) else WeightVector(tuple(self.w))
@@ -225,14 +225,16 @@ class ConvergenceRow:
     gap: float
 
 
-def convergence_report(w, polarity: Polarity, n_list: Sequence[int]) -> list[ConvergenceRow]:
-    """Rows (N, height estimate, gap to the closed form) for each N."""
+def convergence_report(w, n_list: Sequence[int]) -> list[ConvergenceRow]:
+    """Rows (N, height estimate, gap to the closed form) for each N, in the
+    polarity that the sign of V fixes."""
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
     closed = h_can(wv)
+    polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
     rows = []
     for n in n_list:
-        est = height_from_periods(PeriodConfig(N=int(n), w=wv, polarity=polarity))
-        rows.append(ConvergenceRow(N=int(n), estimate=est.value, gap=est.value - closed.value))
+        est = height_from_periods(PeriodConfig(N=n, w=wv, polarity=polarity))
+        rows.append(ConvergenceRow(N=n, estimate=est.value, gap=est.value - closed.value))
     return rows
 
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbiheight import shimura as sh
 from orbiheight import verify as vf
 from orbiheight.cli import _KERNELS, build_parser, main
-from orbiheight.lcombo import LogCombo
+from orbiheight.heights import WeightVector, h_pi_normalized
 
 
 def run(capsys, *argv):
@@ -32,6 +33,19 @@ def test_height_pet_matches_table_row(capsys):
     doc = json.loads(out)
     # h_pet(2,3,inf) = -zeta'/zeta(-1) - 1/2 - ln(12)/4
     assert doc["value"] == pytest.approx(-1.985053724 - 0.5 - math.log(12.0) / 4.0, abs=1e-6)
+
+
+def test_height_pi_normalized_in_every_format(capsys):
+    r = h_pi_normalized(WeightVector((0.8, 0.7, 0.75)))
+    argv = ("height", "--weights", "0.8,0.7,0.75", "--kind", "pi", "--format")
+    code, out, _ = run(capsys, *argv, "text")
+    assert code == 0 and f"h[pi] = {r.value:.15g}  (err <= {r.err:.3g})" in out
+    code, out, _ = run(capsys, *argv, "json")
+    doc = json.loads(out)
+    assert code == 0 and (doc["kind"], doc["value"], doc["err"]) == ("pi", r.value, r.err)
+    code, out, _ = run(capsys, *argv, "csv")
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert code == 0 and (row[0], float(row[5])) == ("pi", r.value)
 
 
 def test_height_by_ram_indices(capsys):
@@ -56,9 +70,10 @@ def test_shimura_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["h"] == {"2": "11/18", "3": "7/12"}
-    # the exact difference round-trips through the LogCombo schema
-    combo = LogCombo.from_json(json.dumps(doc["difference"]))
-    assert combo.logs[2].numerator == 11 and combo.logs[2].denominator == 12
+    # the exact difference in the LogCombo form
+    case = sh.get_case("disc6")
+    assert doc["difference"] == json.loads((sh.yuan_height(case) - case.optimal).to_json())
+    assert doc["difference"]["logs"]["2"] == [11, 12]
     code, _, err = run(capsys, "shimura", "--case", "nope")
     assert code == 1 and "unknown case" in err
 

@@ -38,6 +38,8 @@ def test_character_validation():
         Character(5, {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(0), 4: Fraction(0)})
     with pytest.raises(ValueError):  # wrong support
         Character(5, {1: Fraction(0), 2: Fraction(0)})
+    with pytest.raises(ValueError, match="positive integer"):
+        Character(0, {})
     chi = get_field("Qcos7").characters[1]
     conj = chi.conjugate()
     assert conj.angles == get_field("Qcos7").characters[2].angles
@@ -238,6 +240,16 @@ def test_load_fields_rejects_malformed_characters():
         load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [chi5]}))
     with pytest.raises(ValueError, match="trivial character"):
         load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [trivial, trivial, chi5]}))
+    # a repeated character loaded as a field of degree 3 with the value 1.0224 (Qsqrt5: 1.5037)
+    with pytest.raises(ValueError, match="'Qdup': a character occurs more than once"):
+        load_fields(json.dumps({"id": "Qdup", "characters": [trivial, chi5, chi5]}))
+    # each character states its own modulus; the field's key is no default for it
+    with pytest.raises(ValueError, match="'Qbad': a character has no modulus"):
+        load_fields(json.dumps({"id": "Qbad", "modulus": 5, "characters": [trivial, {"values": chi5["values"]}]}))
+    # a cubic character mod 7 is even, but zeta_F needs its conjugate too
+    cubic7 = {"modulus": 7, "values": {"1": [0, 1], "6": [0, 1], "3": [1, 3], "4": [1, 3], "2": [2, 3], "5": [2, 3]}}
+    with pytest.raises(ValueError, match="without conjugate partner"):
+        load_fields(json.dumps({"id": "Qbad", "characters": [trivial, cubic7]}))
 
 
 def test_characters_must_be_primitive_and_even():
@@ -253,7 +265,7 @@ def test_characters_must_be_primitive_and_even():
     with pytest.raises(ValueError, match="even character"):
         dirichlet_L_ds(chi4)
     with pytest.raises(ValueError, match="odd character"):
-        FieldSpec("Qi", 4, (trivial, chi4))
+        FieldSpec("Qi", (trivial, chi4))
     # the imprimitive field that loaded with a wrong value (-0.5081 against 1.5037)
     chi5 = {"modulus": 5, "values": {"1": [0, 1], "2": [1, 2], "3": [1, 2], "4": [0, 1]}}
     trivial5 = {"modulus": 5, "values": {"1": [0, 1], "2": [0, 1], "3": [0, 1], "4": [0, 1]}}

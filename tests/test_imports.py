@@ -8,7 +8,9 @@ module.  scipy serves the tests and the benchmark alone.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -128,18 +130,25 @@ def test_exported_names_resolve():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _caller_trees():
+    # the package modules (its __init__ aside), the demos and the benchmark
+    import orbiheight
+
+    root = Path(orbiheight.__file__).parent
+    sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root.parents[1] / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]
+    return [ast.parse(path.read_text()) for path in sources]
+
+
 def test_exported_names_have_callers():
     # a name in a module's __all__ is read somewhere in the package (its
     # __init__ aside), a demo or the benchmark; one that only the tests call
     # belongs with those tests
     import orbiheight
 
-    root = Path(orbiheight.__file__).parent
-    sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
-    sources += [*(root.parents[1] / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]
     read = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -149,6 +158,35 @@ def test_exported_names_have_callers():
         mod = importlib.import_module(f"orbiheight.{info.name}")
         unread += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if n not in read]
     assert unread == []
+
+
+def test_exported_class_members_have_callers():
+    # each public method, property and dataclass field of an exported class
+    # is read as an attribute in the same sources.  Members match by name
+    # alone, so one of two classes that share a member name hides the other
+    # (Character.modulus kept an unread FieldSpec.modulus from view).
+    import orbiheight
+
+    read = {
+        node.attr
+        for tree in _caller_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    # the acceptance gate of tests/test_acceptance.py is the one reader of a
+    # check's criterion tag
+    allowed = {"verify.Check.criterion"}
+    unread = []
+    for info in pkgutil.iter_modules(orbiheight.__path__):
+        mod = importlib.import_module(f"orbiheight.{info.name}")
+        for cls in (getattr(mod, n) for n in getattr(mod, "__all__", ())):
+            if not inspect.isclass(cls):
+                continue
+            members = {m for m in vars(cls) if not m.startswith("_")}
+            if dataclasses.is_dataclass(cls):
+                members |= {f.name for f in dataclasses.fields(cls)}
+            unread += [f"{info.name}.{cls.__name__}.{m}" for m in sorted(members) if m not in read]
+    assert [u for u in unread if u not in allowed] == []
 
 
 def test_benchmark_worker_surface_resolves():

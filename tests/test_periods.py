@@ -53,6 +53,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # N |V| = 2.5 >= 2(N - 1): Z_2 diverges where the two points meet
         PeriodConfig(N=2, w=WeightVector((0.2, 0.3, 0.25)), polarity="anticanonical")
+    # N counts points, so a float is refused even when it is integral
+    for n in (2.5, 1000.0):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            PeriodConfig(N=n, w=W_CAN)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        mc_oracle_z(2.0, W_CAN)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        convergence_report(W_CAN, [100.7])  # ran N = 100
     PeriodConfig(N=10, w=W_CAN)
 
 
@@ -189,10 +197,13 @@ def test_df_log_z_positive_and_finite():
 
 
 def test_convergence_report_and_csv():
-    rows = convergence_report(W_CAN, "canonical", [100, 1000])
+    rows = convergence_report(W_CAN, [100, 1000])
     assert [r.N for r in rows] == [100, 1000]
     assert abs(rows[1].gap) < abs(rows[0].gap)
-    assert convergence_report(W_CAN, "canonical", []) == []
+    assert convergence_report(W_CAN, []) == []
+    # V < 0 picks the Fano polarity
+    fano = df_log_z(PeriodConfig(N=100, w=W_FANO, polarity="anticanonical")).value / 200.0
+    assert [r.estimate for r in convergence_report(W_FANO, [100])] == [fano]
     text = report_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "N,estimate,gap"

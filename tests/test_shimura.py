@@ -1,5 +1,6 @@
 """Exact local invariants h(p) and the closed-form table data behind them."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,13 @@ def test_field_term_cancellation_required():
     )
     with pytest.raises(ValueError, match="field terms"):
         h_p_map(broken)
+    # the field terms cancel, but a constant or a ln pi term survives
+    for stray in (LogCombo(q0=F(1, 2)), LogCombo(c_logpi=F(1, 2))):
+        with pytest.raises(ValueError, match="'broken': non-logarithmic terms survive"):
+            h_p_map(replace(broken, optimal=LogCombo(q0=F(-1, 2), zeta_terms={"Q": F(-1)}) + stray))
+    for degree in (F(0), F(-1, 3)):
+        with pytest.raises(ValueError, match="'broken': orbifold degree must be positive"):
+            replace(broken, k_degree=degree)
     # the residue norm is derived from the prime and the residue degree
     assert RamifiedPrime(prime=2, residue_degree=2).norm == 4
     assert [rp.norm for rp in case.ramified] == [2, 3]

@@ -67,23 +67,9 @@ def test_evaluate_additivity():
 
 
 def test_json_round_trip():
-    rng = np.random.default_rng(303)
-    for _ in range(20):
-        a = random_combo(rng)
-        assert LogCombo.from_json(a.to_json()) == a
+    # the form the CLI and demo 04 write: [numerator, denominator] per coefficient
     doc = LogCombo(q0=F(1, 2), logs={2: F(-19, 12)}, zeta_terms={"Qsqrt2": F(-1)}).to_json()
     assert '"q0": [1, 2]' in doc and '"2": [-19, 12]' in doc
-
-
-def test_from_json_rejects_unknown_terms():
-    # a term it cannot represent must not be dropped silently
-    with pytest.raises(ValueError, match="bogus"):
-        LogCombo.from_json('{"q0": [1, 2], "bogus": {"x": [1, 1]}}')
-    with pytest.raises(ValueError, match="named"):
-        LogCombo.from_json('{"q0": [1, 2], "named": {"EulerGamma": [1, 1]}}')
-    # an empty unknown entry carries no term, as in documents holding "named": {}
-    doc = '{"q0": [-1, 2], "logpi": [0, 1], "logs": {"2": [-1, 2]}, "zeta": {"Q": [-1, 1]}, "named": {}}'
-    assert LogCombo.from_json(doc) == LogCombo(q0=F(-1, 2), logs={2: F(-1, 2)}, zeta_terms={"Q": F(-1)})
 
 
 def test_rationalize():
