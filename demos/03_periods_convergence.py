@@ -29,11 +29,11 @@ rows = convergence_report(w2, [10, 100, 1000, 10000])
 print(report_to_csv(rows))
 
 print("--- direct integration at N = 2 (no Gamma products involved) ---")
-for weights, pol in (((5 / 6, 5 / 6, 5 / 6), "canonical"), ((0.5, 0.5, 0.5), "anticanonical")):
-    z_exact = math.exp(df_log_z(PeriodConfig(N=2, w=WeightVector(weights), polarity=pol)).value)
-    quad = mc_oracle_z(2, weights, scheme="quadrature", polarity=pol)
-    mc = mc_oracle_z(2, weights, scheme="monte-carlo", budget=400_000, seed=1, polarity=pol)
-    print(f"{pol:>14s} {weights}:")
+for weights in ((5 / 6, 5 / 6, 5 / 6), (0.5, 0.5, 0.5)):
+    z_exact = math.exp(df_log_z(PeriodConfig(N=2, w=weights)).value)
+    quad = mc_oracle_z(2, weights, scheme="quadrature")
+    mc = mc_oracle_z(2, weights, scheme="monte-carlo", budget=400_000, seed=1)
+    print(f"{WeightVector(weights).polarity:>14s} {weights}:")
     print(f"    product formula  Z_2 = {z_exact:12.6f}")
     print(f"    tensor quadrature    = {quad.value:12.6f}  (ratio {quad.value / z_exact:.5f})")
     print(f"    monte carlo          = {mc.value:12.6f}  (ratio {mc.value / z_exact:.5f}, err {mc.err:.2g})")

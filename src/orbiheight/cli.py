@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (bad weights or numbers, poles, unknown ids),
 2 verification failure from `verify` or a command line that does not parse.
-Output is byte-stable for fixed inputs and seed; exact rationals are printed
-as "n/d" strings, never as floats.
+Output is byte-stable for fixed inputs; exact rationals are printed as "n/d"
+strings, never as floats.
 
 Subcommands
 -----------
@@ -13,7 +13,7 @@ table1    the log-canonical closed-form table
 table2    the Fano closed-form table
 shimura   local invariants h(p) for a shipped Shimura-curve case
 fermat    Fermat-curve heights and Arakelov bounds for a range of degrees
-periods   Vandermonde-limit convergence table (CSV-friendly)
+periods   Vandermonde-limit convergence table from the Gamma-ratio product
 faltings  log-Calabi-Yau normalization integral at V = 0
 verify    run the named invariant suite
 """
@@ -31,7 +31,6 @@ from . import heights as hg
 from . import shimura as sh
 from . import specfun as sf
 from .fields import dedekind_log_deriv, get_field
-from .lcombo import LogCombo
 
 
 _KERNELS = {
@@ -77,10 +76,6 @@ def _quoted(text: str) -> str:
 
 def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _combo_doc(combo: LogCombo) -> dict:
-    return json.loads(combo.to_json())
 
 
 def _cmd_specfun(args) -> int:
@@ -130,7 +125,7 @@ def _table_rows(table):
         ev = row.constant.evaluate()
         entry = {
             "indices": m,
-            "constant": _combo_doc(row.constant),
+            "constant": json.loads(row.constant.to_json()),
             "value": ev.value,
         }
         if table == 1:
@@ -166,7 +161,7 @@ def _cmd_shimura(args) -> int:
         "k_degree": _frac_str(case.k_degree),
         "h": {str(p): _frac_str(v) for p, v in hp.items()},
         "h_hat": {str(p): _frac_str(v / scale) for p, v in hp.items()},
-        "difference": _combo_doc(diff),
+        "difference": json.loads(diff.to_json()),
     }
     lines = [f"case {case.id}  field {case.field_id}  orbifold degree {_frac_str(case.k_degree)}"]
     for p, v in hp.items():
@@ -209,55 +204,13 @@ def _cmd_fermat(args) -> int:
     return 0
 
 
-def _oracle_options(args) -> tuple[int, str]:
-    """The oracle's N and its scheme, by default quadrature at N = 2 and monte-carlo
-    otherwise.  --seed, --oracle-n and --scheme belong to --oracle; --seed and
-    --budget drive the Monte-Carlo oracle alone.  --oracle has no CSV form."""
-    if args.oracle and args.format == "csv":
-        raise ValueError("--oracle has no CSV form; use --format json")
-    if not args.oracle:
-        for flag, v in (("--seed", args.seed), ("--oracle-n", args.oracle_n), ("--scheme", args.scheme)):
-            if v is not None:
-                raise ValueError(f"{flag} applies only to --oracle")
-    n = _value(args.oracle_n or "2", int, "--oracle-n")
-    scheme = args.scheme or ("quadrature" if n == 2 else "monte-carlo")
-    for flag, v in (("--seed", args.seed), ("--budget", args.budget)):
-        if v is not None and scheme != "monte-carlo":
-            raise ValueError(f"{flag} applies only to --oracle --scheme monte-carlo")
-    return n, scheme
-
-
 def _cmd_periods(args) -> int:
     from . import periods as pd  # numpy loads here, not at start-up
 
-    n, scheme = _oracle_options(args)
     wv = hg.WeightVector(_items(args.weights, float, "--weights"))
-    n_list = _items(args.n_list, int, "--N-list")
-    polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
-    rows = pd.convergence_report(wv, n_list)
-    payload = {
-        "weights": list(wv.w),
-        "polarity": polarity,
-        "rows": [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows],
-    }
-    if args.oracle:
-        est = pd.mc_oracle_z(
-            n,
-            wv,
-            scheme=scheme,
-            budget=_value(args.budget, int, "--budget"),
-            seed=_value(args.seed or "0", int, "--seed"),
-            polarity=polarity,
-        )
-        cfg = pd.PeriodConfig(N=n, w=wv, polarity=polarity)
-        z_closed = math.exp(pd.df_log_z(cfg).value)
-        payload["oracle"] = {"N": n, "estimate": est.value, "err": est.err, "closed_form": z_closed}
-    csv_text = pd.report_to_csv(rows).rstrip("\n")
-    lines = csv_text.split("\n")
-    if args.oracle:
-        o = payload["oracle"]
-        lines.append(f"# oracle N={o['N']}: Z = {o['estimate']:.8g} +- {o['err']:.2g} (closed form {o['closed_form']:.8g})")
-    _emit(args, payload, lines, lines)
+    rows = pd.convergence_report(wv, _items(args.n_list, int, "--N-list"))
+    doc_rows = [{"N": r.N, "estimate": r.estimate, "gap": r.gap} for r in rows]
+    _emit(args, {"weights": list(wv.w), "polarity": wv.polarity, "rows": doc_rows}, pd.report_to_csv(rows).splitlines())
     return 0
 
 
@@ -339,16 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Vandermonde-limit convergence table",
         epilog="The polarity is read from the weights: canonical when V > 0, anticanonical when V < 0. "
         "CSV columns: N (number of points), estimate (+-(1/2N) log Z_N), "
-        "gap (estimate minus the closed form).  --oracle does not combine with --format csv: "
-        "use --format json.",
+        "gap (estimate minus the closed form).  The N = 2, 3 direct-integration oracles of the product "
+        "are library calls (mc_oracle_z), run by demo 03 and by verify --suite periods.",
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
-    p.add_argument("--seed", default=None, help="seed for the Monte-Carlo oracle (default 0)")
-    p.add_argument("--oracle", action="store_true", help="also run the small-N direct-integration oracle")
-    p.add_argument("--oracle-n", default=None, help="oracle N, 2 or 3 (default 2)")
-    p.add_argument("--scheme", choices=("quadrature", "monte-carlo"), default=None, help="oracle scheme (default quadrature at N = 2, monte-carlo at N = 3)")
-    p.add_argument("--budget", default=None, help="Monte-Carlo oracle sample budget")
     p.set_defaults(fn=_cmd_periods)
 
     p = sub.add_parser("faltings", help="log-Calabi-Yau height (V = 0)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .heights import _height_positive
+from .heights import _EPS, _height_positive
 from .lcombo import LogCombo
 from .specfun import EvalResult
 from .tables import table1_row
@@ -75,6 +75,31 @@ class FermatSpec:
             raise ValueError("twist coefficients must be nonzero")
 
 
+def _diagonal_height(m: int, caller: str, *terms: tuple[float, float]) -> EvalResult:
+    """f((1-1/m)^3) at the exact weight 1 - 1/m (f = :func:`h_can_positive`)
+    plus the (value, err) terms, added left to right.
+
+    err adds the closed form's, the terms', the rounding of each sum and that
+    of t = 1 - 1/m through |f'|.  On the diagonal V = 3t - 2 >= 1/4 and, with
+    L(x) = ln(Gamma(x)/Gamma(1-x)) and B = gamma(0, V/2) + 3 gamma(t, 1 - t/2),
+    f' = -3/(2V) - B'/V + 3B/V^2 for B' = (3/2)(L(V/2) - L(1 - t/2)) - 3 L(t).
+    There |L(V/2)| <= L(1/8) < 1.934, |L(1 - t/2)| <= |L(5/8)| < 0.503,
+    0 <= L(t) - ln(1 - t) < 0.302 and 0 < B <= B(1) < 2.755, so |f'| <
+    (6.1 + 8.3/V)/V + 3 |ln(1 - t)|/V.  1/m and 1 - 1/m each round by at most
+    2^-54, so t is within delta = 2^-53 of 1 - 1/m, over which |ln(1 - s)|
+    integrates to at most delta (1 - ln delta) < 37.8 delta: t moves f by less
+    than delta 4 (6.1 + 4 (8.3) + 3 (37.8)) = 6.8e-14.  A term ln m is off by
+    eps/2 (m as a double) plus an ulp.
+    """
+    t = 1.0 - 1.0 / m
+    value, err = _height_positive((t, t, t), caller)
+    err += 2.0**-53 * 4.0 * (6.1 + 4.0 * 8.3 + 3.0 * 37.8)
+    for x, e in terms:
+        value += x
+        err += e + 0.5 * _EPS * abs(value)
+    return EvalResult(value, err)
+
+
 def fermat_h_can(spec: FermatSpec) -> EvalResult:
     """Canonical height of the log canonical bundle of a twisted Fermat curve.
 
@@ -82,10 +107,12 @@ def fermat_h_can(spec: FermatSpec) -> EvalResult:
     requiring m >= 4 so that the canonical bundle is ample.
     """
     _check_degree(spec.m, 4)
-    t = 1.0 - 1.0 / spec.m
-    base, err = _height_positive((t, t, t), "fermat_h_can")
-    twist = ((spec.m - 3) / 2.0 + 1.0) / spec.m * math.fsum(math.log(abs(x)) for x in spec.a)
-    return EvalResult(base + math.log(spec.m) + twist, err + 4e-16 * spec.m)
+    ln_m = math.log(spec.m)
+    logs = [math.log(abs(x)) for x in spec.a]
+    factor = ((spec.m - 3) / 2.0 + 1.0) / spec.m
+    # the factor is off by 2 eps of itself, each log by 2 eps, the fsum and the product by eps/2
+    twist = (factor * math.fsum(logs), 5.0 * _EPS * factor * math.fsum(map(abs, logs)))
+    return _diagonal_height(spec.m, "fermat_h_can", (ln_m, _EPS * (0.5 + ln_m)), twist)
 
 
 def genus(m: int) -> int:
@@ -148,8 +175,11 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     with h_Arakelov >= 0.  ``epsilon_m`` refuses degrees from 2^511 on.
     """
     eps = epsilon_m(m)
-    t = 1.0 - 1.0 / m
-    base, err = _height_positive((t, t, t), "arakelov_upper_bound")
-    first = EvalResult(base + 0.5 * math.log(math.pi) + 2.0 * math.log(m) + eps, err)
-    second = _second_constant_value() + eps + 2.0 * math.log(m)
+    ln_m = math.log(m)
+    # (1/2) ln pi is off by eps/4 + half an ulp; eps_m's terms (at most 1.64 and 0.70) by 3.5 eps
+    # and eps/4 + eps of themselves (ln A, the + 1, the division; the log of a correctly rounded
+    # A/m^2), and their sum (at most 0.95) by eps/2 of it
+    terms = (0.5 * math.log(math.pi), _EPS), (2.0 * ln_m, _EPS * (1.0 + 2.0 * ln_m)), (eps, 8.0 * _EPS)
+    first = _diagonal_height(m, "arakelov_upper_bound", *terms)
+    second = _second_constant_value() + eps + 2.0 * ln_m
     return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

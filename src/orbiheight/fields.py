@@ -218,13 +218,32 @@ def dedekind_log_deriv(field: FieldSpec) -> EvalResult:
     return EvalResult(total.real, err + 1e-14)
 
 
-def _field_from_dict(doc: dict) -> FieldSpec:
+def _field_from_dict(doc) -> FieldSpec:
+    """The field of one JSON object; whatever is malformed raises one ValueError naming the field."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("id"), str)):
+        raise ValueError(f'a field is an object with a string "id", got {doc!r}')
+
+    def need(ok: bool, what: str):
+        if not ok:
+            raise ValueError(f"field {doc['id']!r}: {what}")
+
+    need(isinstance(doc.get("characters"), list), '"characters" must be a list')
     chars = []
     for entry in doc["characters"]:
-        if "modulus" not in entry:
-            raise ValueError(f"field {doc['id']!r}: a character has no modulus")
-        angles = {int(a): Fraction(k, n) for a, (k, n) in entry["values"].items()}
-        chars.append(Character(int(entry["modulus"]), angles))
+        need(isinstance(entry, dict), f"a character is an object, got {entry!r}")
+        need("modulus" in entry, "a character has no modulus")
+        f, values = entry["modulus"], entry.get("values")
+        # JSON's true and 1.5 are no modulus or angle, though int() takes them
+        need(type(f) is int, f"a character's modulus must be an integer, got {f!r}")
+        need(isinstance(values, dict), 'a character needs a "values" object')
+        for a, kn in values.items():
+            need(a.removeprefix("-").isdecimal(), f"residue {a!r} is not an integer")
+            ok = isinstance(kn, list) and len(kn) == 2 and all(type(x) is int for x in kn) and kn[1] != 0
+            need(ok, f"the angle of chi({a}) must be [k, n], integers with n != 0, got {kn!r}")
+        try:
+            chars.append(Character(f, {int(a): Fraction(*kn) for a, kn in values.items()}))
+        except ValueError as exc:
+            raise ValueError(f"field {doc['id']!r}: {exc}") from None
     return FieldSpec(doc["id"], tuple(chars))
 
 

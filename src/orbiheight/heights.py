@@ -58,11 +58,13 @@ class WeightVector:
 
     w: tuple[float, float, float]
     volume: float = field(init=False, repr=False, compare=False)  # V = w1 + w2 + w3 - 2
+    polarity: str = field(init=False, repr=False, compare=False)  # the bundle the sign of V names, K or -K
 
     def __post_init__(self):
         w1, w2, w3, v = _triple(self.w)
         object.__setattr__(self, "w", (w1, w2, w3))
         object.__setattr__(self, "volume", v)
+        object.__setattr__(self, "polarity", "canonical" if v > 0.0 else "anticanonical")
 
     def __iter__(self):
         return iter(self.w)

@@ -30,8 +30,6 @@ workspace per call, with f and q from one log per squared distance.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import sys
@@ -64,30 +62,34 @@ class PeriodConfig:
 
     The denominator arguments w_i - j h of the product run from w_i to
     w_i - V/2; every one of them must stay at least ``_WALL_DISTANCE`` from
-    the poles and zeros of l at 0 and 1, and |V| at least twice that.  Configurations closer than that
-    to a stability wall are rejected rather than regularized.  The polarity
-    must match the sign of V, and N |V| < 2(N - 1): where all N points meet,
-    the integrand scales like r^(N V) against the volume r^(2N - 3) dr of the
-    2(N - 1) relative coordinates, so otherwise Z_N diverges, and the
-    numerator argument N h reaches -1 (a smaller cluster of k points needs
-    only k |V| < 2(N - 1)).  The test reads |N h| < 1 in the arithmetic of
-    that argument.  With these checks every argument of l lies in (-1, 1),
-    where each factor of the product is positive.  They also keep every
-    weight below 1, which the direct integration of Z_N needs at the
-    punctures and at infinity.
+    the poles and zeros of l at 0 and 1, and |V| at least twice that.
+    Configurations closer than that to a stability wall are rejected rather
+    than regularized.  The polarity defaults to ``WeightVector.polarity``,
+    the one the sign of V names; one given explicitly must be that one.
+    N |V| < 2(N - 1): where all N points meet, the integrand scales like
+    r^(N V) against the volume r^(2N - 3) dr of the 2(N - 1) relative
+    coordinates, so otherwise Z_N diverges, and the numerator argument N h
+    reaches -1 (a smaller cluster of k points needs only k |V| < 2(N - 1)).
+    The test reads |N h| < 1 in the arithmetic of that argument.  With these
+    checks every argument of l lies in (-1, 1), where each factor of the
+    product is positive.  They also keep every weight below 1, which the
+    direct integration of Z_N needs at the punctures and at infinity.
     """
 
     N: int
     w: WeightVector
-    polarity: Polarity = "canonical"
+    polarity: Polarity | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 2):
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-        if self.polarity not in ("canonical", "anticanonical"):
+        # j = 0 .. N - 1 is taken in floats, exact up to 2^53
+        if not (isinstance(self.N, int) and 2 <= self.N <= 2**53):
+            raise ValueError(f"N must be an integer from 2 to 2^53, got {self.N!r}")
+        if self.polarity not in (None, "canonical", "anticanonical"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
         wv = self.w if isinstance(self.w, WeightVector) else WeightVector(tuple(self.w))
         object.__setattr__(self, "w", wv)
+        if self.polarity is None:
+            object.__setattr__(self, "polarity", wv.polarity)
         v = wv.volume
         d = _WALL_DISTANCE
         if (v if self.polarity == "canonical" else -v) < 2.0 * d:
@@ -227,24 +229,18 @@ class ConvergenceRow:
 
 def convergence_report(w, n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Rows (N, height estimate, gap to the closed form) for each N, in the
-    polarity that the sign of V fixes."""
+    default polarity of ``PeriodConfig``."""
     wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
     closed = h_can(wv)
-    polarity = "canonical" if wv.volume > 0.0 else "anticanonical"
     rows = []
     for n in n_list:
-        est = height_from_periods(PeriodConfig(N=n, w=wv, polarity=polarity))
+        est = height_from_periods(PeriodConfig(N=n, w=wv))
         rows.append(ConvergenceRow(N=n, estimate=est.value, gap=est.value - closed.value))
     return rows
 
 
 def report_to_csv(rows: Sequence[ConvergenceRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "estimate", "gap"])
-    for r in rows:
-        writer.writerow([r.N, f"{r.estimate:.12g}", f"{r.gap:.12g}"])
-    return buf.getvalue()
+    return "N,estimate,gap\n" + "".join(f"{r.N},{r.estimate:.12g},{r.gap:.12g}\n" for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +383,11 @@ def mc_oracle_z(
     scheme: Literal["quadrature", "monte-carlo"] = "quadrature",
     budget: int | None = None,
     seed: int = 0,
-    polarity: Polarity = "canonical",
+    polarity: Polarity | None = None,
 ) -> EvalResult:
     """Independent estimate of Z_N (N in {2, 3}) by direct 2N-dimensional
-    integration of the Vandermonde integral.
+    integration of the Vandermonde integral: the oracle of ``df_log_z`` that
+    demo 03 and ``orbiheight verify --suite periods`` run.
 
     scheme "quadrature" (N = 2 only) uses tensorized polar tanh-sinh patches
     with the plane split around the punctures {0, 1, infinity}; scheme
@@ -399,11 +396,11 @@ def mc_oracle_z(
     one workspace, f/q in log space; budget, its sample count, belongs to that
     scheme alone.  The reported err is a quadrature refinement bound or three
     standard errors of the mean.  The weights and polarity must pass
-    ``PeriodConfig(N, w, polarity)``; the Monte-Carlo scheme needs every weight
-    at most 0.948099, where its draws stay finite, and for a variance that is
-    finite, or diverges only like a log, 5V + 4 > 0 at N = 3 and not both
-    3w - c > 2 and w - c > 1 for w the larger weight at 0 and 1 and the
-    coupling c = V/(N - 1).
+    ``PeriodConfig(N, w, polarity)``, whose default polarity this one shares;
+    the Monte-Carlo scheme needs every weight at most 0.948099, where its
+    draws stay finite, and for a variance that is finite, or diverges only
+    like a log, 5V + 4 > 0 at N = 3 and not both 3w - c > 2 and w - c > 1
+    for w the larger weight at 0 and 1 and the coupling c = V/(N - 1).
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
@@ -445,7 +442,7 @@ def mc_oracle_z(
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
     chunk = 1 << 15
-    mix = _Mixture(wv, n_points, coupling, polarity, min(chunk, budget))
+    mix = _Mixture(wv, n_points, coupling, wv.polarity, min(chunk, budget))
     total = total_sq = 0.0
     for lo in range(0, budget, chunk):
         n = min(chunk, budget - lo)

@@ -295,17 +295,15 @@ def _log_cy_value():
 # periods
 # ---------------------------------------------------------------------------
 
-_W_CAN = (0.75, 0.75, 0.75)
-_W_FANO = (0.5, 0.5, 0.5)
+_W_CAN = hg.WeightVector((0.75, 0.75, 0.75))
+_W_FANO = hg.WeightVector((0.5, 0.5, 0.5))
 
 
 def _canonical_gaps(ns) -> list[float]:
     from . import periods as pd
 
     f_ref = hg.h_can_positive(_W_CAN).value
-    return [
-        abs(pd.height_from_periods(pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN))).value - f_ref) for n in ns
-    ]
+    return [abs(pd.height_from_periods(pd.PeriodConfig(N=n, w=_W_CAN)).value - f_ref) for n in ns]
 
 
 @_register("periods", "canonical convergence strictly decreasing", None, "05", ns=(100, 1000, 10000))
@@ -330,8 +328,7 @@ def _canonical_rate(ns):
 def _anticanonical_gap(n):
     from . import periods as pd
 
-    cfg = pd.PeriodConfig(N=n, w=hg.WeightVector(_W_FANO), polarity="anticanonical")
-    return pd.height_from_periods(cfg).value - hg.h_can_fano(_W_FANO).value
+    return pd.height_from_periods(pd.PeriodConfig(N=n, w=_W_FANO)).value - hg.h_can_fano(_W_FANO).value
 
 
 def _random_period_config(rng, n: int, polarity: str, lo: float, hi: float):
@@ -339,7 +336,7 @@ def _random_period_config(rng, n: int, polarity: str, lo: float, hi: float):
 
     while True:
         try:
-            return pd.PeriodConfig(N=n, w=hg.WeightVector(tuple(rng.uniform(lo, hi, size=3).tolist())), polarity=polarity)
+            return pd.PeriodConfig(N=n, w=rng.uniform(lo, hi, size=3).tolist(), polarity=polarity)
         except ValueError:
             continue
 
@@ -359,7 +356,7 @@ def _df_sum(seed, ns, fixed_ns):
     from . import periods as pd
 
     rng = _rng(seed)
-    cfgs = [pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN)) for n in fixed_ns]
+    cfgs = [pd.PeriodConfig(N=n, w=_W_CAN) for n in fixed_ns]
     for polarity, lo, hi in (("canonical", 0.5, 1.0), ("anticanonical", 0.2, 0.65)):
         cfgs += [_random_period_config(rng, n, polarity, lo, hi) for n in ns]
     worst = 0.0
@@ -376,20 +373,19 @@ def _stirling(n):
     # the prefactor of log Z_N over 2N against its large-N limit (1/2)(ln(V/2) - 1 + ln pi)
     from . import periods as pd
 
-    cfg = pd.PeriodConfig(N=n, w=hg.WeightVector(_W_CAN))
+    cfg = pd.PeriodConfig(N=n, w=_W_CAN)
     return pd._df_prefactor(cfg) / (2.0 * n) - 0.5 * (math.log(cfg.w.volume / 2.0) - 1.0 + math.log(math.pi))
 
 
-def _direct_integration(polarity, w):
+def _direct_integration(w):
     from . import periods as pd
 
-    wv = hg.WeightVector(w)
-    z_exact = math.exp(pd.df_log_z(pd.PeriodConfig(N=2, w=wv, polarity=polarity)).value)
-    return pd.mc_oracle_z(2, wv, scheme="quadrature", polarity=polarity).value / z_exact - 1.0
+    z_exact = math.exp(pd.df_log_z(pd.PeriodConfig(N=2, w=w)).value)
+    return pd.mc_oracle_z(2, w, scheme="quadrature").value / z_exact - 1.0
 
 
-for _pol, _w in (("canonical", (5 / 6, 5 / 6, 5 / 6)), ("anticanonical", _W_FANO)):
-    _register("periods", f"N=2 direct integration ({_pol})", 1e-2, "06", polarity=_pol, w=_w)(_direct_integration)
+for _w in (hg.WeightVector((5 / 6, 5 / 6, 5 / 6)), _W_FANO):
+    _register("periods", f"N=2 direct integration ({_w.polarity})", 1e-2, "06", w=_w)(_direct_integration)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -106,14 +107,16 @@ def test_fermat_table(capsys):
 
 
 def test_periods_deterministic_output(capsys):
-    args = ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50,500", "--seed", "9",
-            "--oracle", "--scheme", "monte-carlo", "--budget", "50000", "--format", "json")
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2  # byte-stable for fixed seed
-    doc = json.loads(out1)
-    assert doc["oracle"]["estimate"] == pytest.approx(doc["oracle"]["closed_form"], rel=0.1)
+    # both polarities in every format, byte-stable from run to run; the JSON
+    # names the polarity that the sign of V picks
+    for weights, polarity in (("0.8,0.8,0.8", "canonical"), ("0.5,0.5,0.5", "anticanonical")):
+        for fmt in ("text", "json", "csv"):
+            args = ("periods", "--weights", weights, "--N-list", "50,500", "--format", fmt)
+            first = run(capsys, *args)
+            assert first == run(capsys, *args)
+            assert first[0] == 0 and first[2] == ""
+        doc = json.loads(run(capsys, *args[:-1], "json")[1])
+        assert doc["polarity"] == polarity and [r["N"] for r in doc["rows"]] == [50, 500]
 
 
 def test_periods_csv(capsys):
@@ -122,19 +125,10 @@ def test_periods_csv(capsys):
     assert out.splitlines()[0] == "N,estimate,gap"
 
 
-def test_periods_oracle_scheme_follows_n(capsys):
-    # N = 3 has no quadrature, so its oracle samples without --scheme
-    code, out, err = run(capsys, "periods", "--weights", "0.8,0.8,0.8", "--N-list", "50",
-                         "--oracle", "--oracle-n", "3", "--budget", "2000", "--format", "json")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["oracle"]["N"] == 3
-
-
-def test_periods_oracle_refuses_csv(capsys):
-    # the oracle line is not a CSV row: the refusal names the format that carries it
-    code, out, err = run(capsys, "periods", "--weights", "0.75,0.75,0.75", "--N-list", "100", "--oracle", "--format", "csv")
-    assert (code, out) == (1, "")
-    assert err == "error: --oracle has no CSV form; use --format json\n"
+def test_periods_declares_no_oracle_option():
+    # the small-N oracles run in the library, demo 03 and verify --suite periods
+    options = {o for a in _SUBPARSERS["periods"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--format", "--weights", "--N-list"}
 
 
 def test_faltings(capsys):
@@ -174,24 +168,24 @@ def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent
         ("specfun", "hurwitz_zeta", "-2", "1e200"),
         ("specfun", "hurwitz_zeta", "2", "1e-320"),
         ("specfun", "bernoulli2", "1e200"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "0"),
+        ("periods", "--weights", "0.8,0.8", "--N-list", "50"),  # two weights
         ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "0"),
         ("fermat", "--m", "4", "--a", "1,2"),
         ("shimura", "--case", "nosuch"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--budget", "1000"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--budget", "1000"),
+        ("periods", "--weights", "0.9995,0.8,0.8", "--N-list", "50"),  # within 1e-3 of the wall at 1
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "2.5"),
         ("specfun", "dedekind_log_deriv", "--field", "Qsqrt99"),
         ("height", "--ram", "2,3"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--seed", "5"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle-n", "3"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--scheme", "monte-carlo"),
+        ("periods", "--weights", "0.1,0.1,0.1", "--N-list", "2"),  # N |V| >= 2(N - 1): Z_2 diverges
+        ("periods", "--weights", "0.0005,0.9,0.9", "--N-list", "50"),  # within 1e-3 of the wall at 0
+        ("periods", "--weights", "0.7,0.35,0.35", "--N-list", "50"),  # w1 - V/2 = 1: the far end at the wall
         ("specfun", "dedekind_log_deriv", "0.5", "0.7"),
         ("specfun", "loggamma_primitive", "0.5", "--field", "nonsense"),
         ("fermat", "--m", "10", "--m-to", "4"),
-        ("periods", "--weights", "0.75,0.75,0.75", "--N-list", "2", "--oracle", "--scheme", "monte-carlo", "--budget", "1"),
-        ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--scheme", "quadrature", "--seed", "3"),
-        ("periods", "--weights", "0.75,0.75,0.75", "--oracle", "--seed", "3"),
-        ("periods", "--weights", "0.24,0.24,0.22", "--N-list", "3", "--oracle", "--oracle-n", "3", "--scheme", "monte-carlo", "--budget", "1000"),
+        ("periods", "--weights", "0.5,0.75,0.75", "--N-list", "50"),  # V = 0
+        ("periods", "--weights", "0.667,0.667,0.667", "--N-list", "50"),  # 0 < V < 2e-3
+        ("periods", "--weights", "0.6665,0.6665,0.6665", "--N-list", "50"),  # -2e-3 < V < 0
+        ("periods", "--weights", "0.99,0.1,0.1", "--N-list", "50"),  # not K-semistable
         ("height", "--ram", "2,3,1" + "0" * 330),
         ("fermat", "--m", "1" + "0" * 330),
         ("specfun", "hurwitz_zeta_ds", "1.5"),
@@ -204,13 +198,13 @@ def test_specfun_reads_negative_arguments_with_an_exponent(capsys, with_exponent
         ("verify", "--suite", "nope"),
         ("fermat", "--m", "4.5"),
         ("fermat", "--m", "4", "--m-to", "x"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--seed", "1.5"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "1e3"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "x"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "4"),
+        ("periods", "--weights", "1.5,0.5,0.5", "--N-list", "50"),
+        ("periods", "--weights", "nan,0.5,0.5", "--N-list", "50"),
+        ("periods", "--weights", "x,0.5,0.5", "--N-list", "50"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50,"),
         ("specfun", "hurwitz_zeta", "abc", "0.5"),
-        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "50", "--oracle", "--oracle-n", "3", "--scheme", "quadrature"),
-        ("periods", "--weights", "0.99,0.99,0.5", "--N-list", "50", "--oracle", "--scheme", "monte-carlo", "--budget", "1000"),
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "100,1"),  # refused after a valid N, nothing printed
+        ("periods", "--weights", "0.8,0.8,0.8", "--N-list", "1" + "0" * 400),  # beyond 2^53, where j is no longer exact
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -402,9 +396,12 @@ def test_cli_fuzz_exits_cleanly(argv):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_command_lines() -> list[list[str]]:
     """The arguments of every ``orbiheight ...`` line in README's Command line block, comments stripped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("orbiheight ")]
 
@@ -421,3 +418,15 @@ def test_readme_command_lines_run(capsys):
         if code != 0:
             failed.append((argv, code, capsys.readouterr().err))
     assert not failed, failed
+
+
+def test_readme_names_only_declared_options():
+    # every --option in README's prose and orbiheight command lines is one a
+    # parser declares; the command lines of pip and python in its fenced
+    # blocks are other programs'
+    parts = _README.read_text().split("```")
+    commands = [line for block in parts[1::2] for line in block.splitlines() if line.startswith("orbiheight ")]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", "\n".join(parts[0::2] + commands)))
+    declared = {o for p in (build_parser(), *_SUBPARSERS.values()) for a in p._actions for o in a.option_strings}
+    assert "--weights" in named
+    assert sorted(named - declared) == []

@@ -250,6 +250,23 @@ def test_load_fields_rejects_malformed_characters():
     cubic7 = {"modulus": 7, "values": {"1": [0, 1], "6": [0, 1], "3": [1, 3], "4": [1, 3], "2": [2, 3], "5": [2, 3]}}
     with pytest.raises(ValueError, match="without conjugate partner"):
         load_fields(json.dumps({"id": "Qbad", "characters": [trivial, cubic7]}))
+    # each of these once loaded through int() as a field of degree 1, or
+    # raised KeyError, ZeroDivisionError or TypeError
+    for bad, why in (
+        ({"id": "Qbad", "characters": [{"modulus": 1.5, "values": {"1": [0, 1]}}]}, "'Qbad': a character's modulus must be an integer, got 1.5"),
+        ({"id": "Qbad", "characters": [{"modulus": True, "values": {"1": [0, 1]}}]}, "'Qbad': a character's modulus must be an integer, got True"),
+        ({"characters": [trivial]}, 'a field is an object with a string "id"'),
+        ({"id": "Qbad"}, "'Qbad': \"characters\" must be a list"),
+        ({"id": "Qbad", "characters": [{"modulus": 1}]}, "'Qbad': a character needs a \"values\" object"),
+        ({"id": "Qbad", "characters": [{"modulus": 1, "values": {"1": [0, 0]}}]}, "'Qbad': the angle of chi\\(1\\) must be"),
+        ({"id": "Qbad", "characters": [{"modulus": 1, "values": {"1": [0.5, 1]}}]}, "'Qbad': the angle of chi\\(1\\) must be"),
+        ({"id": "Qbad", "characters": [trivial, 5]}, "'Qbad': a character is an object, got 5"),
+        ({"id": "Qbad", "characters": [{"modulus": 1, "values": {"x": [0, 1]}}]}, "'Qbad': residue 'x' is not an integer"),
+        ({"id": "Qbad", "characters": [{"modulus": 0, "values": {}}]}, "'Qbad': modulus must be a positive integer"),
+        ([trivial], 'a field is an object with a string "id"'),
+    ):
+        with pytest.raises(ValueError, match=why):
+            load_fields(json.dumps(bad))
 
 
 def test_characters_must_be_primitive_and_even():

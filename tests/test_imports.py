@@ -3,8 +3,9 @@
 Each case runs in a fresh interpreter, since this test process has long
 imported both.  The package and most subcommands load neither; only the
 period route and the ``verify`` checks that draw seeded samples or run the
-period route load numpy, and only the N = 2 oracle loads the quadrature
-module.  scipy serves the tests and the benchmark alone.
+period route load numpy, and only the N = 2 oracle (``mc_oracle_z``, never
+the ``periods`` subcommand) loads the quadrature module.  scipy serves the
+tests and the benchmark alone.
 """
 
 import ast
@@ -64,9 +65,9 @@ def test_period_names_load_on_first_use():
     [
         ("import orbiheight.periods", False),
         (run_cli("periods", "--weights", "0.75,0.75,0.75"), False),
-        (run_cli("periods", "--weights", "0.75,0.75,0.75", "--N-list", "10", "--oracle"), True),
+        ("from orbiheight import mc_oracle_z\nmc_oracle_z(2, (0.75, 0.75, 0.75))", True),
     ],
-    ids=["import orbiheight.periods", "periods", "periods --oracle"],
+    ids=["import orbiheight.periods", "periods", "mc_oracle_z(2, ...)"],
 )
 def test_pair_quadrature_loads_only_with_its_oracle(code, loaded):
     # the quadrature builds its node cache on first use, so start-up and the
@@ -78,10 +79,10 @@ def test_pair_quadrature_loads_only_with_its_oracle(code, loaded):
     "code",
     [
         "from orbiheight import PeriodConfig, df_log_z\ndf_log_z(PeriodConfig(N=1000, w=(0.75, 0.75, 0.75)))",
-        run_cli("periods", "--weights", "0.5,0.5,0.5", "--N-list", "10,100", "--oracle"),
+        "from orbiheight import mc_oracle_z\nmc_oracle_z(2, (0.5, 0.5, 0.5))",
         run_cli("verify", "--suite", "all"),
     ],
-    ids=["df_log_z", "periods --oracle", "verify --suite all"],
+    ids=["df_log_z", "mc_oracle_z(2, ...)", "verify --suite all"],
 )
 def test_runs_with_scipy_blocked(code):
     # a None entry in sys.modules makes every import of scipy raise

@@ -61,7 +61,24 @@ def test_config_validation():
         mc_oracle_z(2.0, W_CAN)
     with pytest.raises(ValueError, match="N must be an integer"):
         convergence_report(W_CAN, [100.7])  # ran N = 100
+    # j = N - 1 must be exact in floats; 10^400 overflowed a float
+    for n in (2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match="N must be an integer from 2 to 2\\^53"):
+            PeriodConfig(N=n, w=W_CAN)
+    PeriodConfig(N=2**53, w=W_CAN)
     PeriodConfig(N=10, w=W_CAN)
+
+
+def test_polarity_defaults_to_the_sign_of_v():
+    assert (W_CAN.polarity, W_FANO.polarity) == ("canonical", "anticanonical")
+    assert PeriodConfig(N=100, w=(0.5,) * 3) == PeriodConfig(N=100, w=W_FANO, polarity="anticanonical")
+    assert PeriodConfig(N=100, w=W_CAN) == PeriodConfig(N=100, w=W_CAN, polarity="canonical")
+    # an explicit polarity is still checked against V
+    for w, wrong in ((W_CAN, "anticanonical"), (W_FANO, "canonical")):
+        with pytest.raises(ValueError, match=f"{wrong} polarity needs V"):
+            PeriodConfig(N=100, w=w, polarity=wrong)
+    with pytest.raises(ValueError, match="unknown polarity"):
+        PeriodConfig(N=100, w=W_CAN, polarity="fano")
 
 
 def test_wall_distance_is_one_thousandth():
@@ -163,8 +180,7 @@ _DF_GOLDEN = [
 
 @pytest.mark.parametrize("w, n, value, err", _DF_GOLDEN)
 def test_df_log_z_golden_values(w, n, value, err):
-    wv = WeightVector(w)
-    r = df_log_z(PeriodConfig(N=n, w=wv, polarity="canonical" if wv.volume > 0 else "anticanonical"))
+    r = df_log_z(PeriodConfig(N=n, w=w))
     assert abs(r.value - value) <= r.err
     assert r.err == pytest.approx(err, rel=1e-9)  # the err formula is unchanged
 
@@ -178,7 +194,7 @@ def _twin_configs():
         wv = WeightVector(w)
         for n in (2, 3, 100, 8191, 8192, 8193, 10**5):
             if abs(n * wv.volume) < 2.0 * (n - 1):
-                yield PeriodConfig(N=n, w=wv, polarity="canonical" if wv.volume > 0 else "anticanonical")
+                yield PeriodConfig(N=n, w=wv)
 
 
 @pytest.mark.parametrize("cfg", list(_twin_configs()), ids=lambda cfg: f"{cfg.w.w}-{cfg.N}")
@@ -439,6 +455,9 @@ def test_monte_carlo_golden_values(n, w, polarity, budget, seed, value, err):
     r = mc_oracle_z(n, w, scheme="monte-carlo", budget=budget, seed=seed, polarity=polarity)
     assert r.value == pytest.approx(value, rel=1e-13)
     assert r.err == pytest.approx(err, rel=1e-13)
+    # the polarity omitted is the one the sign of V names, bit for bit
+    omitted = mc_oracle_z(n, w, scheme="monte-carlo", budget=budget, seed=seed)
+    assert (omitted.value.hex(), omitted.err.hex()) == (r.value.hex(), r.err.hex())
 
 
 _MIXTURE_CASES = [
