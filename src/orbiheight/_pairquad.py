@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .heights import WeightVector
-from .periods import _ln_s
+from .periods import PeriodConfig, _ln_s
 
 _SWITCH = math.acos(0.25)
 _T_MAX = 3.1  # the tanh-sinh abscissae run over t in [-_T_MAX, _T_MAX]
@@ -270,8 +270,9 @@ def _level(wv: WeightVector, coupling: float, scale: float) -> float:
     return total
 
 
-def pair_integral(wv: WeightVector, coupling: float) -> tuple[float, float]:
-    """(value, error estimate) for Z_2 at the given coupling exponent V."""
+def pair_integral(cfg: PeriodConfig) -> tuple[float, float]:
+    """(value, error estimate) for Z_2 of a config with N = 2, at the coupling exponent 2 h = V."""
+    wv, coupling = cfg.w, 2.0 * cfg.h
     coarse = _level(wv, coupling, 1.0)
     fine = _level(wv, coupling, 1.4)
     err = 2.5 * abs(fine - coarse) + 1e-12 * abs(fine)

@@ -62,13 +62,14 @@ def _check_degree(m: int, least: int) -> None:
 
 @dataclass(frozen=True)
 class FermatSpec:
-    """Twisted Fermat curve a0 x0^m + a1 x1^m + a2 x2^m = 0."""
+    """Twisted Fermat curve a0 x0^m + a1 x1^m + a2 x2^m = 0, of degree
+    m >= 4, where its canonical bundle is ample."""
 
     m: int
     a: tuple[int, int, int] = (-1, 1, 1)
 
     def __post_init__(self):
-        _check_degree(self.m, 3)
+        _check_degree(self.m, 4)
         if len(self.a) != 3:
             raise ValueError(f"a twist has exactly three coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):
@@ -103,10 +104,8 @@ def _diagonal_height(m: int, caller: str, *terms: tuple[float, float]) -> EvalRe
 def fermat_h_can(spec: FermatSpec) -> EvalResult:
     """Canonical height of the log canonical bundle of a twisted Fermat curve.
 
-    f(1-1/m, 1-1/m, 1-1/m) + ln m + ((m-3)/2 + 1) (1/m) sum_i ln |a_i|,
-    requiring m >= 4 so that the canonical bundle is ample.
+    f(1-1/m, 1-1/m, 1-1/m) + ln m + ((m-3)/2 + 1) (1/m) sum_i ln |a_i|.
     """
-    _check_degree(spec.m, 4)
     ln_m = math.log(spec.m)
     logs = [math.log(abs(x)) for x in spec.a]
     factor = ((spec.m - 3) / 2.0 + 1.0) / spec.m
@@ -149,7 +148,6 @@ class ArakelovBounds:
     """The two explicit upper bounds on the Arakelov height of the degree-m
     Fermat curve, plus the exact constant part of the second one."""
 
-    m: int
     epsilon: float
     first: EvalResult
     second_constant: LogCombo
@@ -182,4 +180,4 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     terms = (0.5 * math.log(math.pi), _EPS), (2.0 * ln_m, _EPS * (1.0 + 2.0 * ln_m)), (eps, 8.0 * _EPS)
     first = _diagonal_height(m, "arakelov_upper_bound", *terms)
     second = _second_constant_value() + eps + 2.0 * ln_m
-    return ArakelovBounds(m=m, epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)
+    return ArakelovBounds(epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -58,27 +58,31 @@ _WALL_DISTANCE = 1e-3
 
 @dataclass(frozen=True)
 class PeriodConfig:
-    """Input bundle for the period formulas.
+    """One period Z_N: N points, the weights in any form ``WeightVector``
+    accepts (stored as one), and the polarity.
 
-    The denominator arguments w_i - j h of the product run from w_i to
-    w_i - V/2; every one of them must stay at least ``_WALL_DISTANCE`` from
-    the poles and zeros of l at 0 and 1, and |V| at least twice that.
-    Configurations closer than that to a stability wall are rejected rather
-    than regularized.  The polarity defaults to ``WeightVector.polarity``,
-    the one the sign of V names; one given explicitly must be that one.
-    N |V| < 2(N - 1): where all N points meet, the integrand scales like
-    r^(N V) against the volume r^(2N - 3) dr of the 2(N - 1) relative
-    coordinates, so otherwise Z_N diverges, and the numerator argument N h
-    reaches -1 (a smaller cluster of k points needs only k |V| < 2(N - 1)).
-    The test reads |N h| < 1 in the arithmetic of that argument.  With these
-    checks every argument of l lies in (-1, 1), where each factor of the
-    product is positive.  They also keep every weight below 1, which the
-    direct integration of Z_N needs at the punctures and at infinity.
+    The step h = V/(2(N - 1)) of the product is derived here, once; the
+    oracles read their coupling V/(N - 1) as 2 h, the same double.  The
+    denominator arguments w_i - j h run from w_i to w_i - V/2; every one of
+    them must stay at least ``_WALL_DISTANCE`` from the poles and zeros of l
+    at 0 and 1, and |V| at least twice that.  Configurations closer than that
+    to a stability wall are rejected rather than regularized.  The polarity
+    defaults to ``WeightVector.polarity``, the one the sign of V names; one
+    given explicitly must be that one.  N |V| < 2(N - 1): where all N points
+    meet, the integrand scales like r^(N V) against the volume r^(2N - 3) dr
+    of the 2(N - 1) relative coordinates, so otherwise Z_N diverges, and the
+    numerator argument N h reaches -1 (a smaller cluster of k points needs
+    only k |V| < 2(N - 1)).  The test reads |N h| < 1 in the arithmetic of
+    that argument.  With these checks every argument of l lies in (-1, 1),
+    where each factor of the product is positive.  They also keep every
+    weight below 1, which the direct integration of Z_N needs at the
+    punctures and at infinity.
     """
 
     N: int
     w: WeightVector
     polarity: Polarity | None = None
+    h: float = field(init=False, repr=False, compare=False)  # V / (2(N - 1)), signed like V
 
     def __post_init__(self):
         # j = 0 .. N - 1 is taken in floats, exact up to 2^53
@@ -86,7 +90,7 @@ class PeriodConfig:
             raise ValueError(f"N must be an integer from 2 to 2^53, got {self.N!r}")
         if self.polarity not in (None, "canonical", "anticanonical"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
-        wv = self.w if isinstance(self.w, WeightVector) else WeightVector(tuple(self.w))
+        wv = WeightVector(self.w)
         object.__setattr__(self, "w", wv)
         if self.polarity is None:
             object.__setattr__(self, "polarity", wv.polarity)
@@ -98,24 +102,22 @@ class PeriodConfig:
         # w_i and w_i - V/2 in [d, 1 - d], the latter read as a range for w_i
         if not all(d <= x <= 1.0 - d and v / 2.0 + d <= x <= v / 2.0 + 1.0 - d for x in wv):
             raise ValueError(f"weights {wv.w} are within {d} of a stability wall")
-        n = self.N
-        if abs(n * (v / (2.0 * (n - 1)))) >= 1.0:
-            raise ValueError(f"Z_{n} diverges where all {n} points meet: N |V| >= 2(N - 1) at V = {v!r}")
+        object.__setattr__(self, "h", v / (2.0 * (self.N - 1)))
+        if abs(self.N * self.h) >= 1.0:
+            raise ValueError(f"Z_{self.N} diverges where all {self.N} points meet: N |V| >= 2(N - 1) at V = {v!r}")
 
 
-def _log_l(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+def _log_l(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """ln |l(x)| for l(x) = Gamma(x)/Gamma(1-x) on (-1, 1) minus 0, vectorized.
 
     The array form of ``specfun._ln_l`` (the same 13 odd-zeta literals in
     the same order of operations), plus the branch below -1/2, where
     ln |l(x)| = ln |l(x + 1)| - 2 ln |x| with x + 1 exact.  The result goes
     to ``out`` (which holds u along the way) and the Horner pass runs in
-    ``scratch`` (shape (2, *x.shape)); both are allocated when not given,
-    and neither may share memory with x.
+    ``scratch`` (shape (2, *x.shape)); the caller allocates both, and
+    neither may share memory with x.
     """
-    if out is None:
-        out = np.empty_like(x)
-    u2, series = np.empty((2, *x.shape)) if scratch is None else scratch
+    u2, series = scratch
     high = x > 0.5
     low = x < -0.5
     np.copyto(out, x)
@@ -148,7 +150,7 @@ _BLOCK = 8192
 def _df_blocks(cfg: PeriodConfig) -> Iterator[np.ndarray]:
     """The per-j terms of log Z_N, _BLOCK values of j at a time.
 
-    term_j = ln l((j + 1) h) - sum_i ln l(w_i - j h).  h = V/(2(N-1)) carries
+    term_j = ln l((j + 1) h) - sum_i ln l(w_i - j h).  h = ``cfg.h`` carries
     the sign of V, so one set of arguments serves both polarities; the Fano
     product reads -l(x) for each l at a negative argument, which has the
     same logarithm ln |l(x)|.  Equal weights share one row of arguments, so
@@ -156,8 +158,7 @@ def _df_blocks(cfg: PeriodConfig) -> Iterator[np.ndarray]:
     is allocated once; each yielded array is a view into it that the next
     block overwrites.
     """
-    n = cfg.N
-    h = cfg.w.volume / (2.0 * (n - 1))
+    n, h = cfg.N, cfg.h
     distinct = list(dict.fromkeys(cfg.w))
     r1, r2, r3 = (distinct.index(w) + 1 for w in cfg.w)
     b = min(_BLOCK, n)
@@ -186,8 +187,7 @@ def _df_blocks(cfg: PeriodConfig) -> Iterator[np.ndarray]:
 def _df_prefactor(cfg: PeriodConfig) -> float:
     """log N! + N (log pi - log |l(h)|), the j-independent part of log Z_N."""
     n = cfg.N
-    h = cfg.w.volume / (2.0 * (n - 1))
-    return math.lgamma(n + 1.0) + n * (math.log(math.pi) - _ln_l(h)[0])
+    return math.lgamma(n + 1.0) + n * (math.log(math.pi) - _ln_l(cfg.h)[0])
 
 
 def df_log_z(cfg: PeriodConfig) -> EvalResult:
@@ -228,9 +228,9 @@ class ConvergenceRow:
 
 
 def convergence_report(w, n_list: Sequence[int]) -> list[ConvergenceRow]:
-    """Rows (N, height estimate, gap to the closed form) for each N, in the
-    default polarity of ``PeriodConfig``."""
-    wv = w if isinstance(w, WeightVector) else WeightVector(tuple(w))
+    """Rows (N, height estimate, gap to the closed form) for each N, at any
+    form of the weights w, in the default polarity of ``PeriodConfig``."""
+    wv = WeightVector(w)
     closed = h_can(wv)
     rows = []
     for n in n_list:
@@ -264,9 +264,9 @@ def _add_disk(q: np.ndarray, e: np.ndarray, k, inside: np.ndarray) -> None:
 
 
 class _Mixture:
-    """Importance mixture over configurations of N points, and the integrand
-    it weighs: each of its five components draws a point
-    center + (radius u^(1/alpha) e^{i theta})^flip.
+    """Importance mixture over configurations of the N points of a config,
+    and the integrand it weighs, at the coupling 2 h: each of its five
+    components draws a point center + (radius u^(1/alpha) e^{i theta})^flip.
 
     A point comes from a disk at 0 or 1 (alpha = 2 - 2 w, the local weight),
     the inverted disk matched to the decay at infinity or the uniform bulk
@@ -281,15 +281,15 @@ class _Mixture:
     ``size`` configurations, allocated once.
     """
 
-    def __init__(self, wv: WeightVector, n_points: int, coupling: float, polarity: Polarity, size: int):
-        w1, w2, w3 = self.w = wv.w
+    def __init__(self, cfg: PeriodConfig, size: int):
+        w1, w2, w3 = self.w = cfg.w.w
         self.probs = np.array([0.28, 0.28, 0.22, 0.22])
         self.alpha = np.array([2.0 - 2.0 * w1, 2.0 - 2.0 * w2, 2.0 - 2.0 * w3, 2.0])
         self.center = np.array([0.0, 1.0, 0.0, 0.0])
         self.radius = np.array([0.75, 0.75, 0.75, 1.75])
         self.flip = np.array([1.0, 1.0, -1.0, 1.0])
-        self.n_points, self.coupling = n_points, coupling
-        self.pairs = list(itertools.combinations(range(n_points), 2)) if polarity == "anticanonical" else []
+        self.n_points, self.coupling = n_points, coupling = cfg.N, 2.0 * cfg.h
+        self.pairs = list(itertools.combinations(range(n_points), 2)) if cfg.polarity == "anticanonical" else []
         self.pair_prob = 0.35 if self.pairs else 0.0
         self.pair_alpha, self.pair_radius = 2.0 + 2.0 * coupling, 0.5
         # A pair offset below the spacing of the doubles about its base rounds
@@ -404,10 +404,10 @@ def mc_oracle_z(
     """
     if n_points not in (2, 3):
         raise ValueError("direct integration is supported for N = 2 or 3 only")
-    wv = PeriodConfig(N=n_points, w=w, polarity=polarity).w
+    cfg = PeriodConfig(N=n_points, w=w, polarity=polarity)
+    wv, coupling = cfg.w, 2.0 * cfg.h
     if budget is not None and budget < 2:  # one sample has no standard error
         raise ValueError(f"the oracle budget must be at least 2, got {budget!r}")
-    coupling = wv.volume / (n_points - 1)
     if scheme == "quadrature":
         if n_points != 2:
             raise ValueError("the quadrature scheme is implemented for N = 2 only")
@@ -415,7 +415,7 @@ def mc_oracle_z(
             raise ValueError("the oracle budget applies only to the monte-carlo scheme")
         from ._pairquad import pair_integral
 
-        return EvalResult(*pair_integral(wv, coupling))
+        return EvalResult(*pair_integral(cfg))
     if scheme != "monte-carlo":
         raise ValueError(f"unknown scheme {scheme!r}")
     if max(wv.w) > _MC_MAX_WEIGHT:
@@ -442,7 +442,7 @@ def mc_oracle_z(
 
     budget = int(budget if budget is not None else (10**6 if n_points == 2 else 10**7))
     chunk = 1 << 15
-    mix = _Mixture(wv, n_points, coupling, wv.polarity, min(chunk, budget))
+    mix = _Mixture(cfg, min(chunk, budget))
     total = total_sq = 0.0
     for lo in range(0, budget, chunk):
         n = min(chunk, budget - lo)

@@ -18,9 +18,11 @@ Case data ships as JSON fixtures (``data/shimura_cases.json``); each case
 names its `tables.TABLE1` row by indices (``row``), or gives the indices of a
 four-point divisor at {0, 1, -1, infinity} (``four_points``) that the loader
 folds onto a row, and the loader builds its optimal height once, from the
-row's field and Petersson height.  Each ramified prime is given by its
-rational ``prime`` and ``residue_degree`` (the norm prime^residue_degree is
-derived), with an optional exact ``coeff``.  Two entries carry
+row's field and Petersson height.  A cusp, ``null`` in the JSON, is read as
+``math.inf`` (as ``RamIndices`` stores it) before the fold or the lookup.
+Each ramified prime is given by its rational ``prime`` and
+``residue_degree`` (the norm prime^residue_degree is derived), with an
+optional exact ``coeff``.  Two entries carry
 deliberate per-case overrides documented in the fixture itself and in the
 tests: the sqrt-6 case uses its reference derivation's 7/4 * ln 2 prime term
 (the generic c(2) = 5/4 contradicts it) together with its printed table row
@@ -153,11 +155,11 @@ _FOLD_CORRECTION = LogCombo(logs={2: Fraction(1, 2)})
 
 def _fold_four_points(m) -> tuple[tuple, LogCombo]:
     """TABLE1 indices of the fold of the indices m at (0, 1, -1, infinity),
-    None for infinity, with the fold's exact correction."""
+    with the fold's exact correction; a cusp, ``math.inf``, doubles to itself."""
     if len(m) != 4 or m[1] != m[2]:
         raise ValueError(f"'four_points' lists the indices at 0, 1, -1 and infinity, one index at both 1 and -1, got {m!r}")
     m0, m1, _, m_inf = m
-    return (None if m0 is None else 2 * m0, m1, None if m_inf is None else 2 * m_inf), _FOLD_CORRECTION
+    return (2 * m0, m1, 2 * m_inf), _FOLD_CORRECTION
 
 
 def _parse_case(doc: dict) -> ShimuraCase:
@@ -175,7 +177,8 @@ def _parse_case(doc: dict) -> ShimuraCase:
     if ("row" in doc) == ("four_points" in doc):
         raise ValueError(f"case {doc['id']!r}: exactly one of 'row' and 'four_points' must name its Table 1 row")
     try:
-        indices, correction = (tuple(doc["row"]), LogCombo()) if "row" in doc else _fold_four_points(doc["four_points"])
+        m = [math.inf if x is None else x for x in doc["row" if "row" in doc else "four_points"]]  # JSON null is a cusp
+        indices, correction = (m, LogCombo()) if "row" in doc else _fold_four_points(m)
         row = table1_row(*indices)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"case {doc['id']!r}: {exc.args[0]}") from None

@@ -3,9 +3,10 @@
 Table rows are exact :class:`LogCombo` data, not runtime derivations: each
 constant is a rational combination of 1, ln pi, ln p and, through the
 Petersson height of a Table 1 row, (1/[F:Q]) zeta_F'(-1)/zeta_F(-1) for the
-row's field F.  The test suite validates every row numerically against the
-analytic formulas in :mod:`orbiheight.heights` at 1e-13 (they agree to
-~5e-15).
+row's field F.  Each row's indices are ``RamIndices``, with ``math.inf`` for a
+cusp, and ``table1_row`` looks a row up by indices in that form.  The test
+suite validates every row numerically against the analytic formulas in
+:mod:`orbiheight.heights` at 1e-13 (they agree to ~5e-15).
 
 Two rows of the log-canonical table and one row of the Fano table circulate
 in print with misstated coefficients; the shipped values below are the ones
@@ -57,27 +58,24 @@ class Table2Row:
     constant: LogCombo
 
 
-def _ram(*m) -> RamIndices:
-    return RamIndices(tuple(math.inf if x is None else x for x in m))
-
-
 TABLE1: tuple[Table1Row, ...] = (
-    Table1Row(_ram(2, 3, None), "Q", LogCombo(logs={2: F(-1, 2), 3: F(-1, 4)})),
-    Table1Row(_ram(6, 2, 6), "Q", LogCombo(logs={2: F(-1, 6), 3: F(1, 8)})),
-    Table1Row(_ram(4, 4, 4), "Qsqrt2", LogCombo(logs={2: F(-19, 12)})),
-    Table1Row(_ram(3, 3, 6), "Qsqrt3", LogCombo(logs={2: F(-5, 6), 3: F(-13, 16)})),
-    Table1Row(_ram(2, 4, 12), "Qsqrt3", LogCombo(logs={2: F(-5, 3), 3: F(-7, 16)})),
-    Table1Row(_ram(6, 6, 6), "Qsqrt3", LogCombo(logs={2: F(-5, 6), 3: F(-7, 16)})),
-    Table1Row(_ram(5, 5, 5), "Qsqrt5", LogCombo(logs={5: F(-23, 48)})),
-    Table1Row(_ram(3, 4, 6), "Qsqrt6", LogCombo(logs={2: F(-17, 12), 3: F(-9, 16)})),
-    Table1Row(_ram(7, 7, 7), "Qcos7", LogCombo(logs={7: F(-95, 144)})),
-    Table1Row(_ram(9, 9, 9), "Qcos9", LogCombo(logs={3: F(-31, 24)})),
+    Table1Row(RamIndices((2, 3, math.inf)), "Q", LogCombo(logs={2: F(-1, 2), 3: F(-1, 4)})),
+    Table1Row(RamIndices((6, 2, 6)), "Q", LogCombo(logs={2: F(-1, 6), 3: F(1, 8)})),
+    Table1Row(RamIndices((4, 4, 4)), "Qsqrt2", LogCombo(logs={2: F(-19, 12)})),
+    Table1Row(RamIndices((3, 3, 6)), "Qsqrt3", LogCombo(logs={2: F(-5, 6), 3: F(-13, 16)})),
+    Table1Row(RamIndices((2, 4, 12)), "Qsqrt3", LogCombo(logs={2: F(-5, 3), 3: F(-7, 16)})),
+    Table1Row(RamIndices((6, 6, 6)), "Qsqrt3", LogCombo(logs={2: F(-5, 6), 3: F(-7, 16)})),
+    Table1Row(RamIndices((5, 5, 5)), "Qsqrt5", LogCombo(logs={5: F(-23, 48)})),
+    Table1Row(RamIndices((3, 4, 6)), "Qsqrt6", LogCombo(logs={2: F(-17, 12), 3: F(-9, 16)})),
+    Table1Row(RamIndices((7, 7, 7)), "Qcos7", LogCombo(logs={7: F(-95, 144)})),
+    Table1Row(RamIndices((9, 9, 9)), "Qcos9", LogCombo(logs={3: F(-31, 24)})),
 )
 
 
 def table1_row(*m) -> Table1Row:
-    """The TABLE1 row with ramification indices m (None for infinity), in order."""
-    indices = _ram(*m)
+    """The TABLE1 row with ramification indices m, in order, as ``RamIndices``
+    stores them (``math.inf`` for a cusp)."""
+    indices = RamIndices(m)
     for row in TABLE1:
         if row.indices == indices:
             return row
@@ -85,10 +83,10 @@ def table1_row(*m) -> Table1Row:
 
 
 TABLE2: tuple[Table2Row, ...] = (
-    Table2Row(_ram(2, 2, 3), LogCombo(logs={2: F(-1, 6), 3: F(1, 2)})),
-    Table2Row(_ram(2, 2, 4), LogCombo(logs={2: F(3, 4)})),
-    Table2Row(_ram(2, 3, 3), LogCombo(logs={2: F(1, 2), 3: F(1, 8)})),
-    Table2Row(_ram(2, 3, 4), LogCombo(logs={2: F(7, 12), 3: F(1, 8)})),
+    Table2Row(RamIndices((2, 2, 3)), LogCombo(logs={2: F(-1, 6), 3: F(1, 2)})),
+    Table2Row(RamIndices((2, 2, 4)), LogCombo(logs={2: F(3, 4)})),
+    Table2Row(RamIndices((2, 3, 3)), LogCombo(logs={2: F(1, 2), 3: F(1, 8)})),
+    Table2Row(RamIndices((2, 3, 4)), LogCombo(logs={2: F(7, 12), 3: F(1, 8)})),
 )
 
 #: Printed variants of the coefficients that fail closed-form validation, by

@@ -106,6 +106,12 @@ def test_fermat_table(capsys):
     assert len(lines) == 4
 
 
+def test_fermat_degrees_below_four_name_one_bound(capsys):
+    # FermatSpec owns m >= 4, so m = 2 and m = 3 are refused with one message
+    for m in ("2", "3"):
+        assert run(capsys, "fermat", "--m", m) == (1, "", f"error: degree must be an integer at least 4 and below 2^511, got {m}\n")
+
+
 def test_periods_deterministic_output(capsys):
     # both polarities in every format, byte-stable from run to run; the JSON
     # names the polarity that the sign of V picks

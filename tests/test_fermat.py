@@ -28,12 +28,13 @@ def printed_second(m: int) -> float:
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        FermatSpec(2)
+    # the spec owns m >= 4 (the canonical bundle is ample): m = 2 and m = 3
+    # are refused alike, when the spec is made
+    for m in (2, 3):
+        with pytest.raises(ValueError, match="at least 4"):
+            FermatSpec(m)
     with pytest.raises(ValueError):
         FermatSpec(5, (0, 1, 1))
-    with pytest.raises(ValueError):
-        fermat_h_can(FermatSpec(3))  # canonical side needs m >= 4
 
 
 @pytest.mark.parametrize("f", [epsilon_m, arakelov_gap, arakelov_upper_bound, FermatSpec, genus])

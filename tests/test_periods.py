@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -22,7 +23,7 @@ from orbiheight._pairquad import (
     pair_integral,
     tanh_sinh_01,
 )
-from orbiheight.heights import WeightVector
+from orbiheight.heights import RamIndices, WeightVector
 from orbiheight.periods import (
     ConvergenceRow,
     PeriodConfig,
@@ -81,6 +82,46 @@ def test_polarity_defaults_to_the_sign_of_v():
         PeriodConfig(N=100, w=W_CAN, polarity="fano")
 
 
+@pytest.mark.parametrize("m", [(4, 4, 4), (2, 2, 3)])
+def test_period_route_accepts_every_weight_form(m):
+    # RamIndices, a list, a one-shot generator and a WeightVector each give
+    # the tuple call's values, bit for bit
+    t = RamIndices(m).weights().w
+    for make in (lambda: RamIndices(m), lambda: list(t), lambda: (x for x in t), lambda: WeightVector(t)):
+        assert PeriodConfig(N=10, w=make()) == PeriodConfig(N=10, w=t)
+        for n in (2, 3, 1000):
+            got, want = df_log_z(PeriodConfig(N=n, w=make())), df_log_z(PeriodConfig(N=n, w=t))
+            assert (got.value.hex(), got.err.hex()) == (want.value.hex(), want.err.hex())
+        got, want = convergence_report(make(), [10, 100]), convergence_report(t, [10, 100])
+        assert [(r.estimate.hex(), r.gap.hex()) for r in got] == [(r.estimate.hex(), r.gap.hex()) for r in want]
+        got, want = mc_oracle_z(2, make(), "monte-carlo", 2000, 3), mc_oracle_z(2, t, "monte-carlo", 2000, 3)
+        assert (got.value.hex(), got.err.hex()) == (want.value.hex(), want.err.hex())
+
+
+def test_quadrature_oracle_accepts_ram_indices():
+    got, want = mc_oracle_z(2, RamIndices((6, 6, 6))), mc_oracle_z(2, RamIndices((6, 6, 6)).weights().w)
+    assert (got.value.hex(), got.err.hex()) == (want.value.hex(), want.err.hex())
+
+
+def test_step_h_is_derived_once_and_doubles_to_the_coupling():
+    # h = V/(2(N - 1)) as the product reads it, and 2 h = V/(N - 1) as the
+    # oracles read their coupling, bit for bit, over N from 2 to 2^53
+    rng = random.Random(2034)
+    seen = {"canonical": 0, "anticanonical": 0}
+    while min(seen.values()) < 200:
+        n = min(2 + int(2.0 ** rng.uniform(0.0, 53.0)), 2**53)
+        try:
+            cfg = PeriodConfig(N=n, w=tuple(rng.uniform(0.0, 1.0) for _ in range(3)))
+        except ValueError:
+            continue
+        seen[cfg.polarity] += 1
+        v = cfg.w.volume
+        assert cfg.h == v / (2.0 * (n - 1)) and 2.0 * cfg.h == v / (n - 1)
+    for n in (2, 3, 2**53):
+        cfg = PeriodConfig(N=n, w=W_FANO)
+        assert cfg.h == W_FANO.volume / (2.0 * (n - 1)) and 2.0 * cfg.h == W_FANO.volume / (n - 1)
+
+
 def test_wall_distance_is_one_thousandth():
     # a weight exactly 1e-3 below 1, as the check computes 1 - 1e-3 in
     # floats, is accepted; one at half that distance is refused
@@ -91,6 +132,12 @@ def test_wall_distance_is_one_thousandth():
 
 def _mp_log_l(x):
     return mpmath.log(abs(mpmath.gamma(x) / mpmath.gamma(1 - mpmath.mpf(x))))
+
+
+def _log_l_of(xs) -> np.ndarray:
+    """periods._log_l at the values xs, in a workspace of their own."""
+    x = np.array(xs)
+    return _log_l(x, np.empty_like(x), np.empty((2, *x.shape)))
 
 
 def _ln_l_within_err(x, ref) -> bool:
@@ -123,7 +170,7 @@ def _ln_l_within_err(x, ref) -> bool:
 def test_log_l_against_mpmath(x):
     with mpmath.workdps(40):
         ref = _mp_log_l(x)
-        value = float(_log_l(np.array([x]))[0])
+        value = float(_log_l_of([x])[0])
         assert abs(value - ref) <= 4.0 * np.finfo(float).eps * max(1.0, abs(ref))
         assert _ln_l_within_err(x, ref)
 
@@ -137,7 +184,7 @@ _DENSE_XS = sorted(
 
 
 def test_log_l_dense_against_mpmath():
-    values = _log_l(np.array(_DENSE_XS))
+    values = _log_l_of(_DENSE_XS)
     bad = []
     with mpmath.workdps(40):
         for x, value in zip(_DENSE_XS, values.tolist()):
@@ -307,8 +354,7 @@ def test_monte_carlo_near_v_minus_one_is_never_nan(w, refused):
 def test_points_rounded_onto_each_other_weigh_as_their_limit(n):
     # two points that coincide in doubles give ln d^2 = -inf; the weight is
     # then the limit of f/q as they meet, which a pair 1e-150 apart reads too
-    wv = WeightVector((0.45, 0.45, 0.5))
-    mix = _Mixture(wv, n, wv.volume / (n - 1), "anticanonical", 4)
+    mix = _Mixture(PeriodConfig(N=n, w=(0.45, 0.45, 0.5)), 4)
     base = np.array([[0.3, -0.7, 1.2, 40.0], [0.1, 0.5, -0.2, -3.0]])
     ratios = []
     for gap in (0.0, 1e-150):
@@ -322,20 +368,21 @@ def test_points_rounded_onto_each_other_weigh_as_their_limit(n):
     np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
 
 
-# (weights, coupling, value, err) of the N = 2 quadrature rule as first
-# evaluated with complex arithmetic and full node-by-node kernels; the
-# log-space evaluation computes the same rule, so it must agree to rounding.
+# (weights, value, err) of the N = 2 quadrature rule, at the coupling
+# exponent V, as first evaluated with complex arithmetic and full
+# node-by-node kernels; the log-space evaluation computes the same rule, so
+# it must agree to rounding.
 _PAIR_GOLDEN = [
-    ((5 / 6,) * 3, 0.5, 2156.618312432395, 0.4710886522297887),
-    ((0.4, 0.5, 0.6), -0.5, 444.1560764985818, 0.0027092660558694394),
-    ((0.5,) * 3, -0.5, 378.2125208082508, 0.029913545689543356),
-    ((0.9, 0.6, 0.8), WeightVector((0.9, 0.6, 0.8)).volume, 1899.7727044716082, 2.4452758335502924),
+    ((5 / 6,) * 3, 2156.618312432395, 0.4710886522297887),
+    ((0.4, 0.5, 0.6), 444.1560764985818, 0.0027092660558694394),
+    ((0.5,) * 3, 378.2125208082508, 0.029913545689543356),
+    ((0.9, 0.6, 0.8), 1899.7727044716082, 2.4452758335502924),
 ]
 
 
-@pytest.mark.parametrize("w, coupling, value, err", _PAIR_GOLDEN)
-def test_pair_integral_golden_values(w, coupling, value, err):
-    v, e = pair_integral(WeightVector(w), coupling)
+@pytest.mark.parametrize("w, value, err", _PAIR_GOLDEN)
+def test_pair_integral_golden_values(w, value, err):
+    v, e = pair_integral(PeriodConfig(N=2, w=w))
     assert v == pytest.approx(value, rel=1e-12)
     assert e == pytest.approx(err, rel=1e-8)
 
@@ -409,7 +456,7 @@ def _ref_same_patch(patch, wv, coupling, counts):
     return 2.0 * total
 
 
-@pytest.mark.parametrize("w, coupling", [g[:2] for g in _PAIR_GOLDEN])
+@pytest.mark.parametrize("w, coupling", [(w, WeightVector(w).volume) for w, *_ in _PAIR_GOLDEN])
 def test_folded_pair_sums_match_the_unfolded_rule(w, coupling):
     # at scale 1.0, the coarse level of pair_integral; every term of both sums
     # is positive, so the relative gap is that of the mirrored nodes (seen:
@@ -428,8 +475,8 @@ def test_pair_nodes_are_built_once_and_read_only():
     for arr in (*nodes, *tanh_sinh_01(30)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    first = pair_integral(W_FANO, W_FANO.volume)
-    assert pair_integral(W_FANO, W_FANO.volume) == first  # bit for bit
+    first = pair_integral(PeriodConfig(N=2, w=W_FANO))
+    assert pair_integral(PeriodConfig(N=2, w=W_FANO)) == first  # bit for bit
 
 
 # (N, weights, polarity, budget, seed, value, err) of the Monte-Carlo oracle
@@ -475,8 +522,7 @@ def test_mixture_density_is_the_density_of_its_sampler(n, w, polarity):
     # g/q over the sampler's draws is 1 exactly when q is their density; a
     # component density off by a factor of 2 (the pair one included) moves it
     # by more than 6 standard errors
-    wv = WeightVector(w)
-    mix = _Mixture(wv, n, wv.volume / (n - 1), polarity, 1 << 15)
+    mix = _Mixture(PeriodConfig(N=n, w=w, polarity=polarity), 1 << 15)
     centers = np.array([0.0, 1.0, 0.5 + 0.5j])[:n]
     ratios = []
     for c in range(12):  # 12 chunks of 2^15, about 400,000 configurations
@@ -540,9 +586,9 @@ def test_weigh_matches_the_complex_reference(n, w, polarity):
     # K exp(e ln s) with |e| < 2, off by at most 2 * 2 * 2.2e-14 relative, and
     # q sums and multiplies positive ones.  Seen: 2.8e-14 on ln f, 2.0e-14
     # on q.
-    wv = WeightVector(w)
-    coupling = wv.volume / (n - 1)
-    mix = _Mixture(wv, n, coupling, polarity, 1 << 15)
+    cfg = PeriodConfig(N=n, w=w, polarity=polarity)
+    wv, coupling = cfg.w, cfg.w.volume / (n - 1)
+    mix = _Mixture(cfg, 1 << 15)
     for c in range(12):
         x, y = mix.sample(np.random.Generator(np.random.Philox(key=[2026, c])), 1 << 15)
         z = (x + 1j * y).T
@@ -566,7 +612,7 @@ def test_period_layers_memory_stays_flat():
     # the kernels are built in row blocks and the product in blocks of j in
     # one workspace: no temporary grows with the square of the node count or
     # with N, and the product allocates no block-sized temporaries
-    assert _peak_mb(pair_integral, W_FANO, W_FANO.volume) < 8.0
+    assert _peak_mb(pair_integral, PeriodConfig(N=2, w=W_FANO)) < 8.0
     assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=W_CAN)) < 1.5
     assert _peak_mb(df_log_z, PeriodConfig(N=10**6, w=WeightVector((0.4, 0.5, 0.6)), polarity="anticanonical")) < 1.5
     # the Monte-Carlo oracle draws into one workspace of 2^15 configurations

@@ -1,5 +1,6 @@
 """Exact local invariants h(p) and the closed-form table data behind them."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ def test_modular_case_shift_consistency():
     # Table row (2, 3, inf) plus the j-invariant shift (1/12) ln(12^3) equals
     # the prime-free closed formula exactly, coefficient by coefficient.
     case = get_case("modular")
-    row = table1_row(2, 3, None).pet_height()
+    row = table1_row(2, 3, math.inf).pet_height()
     shift = LogCombo(logs={2: F(1, 2), 3: F(1, 4)})  # (1/12) ln(12^3)
     assert row + shift == yuan_height(case)
     assert h_p_map(case) == {2: F(1, 2), 3: F(1, 4)}
@@ -78,7 +79,7 @@ def test_modular_case_shift_consistency():
 @pytest.mark.parametrize(
     "cid, indices, extra",
     [
-        ("modular", (2, 3, None), LogCombo()),
+        ("modular", (2, 3, math.inf), LogCombo()),
         ("disc6", (6, 2, 6), LogCombo(logs={2: F(1, 2)})),  # the fold of its four points
         ("sqrt3", (2, 4, 12), LogCombo()),
         ("sqrt6", (3, 4, 6), LogCombo(logs={2: F(1, 2)})),  # the printed row
@@ -119,14 +120,14 @@ def test_fold_of_four_points():
     # y = x^2 doubles the indices at 0 and infinity and merges 1 with -1;
     # the correction is the one exact (1/2) ln 2
     assert _fold_four_points((3, 2, 2, 3)) == ((6, 2, 6), LogCombo(logs={2: F(1, 2)}))
-    assert _fold_four_points((1, 3, 3, None)) == ((2, 3, None), LogCombo(logs={2: F(1, 2)}))
+    assert _fold_four_points((1, 3, 3, math.inf)) == ((2, 3, math.inf), LogCombo(logs={2: F(1, 2)}))
     with pytest.raises(ValueError, match="one index at both 1 and -1, got \\(3, 2, 4, 3\\)"):
         _fold_four_points((3, 2, 4, 3))
 
 
 def test_table1_lookup_by_indices():
     for row in TABLE1:
-        assert table1_row(*(None if x == float("inf") else x for x in row.indices.m)) is row
+        assert table1_row(*row.indices.m) is row
     with pytest.raises(KeyError, match="no Table 1 row"):
         table1_row(2, 3, 7)
 
