@@ -23,6 +23,7 @@ integral lives in the tests as an independent oracle.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,8 +82,8 @@ class RamIndices:
         if len(m) != 3:
             raise ValueError(f"a ramification triple has exactly three indices, got {len(m)}")
         for x in m:
-            # the weight 1 - 1/m is taken in floats, so m must not overflow one
-            if x != math.inf and not (1 <= x <= sys.float_info.max and int(x) == x):
+            # the weight 1 - 1/m is taken in floats, so m must be a number that does not overflow one
+            if x != math.inf and not (isinstance(x, numbers.Real) and 1 <= x <= sys.float_info.max and int(x) == x):
                 raise ValueError(f"ramification index must be a positive integer up to {sys.float_info.max:.6g} or inf, got {x!r}")
         object.__setattr__(self, "m", m)
 

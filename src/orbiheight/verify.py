@@ -302,8 +302,7 @@ _W_FANO = hg.WeightVector((0.5, 0.5, 0.5))
 def _canonical_gaps(ns) -> list[float]:
     from . import periods as pd
 
-    f_ref = hg.h_can_positive(_W_CAN).value
-    return [abs(pd.height_from_periods(pd.PeriodConfig(N=n, w=_W_CAN)).value - f_ref) for n in ns]
+    return [abs(r.gap) for r in pd.convergence_report(_W_CAN, ns)]
 
 
 @_register("periods", "canonical convergence strictly decreasing", None, "05", ns=(100, 1000, 10000))

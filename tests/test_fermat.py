@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mp_refs
 import mpmath
 import pytest
 
@@ -150,26 +151,6 @@ def test_first_bound_is_valid_for_arakelov():
         assert b.first.value - lhs == pytest.approx(0.5 * LN(2.0), abs=1e-9)
 
 
-def _diagonal_mp(m: int) -> mpmath.mpf:
-    """f((1 - 1/m)^3) at the exact weight 1 - 1/m, by mpmath at 60 digits plus
-    the bits of m: the V > 0 closed form from P(x) = zeta(-1, x) + zeta'(-1, x),
-    with gamma(0, V/2) continued to 0 by P(1)."""
-    t = 1 - mpmath.mpf(1) / m
-    v = 3 * t - 2
-
-    def prim(x):
-        return mpmath.zeta(-1, x) + mpmath.zeta(-1, x, 1)
-
-    bracket = prim(v / 2) + prim(1 - v / 2) - 2 * prim(mpmath.mpf(1))
-    bracket -= 3 * (prim(t) + prim(1 - t) - prim(t - v / 2) - prim(1 - t + v / 2))
-    return (1 - mpmath.log(mpmath.pi * v / 2)) / 2 - bracket / v
-
-
-def _epsilon_mp(m: int) -> mpmath.mpf:
-    a = (m - 1) * (m - 2) - 2
-    return (4 * mpmath.log(a) + 1) / a + mpmath.log(mpmath.mpf(a) / m**2) / 2  # a = 2((m-1)(m-2)/2 - 1)
-
-
 # log-spaced up to the last admitted degree, with 1 - 1/m inexact in binary
 # (2^k + 1) and rounded to 1 itself (from 2^53 on)
 _LOG_SPACED = (65, 1001, 3**13, 2**20 + 1, 2**52 + 3, 2**53 + 1, 10**17 + 1, 2**60 + 1, 2**100 + 1, 3**100, 2**200 + 1, 10**120 + 1, 2**300 - 1, 2**400 + 1, 2**510 + 1, 2**511 - 1)
@@ -182,11 +163,12 @@ def test_diagonal_err_covers_the_exact_weight(m):
     # 3.78 err at m = 2^510); both now bound their distance to the value at
     # the exact weight 1 - 1/m, twisted or not, and stay below 1e-12
     with mpmath.workprec(200 + m.bit_length()):
-        f = _diagonal_mp(m)
+        t = 1 - mpmath.mpf(1) / m
+        f = mp_refs.height((t, t, t))
         for a in ((-1, 1, 1), (8, 1, 1), (-2, 3, 10**30)):
             r = fermat_h_can(FermatSpec(m, a))
             exact = f + mpmath.log(m) + mpmath.mpf(m - 1) / (2 * m) * sum(mpmath.log(abs(x)) for x in a)
             assert abs(r.value - exact) <= r.err <= 1e-12, a
         first = arakelov_upper_bound(m).first
-        exact = f + mpmath.log(mpmath.pi) / 2 + 2 * mpmath.log(m) + _epsilon_mp(m)
+        exact = f + mpmath.log(mpmath.pi) / 2 + 2 * mpmath.log(m) + mp_refs.epsilon(m)
         assert abs(first.value - exact) <= first.err <= 1e-12

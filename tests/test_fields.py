@@ -5,6 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mp_refs
 import mpmath
 import pytest
 
@@ -23,7 +24,7 @@ from orbiheight.specfun import hurwitz_zeta
 from orbiheight.tables import TABLE1, TABLE2
 
 with mpmath.workdps(30):
-    ZETA_PRIME_M1 = float(mpmath.zeta(-1, 1, 1))  # zeta'(-1)
+    ZETA_PRIME_M1 = float(mp_refs.zeta_ds(1))  # zeta'(-1)
 
 
 def test_builtin_fields_shape():
@@ -158,7 +159,7 @@ def _dirichlet_L_ds_em(chi):
         aa = a if f > 1 else 1
         z = hurwitz_zeta(-1.0, aa / f)
         with mpmath.workdps(30):
-            zd = complex(mpmath.zeta(-1, mpmath.mpf(aa) / f, 1))
+            zd = complex(mp_refs.zeta_ds(mpmath.mpf(aa) / f))
         w = chi(aa)
         s_sum += w * z.value
         d_sum += w * zd
@@ -174,26 +175,15 @@ def test_dirichlet_L_ds_against_euler_maclaurin():
             assert abs(q.value - em) <= q.err + em_err, (fs.id, chi.modulus)
 
 
-def _dedekind_log_deriv_mp(fs) -> mpmath.mpf:
-    """sum over characters of L'(-1)/L(-1), each L from mpmath's Hurwitz zeta."""
-    total = 0
-    for chi in fs.characters:
-        f = chi.modulus
-        terms = [(a if f > 1 else 1, mpmath.expjpi(2 * mpmath.mpf(k.numerator) / k.denominator)) for a, k in chi.angles.items()]
-
-        def L(s):
-            return mpmath.mpf(f) ** -s * sum(w * mpmath.zeta(s, mpmath.mpf(a) / f) for a, w in terms)
-
-        total += mpmath.diff(L, -1) / L(-1)
-    return total.real
-
-
 def test_table1_against_mpmath():
     def q(x):
         return mpmath.mpf(x.numerator) / x.denominator
 
     with mpmath.workdps(30):
-        dd = {fid: _dedekind_log_deriv_mp(fs) / fs.degree for fid, fs in builtin_fields().items()}
+        dd = {
+            fid: mp_refs.dedekind_log_deriv((chi.modulus, chi.angles) for chi in fs.characters) / fs.degree
+            for fid, fs in builtin_fields().items()
+        }
         for row in TABLE1:  # each row's Petersson height carries its field's zeta term
             c = row.pet_height()
             ref = q(c.q0) + q(c.c_logpi) * mpmath.log(mpmath.pi)
@@ -207,7 +197,8 @@ def test_dedekind_log_deriv_against_mpmath():
     with mpmath.workdps(40):
         for fs in builtin_fields().values():
             r = dedekind_log_deriv(fs)
-            assert abs(mpmath.mpf(r.value) - _dedekind_log_deriv_mp(fs)) <= r.err <= 1e-12, fs.id
+            ref = mp_refs.dedekind_log_deriv((chi.modulus, chi.angles) for chi in fs.characters)
+            assert abs(mpmath.mpf(r.value) - ref) <= r.err <= 1e-12, fs.id
 
 
 def test_field_json_round_trip():

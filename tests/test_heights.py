@@ -1,11 +1,11 @@
 """Closed-form heights: classical values, symmetries, bounds, the V = 0 wall."""
 
-import functools
 import itertools
 import math
 import statistics
 import warnings
 
+import mp_refs
 import mpmath
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ HALF_1_LNPI = 0.5 * (1.0 + LN(math.pi))
 def zeta_logderiv_q() -> float:
     # zeta'(-1)/zeta(-1) = -12 zeta'(-1), with zeta'(-1) from mpmath
     with mpmath.workdps(30):
-        return -12.0 * float(mpmath.zeta(-1, 1, 1))
+        return -12.0 * float(mp_refs.zeta_ds(1))
 
 
 def test_volume_and_types():
@@ -58,8 +58,9 @@ def test_volume_and_types():
             w[i] = bad
             with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {bad!r}"):
                 WeightVector(tuple(w))
-    with pytest.raises(ValueError):
-        RamIndices((2, 3, 2.5))
+    for bad in (2.5, "2", None, 2j):  # a string, None or a complex is refused as a fraction is, not by a TypeError
+        with pytest.raises(ValueError, match=rf"ramification index must be a positive integer .* got {bad!r}$"):
+            RamIndices((2, 3, bad))
     for m in ((2, 3), (2, 3, 4, 5)):  # checked by the type, not only when weights are taken
         with pytest.raises(ValueError, match="exactly three indices"):
             RamIndices(m)
@@ -104,31 +105,6 @@ def test_h_can_fano_values():
         h_can_fano((5 / 6, 5 / 6, 5 / 6))
 
 
-def _h_can_mp(w) -> mpmath.mpf:
-    """The two closed forms of the height, each side as its own formula, at 20
-    digits from the primitive P(x) = zeta(-1, x) + zeta'(-1, x):
-
-        V > 0:  (1 - ln(pi V/2))/2 - [gamma(0, V/2) - sum_i gamma(w_i - V/2, w_i)] / V
-        V < 0:  (1 + ln(pi/(-V/2)))/2 + [gamma(0, -V/2) + sum_i gamma(w_i, w_i - V/2)] / V
-    """
-    with mpmath.workdps(20):
-        w = [mpmath.mpf(x) for x in w]
-        v = sum(w) - 2
-
-        def prim(x):  # continued to x = 0 by its value at 1
-            x = x if x > 0 else mpmath.mpf(1)
-            return mpmath.zeta(-1, x) + mpmath.zeta(-1, x, 1)
-
-        def gamma(a, b):
-            return prim(b) + prim(1 - b) - prim(a) - prim(1 - a)
-
-        if v > 0:
-            bracket = gamma(0, v / 2) - sum(gamma(x - v / 2, x) for x in w)
-            return (1 - mpmath.log(mpmath.pi * v / 2)) / 2 - bracket / v
-        bracket = gamma(0, -v / 2) + sum(gamma(x, x - v / 2) for x in w)
-        return (1 + mpmath.log(mpmath.pi / (-v / 2))) / 2 + bracket / v
-
-
 @st.composite
 def _stable_weights(draw):
     """A point of the stability region, drawn directly rather than filtered
@@ -159,43 +135,8 @@ def test_h_can_against_mpmath(w):
     # drops only float-rounding strays off the wall and the band |V| < 1e-3
     assume(k_semistable(w) and abs(volume(w)) >= 1e-3)
     r = h_can(w)
-    assert abs(mpmath.mpf(r.value) - _h_can_mp(w)) <= r.err
-
-
-@functools.lru_cache(maxsize=None)
-def _q_coefficients_mp() -> tuple:
-    """2 zeta(k) / (k (k+1)) for odd k = 3..79 at 30 digits."""
-    with mpmath.workdps(30):
-        return tuple(2 * mpmath.zeta(k) / (k * (k + 1)) for k in range(3, 81, 2))
-
-
-def _h_can_series_mp(w, dps=30) -> mpmath.mpf:
-    """The height at dps digits from Q(x) - Q(0) = x - x ln x - euler_gamma x^2
-    - 2 sum_{k odd >= 3} zeta(k) x^(k+1) / (k (k+1)), Q(x) = Q(1 - x).
-
-    Q(b) - Q(a) = gamma(a, b) is exact mathematics (the tests of
-    loggamma_ratio_integral check it against quadrature and the primitive),
-    so this measures the rounding error of the double evaluation; through
-    k = 79 the omitted terms are below 1e-26 on [0, 1/2].  It is some ten
-    times faster than :func:`_h_can_mp`.  V is sum(w) - 2, rounded to dps digits.
-    """
-    with mpmath.workdps(dps):
-
-        def q(x):
-            x = min(x, 1 - x)
-            if x == 0:
-                return mpmath.mpf(0)
-            x2 = x * x
-            series = mpmath.mpf(0)
-            for c in reversed(_q_coefficients_mp()):
-                series = series * x2 + c
-            return x - x * mpmath.log(x) - mpmath.euler * x2 - series * x2 * x2
-
-        w = [mpmath.mpf(x) for x in w]
-        v = sum(w) - 2
-        s = 1 if v > 0 else -1
-        bracket = q(abs(v) / 2) + sum(q(x - v / 2) - q(x) for x in w)
-        return s * (-mpmath.log(mpmath.pi) / 2 + s * (1 - mpmath.log(abs(v) / 2)) / 2 - bracket / v)
+    with mpmath.workdps(20):
+        assert abs(mpmath.mpf(r.value) - mp_refs.height(w)) <= r.err
 
 
 def _seeded_stable_weights(seed: int, n: int):
@@ -221,7 +162,7 @@ def test_h_can_err_calibration():
     ratios = []
     for w in _seeded_stable_weights(2025, 600):
         r = h_can(w)
-        d = abs(mpmath.mpf(r.value) - _h_can_series_mp(w))
+        d = abs(mpmath.mpf(r.value) - mp_refs.height_series(w))
         assert d <= r.err
         ratios.append(r.err / max(float(d), math.ulp(r.value) / 2.0))
     assert statistics.median(ratios) <= 1e3
@@ -565,13 +506,6 @@ def test_faltings_radial_reduction_cross_check():
     assert faltings_log_cy((w1, w2, w3)).value == pytest.approx(-0.5 * LN(total), abs=1e-7)
 
 
-def _wall_mp(w) -> mpmath.mpf:
-    """-(1/2) ln(pi / (l(w1) l(w2) l(w3))), l(x) = Gamma(x)/Gamma(1-x), at 30 digits."""
-    with mpmath.workdps(30):
-        w = [mpmath.mpf(x) for x in w]
-        return -(mpmath.log(mpmath.pi) - sum(mpmath.loggamma(x) - mpmath.loggamma(1 - x) for x in w)) / 2
-
-
 _KLT_MARGIN = 1e-8
 
 
@@ -606,8 +540,9 @@ def _log_cy_reference_mp(w) -> mpmath.mpf:
     sum of the doubles is exact."""
     v = math.fsum((*w, -2.0))  # 0 exactly when the exact sum is
     if v == 0.0:
-        return _wall_mp(w)
-    return math.copysign(1.0, v) * _h_can_series_mp(w, dps=60)
+        with mpmath.workdps(30):
+            return mp_refs.wall(w)
+    return math.copysign(1.0, v) * mp_refs.height_series(w, dps=60)
 
 
 @pytest.mark.parametrize(
@@ -636,7 +571,7 @@ def test_faltings_log_cy_on_tenths_lattice():
     for k in points:
         r = faltings_log_cy(tuple(x / 10 for x in k))
         with mpmath.workdps(30):
-            exact = _wall_mp([mpmath.mpf(x) / 10 for x in k])
+            exact = mp_refs.wall([mpmath.mpf(x) / 10 for x in k])
             assert abs(mpmath.mpf(r.value) - exact) <= r.err, k
 
 

@@ -99,6 +99,22 @@ def test_df_log_z_runs_with_mpmath_blocked():
     assert numpy_loaded
 
 
+def test_mp_refs_import_nothing_of_the_package():
+    # the shared mpmath references run with orbiheight, numpy and scipy
+    # blocked, so a harness outside the tests can import them
+    tests = str(Path(__file__).resolve().parent)
+    code = f"import sys\nsys.path.insert(0, {tests!r})\n" + """from fractions import Fraction
+for m in ("orbiheight", "numpy", "scipy"):
+    sys.modules[m] = None
+import mp_refs
+mp_refs.primitive(0.3), mp_refs.zeta_ds(1), mp_refs.gamma_integral(0.1, 0.7), mp_refs.q_by_primitive(0.3)
+mp_refs.q_by_quadrature(0.3), mp_refs.ln_l(-0.3), mp_refs.wall((0.6, 0.7, 0.7)), mp_refs.height((0.8, 0.8, 0.8))
+mp_refs.height_series((0.4, 0.5, 0.6)), mp_refs.epsilon(4), mp_refs.log_z(3, (0.5, 0.5, 0.5), "anticanonical")
+mp_refs.dedekind_log_deriv([(1, {1: Fraction(0)}), (3, {1: Fraction(0), 2: Fraction(1, 2)})])
+"""
+    assert loaded_after(code, ("mpmath",)) == [True]
+
+
 @pytest.mark.parametrize("start, stop, num", [(0.05, 5.0, 15), (0.05, 5.0, 23), (0.05, 5.0, 25), (0.0, 1.0, 20), (0.7, 0.95, 26)])
 def test_verify_grids_match_numpy_bitwise(start, stop, num):
     # the registry builds its grids without numpy (_RECURRENCE_XS, the

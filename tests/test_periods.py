@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 
 import df_product
+import mp_refs
 import mpmath
 import numpy as np
 import pytest
@@ -130,10 +131,6 @@ def test_wall_distance_is_one_thousandth():
         PeriodConfig(N=10, w=WeightVector((1.0 - 5e-4, 0.75, 0.75)))
 
 
-def _mp_log_l(x):
-    return mpmath.log(abs(mpmath.gamma(x) / mpmath.gamma(1 - mpmath.mpf(x))))
-
-
 def _log_l_of(xs) -> np.ndarray:
     """periods._log_l at the values xs, in a workspace of their own."""
     x = np.array(xs)
@@ -169,7 +166,7 @@ def _ln_l_within_err(x, ref) -> bool:
 @example(math.nextafter(0.5, 0.0))
 def test_log_l_against_mpmath(x):
     with mpmath.workdps(40):
-        ref = _mp_log_l(x)
+        ref = mp_refs.ln_l(x)
         value = float(_log_l_of([x])[0])
         assert abs(value - ref) <= 4.0 * np.finfo(float).eps * max(1.0, abs(ref))
         assert _ln_l_within_err(x, ref)
@@ -188,7 +185,7 @@ def test_log_l_dense_against_mpmath():
     bad = []
     with mpmath.workdps(40):
         for x, value in zip(_DENSE_XS, values.tolist()):
-            ref = _mp_log_l(x)
+            ref = mp_refs.ln_l(x)
             if abs(value - ref) > 4.0 * np.finfo(float).eps * max(1.0, abs(ref)) or not _ln_l_within_err(x, ref):
                 bad.append((x, value, float(ref)))
     assert not bad
@@ -230,6 +227,18 @@ def test_df_log_z_golden_values(w, n, value, err):
     r = df_log_z(PeriodConfig(N=n, w=w))
     assert abs(r.value - value) <= r.err
     assert r.err == pytest.approx(err, rel=1e-9)  # the err formula is unchanged
+
+
+# perfbench's four period weights (inputs.PERIOD_WEIGHTS), both polarities, at N = 2 .. 1000
+@pytest.mark.parametrize("w", [(0.75, 0.75, 0.75), (0.6, 0.8, 0.9), (0.5, 0.5, 0.5), (0.4, 0.5, 0.6)], ids=lambda w: ",".join(map(str, w)))
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+def test_df_log_z_against_the_exact_gamma_product(w, n):
+    # err bounds the distance to the Gamma-ratio product at the exact
+    # weights, evaluated by mpmath at 30 digits
+    cfg = PeriodConfig(N=n, w=w)
+    r = df_log_z(cfg)
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(r.value) - mp_refs.log_z(n, w, cfg.polarity)) <= r.err
 
 
 # The allocating twin in tests/df_product.py runs each element through the

@@ -101,6 +101,8 @@ def test_loader_refuses_rows_it_cannot_name():
     assert _parse_case(_fixture()).optimal == table1_row(6, 2, 6).pet_height()
     with pytest.raises(ValueError, match="'probe'.*no Table 1 row"):
         _parse_case(_fixture(row=[6, 6, 2]))  # the indices are read in order
+    with pytest.raises(ValueError, match="'probe': ramification index must be a positive integer .* got '6'$"):
+        _parse_case(_fixture(row=["6", 2, 6]))
     with pytest.raises(ValueError, match=r"'probe'.*no printed variant of table1:\(6,2,6\)"):
         _parse_case(_fixture(printed=True))
     # a missing key is named as missing, not as a failed table lookup

@@ -3,11 +3,11 @@
 Expected values come from four places only: exact classical identities
 (factorials, Bernoulli polynomials), brute-force limits computed inside the
 test (Richardson-extrapolated finite differences), the quadrature twin and
-the general-s zeta kernel, and mpmath at 30 digits or more.
-Nothing is asserted that was not computed here.
+the general-s zeta kernel, and mpmath at 30 digits or more, whose
+references (P, zeta'(-1, x), ln |l| and the two routes to Q) are written
+once in ``mp_refs``.  Nothing is asserted that was not computed here.
 """
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -28,40 +28,10 @@ from orbiheight.specfun import (
     loggamma_primitive,
     loggamma_ratio_integral,
 )
+import mp_refs
 from ratio_quad import loggamma_ratio_integral_quad
 
 EPS = np.finfo(float).eps
-
-
-def zeta_ds_mp(x: float) -> mpmath.mpf:
-    """d/ds zeta(s, x) at s = -1, by mpmath at 30 digits."""
-    with mpmath.workdps(30):
-        return mpmath.zeta(-1, mpmath.mpf(x), 1)
-
-
-def primitive_mp(x) -> mpmath.mpf:
-    """P(x) = zeta(-1, x) + zeta'(-1, x) = -B_2(x)/2 + zeta'(-1, x) by mpmath at
-    its working precision, continued to x = 0 by P(1)."""
-    t = mpmath.mpf(x) if x > 0 else mpmath.mpf(1)
-    return -(t * t - t + mpmath.mpf(1) / 6) / 2 + mpmath.zeta(-1, t, 1)
-
-
-@functools.cache
-def q_by_primitive_mp(x: float) -> mpmath.mpf:
-    """Q(x) - Q(0) = P(y) + P(1 - y) - 2 P(1), y = min(x, 1 - x), by mpmath
-    with 30 digits beyond the cancellation: the precision holds 1 - y exactly.
-    It is rounded up to a multiple of 128 bits, so that mpmath reuses the
-    Bernoulli numbers it caches per precision."""
-    y = min(x, 1.0 - x)  # exact where x > 1/2
-    prec = 128 * math.ceil((100 + max(0, -math.frexp(y)[1])) / 128)
-    with mpmath.workprec(prec):
-        return primitive_mp(y) + primitive_mp(1 - mpmath.mpf(y)) - 2 * _primitive_one_mp(prec)
-
-
-@functools.cache
-def _primitive_one_mp(prec: int) -> mpmath.mpf:
-    with mpmath.workprec(prec):
-        return primitive_mp(1)
 
 
 def zeta_prime_m1_oracle() -> float:
@@ -114,10 +84,11 @@ def test_hurwitz_zeta_ds_oracle_and_recurrence():
 
 
 def test_loggamma_primitive():
-    zp = zeta_ds_mp(1.0)
+    with mpmath.workdps(30):
+        zp, zp_half = mp_refs.zeta_ds(1), mp_refs.zeta_ds(0.5)
     assert loggamma_primitive(0.0).value == loggamma_primitive(1.0).value
     assert loggamma_primitive(1.0).value == pytest.approx(float(-mpmath.mpf(1) / 12 + zp), abs=1e-15)
-    assert loggamma_primitive(0.5).value == pytest.approx(float(mpmath.mpf(1) / 24 + zeta_ds_mp(0.5)), abs=1e-15)
+    assert loggamma_primitive(0.5).value == pytest.approx(float(mpmath.mpf(1) / 24 + zp_half), abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,7 +100,7 @@ def test_loggamma_primitive():
 def test_loggamma_primitive_error_bound_against_mpmath(x):
     r = loggamma_primitive(x)
     with mpmath.workdps(30):
-        assert abs(mpmath.mpf(r.value) - primitive_mp(x)) <= r.err
+        assert abs(mpmath.mpf(r.value) - mp_refs.primitive(x)) <= r.err
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,7 +120,7 @@ def test_zeta_ds_and_primitive_against_mpmath(x):
     # of its largest addend zeta'(-1) or P(1) (both in [1/8, 1/4)) where the
     # sum cancels.
     with mpmath.workdps(30):
-        refs = zeta_ds_mp(x), primitive_mp(x)
+        refs = mp_refs.zeta_ds(x), mp_refs.primitive(x)
     for r, ref in zip((hurwitz_zeta_ds(x), loggamma_primitive(x)), refs):
         d = abs(mpmath.mpf(r.value) - ref)
         assert d <= r.err
@@ -173,7 +144,7 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
     def general_s_primitive(x):
         t = x if x > 0.0 else 1.0
         with mpmath.workprec(64):  # 19 digits, ample for this 1e-12 comparison
-            return hurwitz_zeta(-1.0, t).value + float(mpmath.zeta(-1, t, 1))
+            return hurwitz_zeta(-1.0, t).value + float(mp_refs.zeta_ds(t))
 
     p1 = general_s_primitive(1.0)
 
@@ -215,8 +186,7 @@ def test_zeta_literals_against_mpmath():
 def _h_mp(t):
     """H(t) = (-ln l(u) - ln u - 2 euler_gamma u)/u^3 at u = sqrt(t), l(u) = Gamma(u)/Gamma(1 - u)."""
     u = mpmath.sqrt(t)
-    log_l = mpmath.loggamma(u) - mpmath.loggamma(1 - u)
-    return -(log_l + mpmath.log(u) + 2 * mpmath.euler * u) / u**3
+    return -(mp_refs.ln_l(u) + mpmath.log(u) + 2 * mpmath.euler * u) / u**3
 
 
 def _g_mp(t):
@@ -274,24 +244,6 @@ def test_periods_sums_the_same_literals():
     assert periods._H_COEF_HORNER is specfun._H_COEF_HORNER
 
 
-def q_by_quadrature_mp(x: float) -> mpmath.mpf:
-    """Q(x) - Q(0) by mpmath at 40 digits, for x in [0, 1].
-
-    With y = min(x, 1 - x) (exact where x > 1/2), it is the integral of
-    ln(Gamma(u)/Gamma(1 - u)) = -ln u + ln Gamma(1 + u) - ln Gamma(1 - u)
-    over [0, y]: y - y ln y in closed form, plus the integral of a smooth
-    function, which tanh-sinh quadrature takes to full relative precision
-    however small y is.  Nothing cancels, so subnormal y costs no extra
-    digits.
-    """
-    with mpmath.workdps(40):
-        y = min(mpmath.mpf(x), 1 - mpmath.mpf(x))
-        if y == 0:
-            return mpmath.mpf(0)
-        smooth = mpmath.quad(lambda u: mpmath.loggamma(1 + u) - mpmath.loggamma(1 - u), [0, y])
-        return y - y * mpmath.log(y) + smooth
-
-
 _DENSE_RNG = random.Random(23)
 # about 1,000 points: uniform on (0, 1], log-uniform down to the subnormals,
 # 1/2 and its float neighbours, 1 - 2^-53 and the smallest subnormal
@@ -310,29 +262,10 @@ def test_q_against_mpmath_dense():
     bad = []
     for x in _Q_DENSE_XS:
         value, err, _ = specfun._q(x)
-        d = abs(mpmath.mpf(value) - q_by_quadrature_mp(x))
+        d = abs(mpmath.mpf(value) - mp_refs.q_by_quadrature(x))
         if not (d <= err <= max(1e3 * float(d), 500.0 * math.ulp(value)) + 4.0 * math.ulp(0.0)):
             bad.append((x, value, err, float(d)))
     assert not bad
-
-
-def _ratio_integral_mp(a, b):
-    """The integral of g(x) = ln(Gamma(x)/Gamma(1-x)) over [a, b] by mpmath
-    quadrature at 30 digits, with its own error estimate.
-
-    It is F(b) - F(a) for F(x) = integral of g over [0, x], and F(x) = F(1 - x)
-    since g is odd about 1/2, so each quadrature runs over [0, y] with
-    y <= 1/2, away from the pole of Gamma(1 - x) at 1.
-    """
-    with mpmath.workdps(30):
-        total = err = mpmath.mpf(0)
-        for x, sign in ((b, 1), (a, -1)):
-            y = min(mpmath.mpf(x), 1 - mpmath.mpf(x))  # 1 - x is exact at 30 digits
-            if y > 0:
-                v, e = mpmath.quad(lambda t: mpmath.loggamma(t) - mpmath.loggamma(1 - t), [0, y], error=True)
-                total += sign * v
-                err += e
-        return total, err
 
 
 _HALF_DOWN, _HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
@@ -351,8 +284,8 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 @example(0.0, 5e-324)  # subnormal: the eps-relative rounding bound underflows
 def test_loggamma_ratio_integral_against_mpmath_quadrature(a, b):
     r = loggamma_ratio_integral(a, b)
-    ref, ref_err = _ratio_integral_mp(a, b)
-    assert abs(mpmath.mpf(r.value) - ref) <= r.err + ref_err
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(r.value) - (mp_refs.q_by_quadrature(b) - mp_refs.q_by_quadrature(a))) <= r.err
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,7 +300,7 @@ def test_loggamma_ratio_integral_against_mpmath_quadrature(a, b):
 def test_loggamma_ratio_integral_against_primitive_oracle(a, b):
     # the P route P(b) + P(1-b) - P(a) - P(1-a), with P from mpmath
     r = loggamma_ratio_integral(a, b)
-    assert abs(mpmath.mpf(r.value) - (q_by_primitive_mp(b) - q_by_primitive_mp(a))) <= r.err
+    assert abs(mpmath.mpf(r.value) - (mp_refs.q_by_primitive(b) - mp_refs.q_by_primitive(a))) <= r.err
 
 
 def test_loggamma_ratio_integral_closed_vs_quadrature():
