@@ -17,6 +17,11 @@ def zeta_ds(x) -> mpmath.mpf:
     return mpmath.zeta(-1, x, 1)
 
 
+def zeta_log_deriv() -> mpmath.mpf:
+    """zeta'(-1)/zeta(-1) = -12 zeta'(-1), the Dedekind log derivative of Q."""
+    return -12 * zeta_ds(1)
+
+
 def primitive(x) -> mpmath.mpf:
     """P(x) = zeta(-1, x) + zeta'(-1, x) = -B_2(x)/2 + zeta'(-1, x), continued
     to x <= 0 by P(1), so an argument a rounding error below 0 reads as 0."""
@@ -33,10 +38,12 @@ def gamma_integral(a, b) -> mpmath.mpf:
 
 @functools.cache
 def q_by_primitive(x: float) -> mpmath.mpf:
-    """Q(x) - Q(0) = P(y) + P(1 - y) - 2 P(1), y = min(x, 1 - x), with 30
-    digits beyond the cancellation: the precision holds 1 - y exactly.  It is
-    rounded up to a multiple of 128 bits, so that mpmath reuses the Bernoulli
-    numbers it caches per precision."""
+    """Q(x) - Q(0) = gamma(0, y), y = min(x, 1 - x), with 30 digits beyond the
+    cancellation: the precision holds 1 - y exactly.  It is rounded up to a
+    multiple of 128 bits, so that mpmath reuses the Bernoulli numbers it
+    caches per precision.  gamma(0, y) is spelled out as
+    P(y) + P(1 - y) - 2 P(1) to take P(1) from a cache per precision:
+    through :func:`gamma_integral` the specfun tests run a third slower."""
     y = min(x, 1.0 - x)  # exact where x > 1/2
     prec = 128 * math.ceil((100 + max(0, -math.frexp(y)[1])) / 128)
     with mpmath.workprec(prec):
@@ -138,13 +145,15 @@ def dedekind_log_deriv(characters) -> mpmath.mpf:
     return total.real
 
 
-def log_z(n: int, w, polarity: str) -> mpmath.mpf:
+def log_z(n: int, w) -> mpmath.mpf:
     """log Z_N = log N! + N (ln pi - ln l(h)) + sum_j [ln l((j + 1) h) - sum_i ln l(w_i - j h)],
-    h = |V|/(2(N - 1)), with each l at a positive argument: the Fano product
-    reads -l(-y) = 1/(y^2 l(y)) and w_i + j h."""
+    h = |V|/(2(N - 1)), the polarity fixed by the sign of V, with each l at a
+    positive argument: the Fano product (V < 0) reads -l(-y) = 1/(y^2 l(y))
+    and w_i + j h."""
     w = [mpmath.mpf(x) for x in w]
-    h = abs(sum(w) - 2) / (2 * (n - 1))
-    fano = polarity == "anticanonical"
+    v = sum(w) - 2
+    fano = v < 0
+    h = abs(v) / (2 * (n - 1))
 
     def num(y):
         return -2 * mpmath.log(y) - ln_l(y) if fano else ln_l(y)

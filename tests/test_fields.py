@@ -25,6 +25,7 @@ from orbiheight.tables import TABLE1, TABLE2
 
 with mpmath.workdps(30):
     ZETA_PRIME_M1 = float(mp_refs.zeta_ds(1))  # zeta'(-1)
+    ZETA_LOG_DERIV_Q = float(mp_refs.zeta_log_deriv())  # zeta'(-1)/zeta(-1)
 
 
 def test_builtin_fields_shape():
@@ -94,10 +95,8 @@ def test_cubic_pair_product_real_positive():
 
 
 def test_dedekind_log_deriv_rational_field():
-    # zeta'(-1)/zeta(-1) = -12 zeta'(-1), with zeta'(-1) from mpmath
-    oracle = -12.0 * ZETA_PRIME_M1
     r = dedekind_log_deriv(get_field("Q"))
-    assert r.value == pytest.approx(oracle, abs=1e-10)
+    assert r.value == pytest.approx(ZETA_LOG_DERIV_Q, abs=1e-10)
     assert r.value == pytest.approx(1.985051, abs=5e-6)
 
 
@@ -106,7 +105,7 @@ def test_dedekind_qsqrt2_explicit_combination():
     chi8 = get_field("Qsqrt2").characters[1]
     lv = dirichlet_L(chi8).value.real
     ld = dirichlet_L_ds(chi8).value.real
-    expected = -12.0 * ZETA_PRIME_M1 + ld / lv
+    expected = ZETA_LOG_DERIV_Q + ld / lv
     assert dedekind_log_deriv(get_field("Qsqrt2")).value == pytest.approx(expected, abs=1e-12)
 
 

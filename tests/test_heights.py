@@ -34,12 +34,8 @@ from orbiheight.verify import semistable_grid
 
 LN = math.log
 HALF_1_LNPI = 0.5 * (1.0 + LN(math.pi))
-
-
-def zeta_logderiv_q() -> float:
-    # zeta'(-1)/zeta(-1) = -12 zeta'(-1), with zeta'(-1) from mpmath
-    with mpmath.workdps(30):
-        return -12.0 * float(mp_refs.zeta_ds(1))
+with mpmath.workdps(30):
+    ZETA_LOG_DERIV_Q = float(mp_refs.zeta_log_deriv())  # zeta'(-1)/zeta(-1)
 
 
 def test_volume_and_types():
@@ -84,7 +80,7 @@ def test_k_semistable():
 def test_h_can_positive_table_row_values():
     # indices (2, 3, inf): f + ln(pi V/2)/2 + 1/2 + zeta'/zeta(-1) = -ln2/2 - ln3/4
     w = (0.5, 2.0 / 3.0, 1.0)
-    lhs = h_can_positive(w).value + 0.5 * LN(math.pi * volume(w) / 2.0) + 0.5 + zeta_logderiv_q()
+    lhs = h_can_positive(w).value + 0.5 * LN(math.pi * volume(w) / 2.0) + 0.5 + ZETA_LOG_DERIV_Q
     assert lhs == pytest.approx(-LN(2.0) / 2.0 - LN(3.0) / 4.0, abs=1e-9)
     # indices (4, 4, 4) in the Petersson normalization, with the sqrt-2 field term
     w = (0.75, 0.75, 0.75)
@@ -364,10 +360,10 @@ def test_h_pet_relation_and_values():
     w = (0.5, 2.0 / 3.0, 1.0)
     assert h_pet(w).value - h_can_positive(w).value == pytest.approx(0.5 * LN(math.pi * volume(w) / 2.0), abs=1e-12)
     # (2, 3, inf): h_pet = -zeta'/zeta(-1) - 1/2 - ln(12)/4
-    assert h_pet(w).value == pytest.approx(-zeta_logderiv_q() - 0.5 - 0.25 * LN(12.0), abs=1e-9)
+    assert h_pet(w).value == pytest.approx(-ZETA_LOG_DERIV_Q - 0.5 - 0.25 * LN(12.0), abs=1e-9)
     # (6, 2, 6) row
     w = RamIndices((6, 2, 6)).weights()
-    lhs = h_pet(w).value + 0.5 + zeta_logderiv_q()
+    lhs = h_pet(w).value + 0.5 + ZETA_LOG_DERIV_Q
     assert lhs == pytest.approx(-LN(2.0) / 6.0 + LN(3.0) / 8.0, abs=1e-9)
 
 

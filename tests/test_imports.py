@@ -107,9 +107,9 @@ def test_mp_refs_import_nothing_of_the_package():
 for m in ("orbiheight", "numpy", "scipy"):
     sys.modules[m] = None
 import mp_refs
-mp_refs.primitive(0.3), mp_refs.zeta_ds(1), mp_refs.gamma_integral(0.1, 0.7), mp_refs.q_by_primitive(0.3)
+mp_refs.primitive(0.3), mp_refs.zeta_ds(1), mp_refs.zeta_log_deriv(), mp_refs.gamma_integral(0.1, 0.7), mp_refs.q_by_primitive(0.3)
 mp_refs.q_by_quadrature(0.3), mp_refs.ln_l(-0.3), mp_refs.wall((0.6, 0.7, 0.7)), mp_refs.height((0.8, 0.8, 0.8))
-mp_refs.height_series((0.4, 0.5, 0.6)), mp_refs.epsilon(4), mp_refs.log_z(3, (0.5, 0.5, 0.5), "anticanonical")
+mp_refs.height_series((0.4, 0.5, 0.6)), mp_refs.epsilon(4), mp_refs.log_z(3, (0.5, 0.5, 0.5))
 mp_refs.dedekind_log_deriv([(1, {1: Fraction(0)}), (3, {1: Fraction(0), 2: Fraction(1, 2)})])
 """
     assert loaded_after(code, ("mpmath",)) == [True]

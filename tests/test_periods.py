@@ -235,10 +235,9 @@ def test_df_log_z_golden_values(w, n, value, err):
 def test_df_log_z_against_the_exact_gamma_product(w, n):
     # err bounds the distance to the Gamma-ratio product at the exact
     # weights, evaluated by mpmath at 30 digits
-    cfg = PeriodConfig(N=n, w=w)
-    r = df_log_z(cfg)
+    r = df_log_z(PeriodConfig(N=n, w=w))
     with mpmath.workdps(30):
-        assert abs(mpmath.mpf(r.value) - mp_refs.log_z(n, w, cfg.polarity)) <= r.err
+        assert abs(mpmath.mpf(r.value) - mp_refs.log_z(n, w)) <= r.err
 
 
 # The allocating twin in tests/df_product.py runs each element through the
