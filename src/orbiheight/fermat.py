@@ -9,6 +9,12 @@ The Arakelov-metric height is then bounded by the canonical height plus an
 explicit genus-dependent gap, giving fully explicit Parshin-type bounds
 (`arakelov_upper_bound`) that chain as h_can + gap <= first <= second.
 
+The height and the first bound of a degree both start from the diagonal
+value f((1-1/m)^3), and a table of degrees asks for both at every m, so
+``_diagonal`` computes it once per degree with its err and caches it, up to
+1,024 degrees (least recently used out), as ``heights._gamma`` caches its
+terms; the terms added to it are computed at each call.
+
 The second (Dedekind-zeta) bound is the first one with f((1-1/m)^3) replaced
 by its value at m = 4, which is the largest along the diagonal.  Its
 m-independent constant is therefore f((3/4)^3) + (1/2) ln pi, read off the
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .heights import _EPS, _height_positive
 from .lcombo import LogCombo
@@ -76,25 +82,35 @@ class FermatSpec:
             raise ValueError("twist coefficients must be nonzero")
 
 
-def _diagonal_height(m: int, caller: str, *terms: tuple[float, float]) -> EvalResult:
-    """f((1-1/m)^3) at the exact weight 1 - 1/m (f = :func:`h_can_positive`)
-    plus the (value, err) terms, added left to right.
+@lru_cache(maxsize=1 << 10)
+def _diagonal(m: int) -> tuple[float, float]:
+    """(value, err) of f((1-1/m)^3) at the exact weight 1 - 1/m (f =
+    :func:`h_can_positive`), one entry per degree, bounded like ``_gamma``.
 
-    err adds the closed form's, the terms', the rounding of each sum and that
-    of t = 1 - 1/m through |f'|.  On the diagonal V = 3t - 2 >= 1/4 and, with
-    L(x) = ln(Gamma(x)/Gamma(1-x)) and B = gamma(0, V/2) + 3 gamma(t, 1 - t/2),
-    f' = -3/(2V) - B'/V + 3B/V^2 for B' = (3/2)(L(V/2) - L(1 - t/2)) - 3 L(t).
-    There |L(V/2)| <= L(1/8) < 1.934, |L(1 - t/2)| <= |L(5/8)| < 0.503,
-    0 <= L(t) - ln(1 - t) < 0.302 and 0 < B <= B(1) < 2.755, so |f'| <
-    (6.1 + 8.3/V)/V + 3 |ln(1 - t)|/V.  1/m and 1 - 1/m each round by at most
-    2^-54, so t is within delta = 2^-53 of 1 - 1/m, over which |ln(1 - s)|
-    integrates to at most delta (1 - ln delta) < 37.8 delta: t moves f by less
-    than delta 4 (6.1 + 4 (8.3) + 3 (37.8)) = 6.8e-14.  A term ln m is off by
-    eps/2 (m as a double) plus an ulp.
+    err adds the closed form's and that of rounding t = 1 - 1/m through |f'|.
+    On the diagonal V = 3t - 2 >= 1/4 and, with L(x) = ln(Gamma(x)/Gamma(1-x))
+    and B = gamma(0, V/2) + 3 gamma(t, 1 - t/2), f' = -3/(2V) - B'/V + 3B/V^2
+    for B' = (3/2)(L(V/2) - L(1 - t/2)) - 3 L(t).  There |L(V/2)| <= L(1/8) <
+    1.934, |L(1 - t/2)| <= |L(5/8)| < 0.503, 0 <= L(t) - ln(1 - t) < 0.302 and
+    0 < B <= B(1) < 2.755, so |f'| < (6.1 + 8.3/V)/V + 3 |ln(1 - t)|/V.  1/m
+    and 1 - 1/m each round by at most 2^-54, so t is within delta = 2^-53 of
+    1 - 1/m, over which |ln(1 - s)| integrates to at most delta (1 - ln delta)
+    < 37.8 delta: t moves f by less than delta 4 (6.1 + 4 (8.3) + 3 (37.8)) =
+    6.8e-14.  V >= 1/4 also means the closed form refuses no degree.
     """
     t = 1.0 - 1.0 / m
-    value, err = _height_positive((t, t, t), caller)
-    err += 2.0**-53 * 4.0 * (6.1 + 4.0 * 8.3 + 3.0 * 37.8)
+    value, err = _height_positive((t, t, t), "_diagonal")
+    return value, err + 2.0**-53 * 4.0 * (6.1 + 4.0 * 8.3 + 3.0 * 37.8)
+
+
+def _diagonal_height(m: int, *terms: tuple[float, float]) -> EvalResult:
+    """:func:`_diagonal` plus the (value, err) terms, added left to right.
+
+    err adds the terms' and the rounding of each sum.  The height and the
+    first Arakelov bound share the cached diagonal of their degree and differ
+    in the terms.  A term ln m is off by eps/2 (m as a double) plus an ulp.
+    """
+    value, err = _diagonal(m)
     for x, e in terms:
         value += x
         err += e + 0.5 * _EPS * abs(value)
@@ -111,7 +127,7 @@ def fermat_h_can(spec: FermatSpec) -> EvalResult:
     factor = ((spec.m - 3) / 2.0 + 1.0) / spec.m
     # the factor is off by 2 eps of itself, each log by 2 eps, the fsum and the product by eps/2
     twist = (factor * math.fsum(logs), 5.0 * _EPS * factor * math.fsum(map(abs, logs)))
-    return _diagonal_height(spec.m, "fermat_h_can", (ln_m, _EPS * (0.5 + ln_m)), twist)
+    return _diagonal_height(spec.m, (ln_m, _EPS * (0.5 + ln_m)), twist)
 
 
 def genus(m: int) -> int:
@@ -178,6 +194,6 @@ def arakelov_upper_bound(m: int) -> ArakelovBounds:
     # and eps/4 + eps of themselves (ln A, the + 1, the division; the log of a correctly rounded
     # A/m^2), and their sum (at most 0.95) by eps/2 of it
     terms = (0.5 * math.log(math.pi), _EPS), (2.0 * ln_m, _EPS * (1.0 + 2.0 * ln_m)), (eps, 8.0 * _EPS)
-    first = _diagonal_height(m, "arakelov_upper_bound", *terms)
+    first = _diagonal_height(m, *terms)
     second = _second_constant_value() + eps + 2.0 * ln_m
     return ArakelovBounds(epsilon=eps, first=first, second_constant=_SECOND_CONSTANT, second=second)

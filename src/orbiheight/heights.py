@@ -152,9 +152,10 @@ def _gamma(a: float, b: float) -> tuple[float, float, float]:
     a and b in [0, 1], with Q taken as Q - Q(0); err adds the two series
     bounds and the input rounding of the upper end b (see :func:`h_can`).
 
-    The cache serves repeated weights (grids, tables, the Fermat diagonals),
-    so a cached height adds four terms and takes no Q; a sweep of fresh
-    weights misses it.
+    The cache serves repeated weights (grids, tables), so a cached height
+    adds four terms and takes no Q; a sweep of fresh weights misses it.  The
+    Fermat diagonals come from ``fermat._diagonal``, which caches the whole
+    height per degree.
     """
     qb, eb, ln_inv = _q(b)
     qa, ea, _ = _q(a)

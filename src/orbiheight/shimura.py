@@ -162,22 +162,46 @@ def _fold_four_points(m) -> tuple[tuple, LogCombo]:
     return (2 * m0, m1, 2 * m_inf), _FOLD_CORRECTION
 
 
-def _parse_case(doc: dict) -> ShimuraCase:
-    def frac(v) -> Fraction:
-        return Fraction(v[0], v[1])
+def _parse_case(doc) -> ShimuraCase:
+    """The case of one JSON object; whatever is malformed raises one ValueError naming the case and the key."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("id"), str)):
+        raise ValueError(f'a case is an object with a string "id", got {doc!r}')
 
-    ramified = tuple(
-        RamifiedPrime(
-            prime=int(r["prime"]),
-            residue_degree=int(r["residue_degree"]),
-            coeff=frac(r["coeff"]) if "coeff" in r else None,
-        )
-        for r in doc.get("ramified", [])
-    )
-    if ("row" in doc) == ("four_points" in doc):
-        raise ValueError(f"case {doc['id']!r}: exactly one of 'row' and 'four_points' must name its Table 1 row")
+    def need(ok: bool, what: str):
+        if not ok:
+            raise ValueError(f"case {doc['id']!r}: {what}")
+
+    def frac(key: str, v) -> Fraction:
+        ok = isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v) and v[1] != 0
+        need(ok, f"{key} must be [p, q], integers with q != 0, got {v!r}")
+        return Fraction(*v)
+
+    for key in ("k_degree", "expected_h"):
+        need(key in doc, f"{key!r} is missing")
+    need(isinstance(doc["expected_h"], dict), f"'expected_h' must be an object, got {doc['expected_h']!r}")
+    need(isinstance(doc.get("ramified", []), list), f"'ramified' must be a list, got {doc.get('ramified')!r}")
+    ramified = []
+    for r in doc.get("ramified", []):
+        need(isinstance(r, dict) and "prime" in r and "residue_degree" in r, f"a ramified prime is an object with 'prime' and 'residue_degree', got {r!r}")
+        for key in ("prime", "residue_degree"):
+            # JSON's true and 2.0 are no prime or degree, though int() takes them
+            need(type(r[key]) is int, f"{key!r} must be an integer, got {r[key]!r}")
+        coeff = frac("'coeff'", r["coeff"]) if "coeff" in r else None
+        try:
+            ramified.append(RamifiedPrime(r["prime"], r["residue_degree"], coeff))
+        except ValueError as exc:
+            raise ValueError(f"case {doc['id']!r}: {exc}") from None
+    k_degree = frac("'k_degree'", doc["k_degree"])
+    h_scale = frac("'h_scale'", doc["h_scale"]) if "h_scale" in doc else None
+    expected_h = {}
+    for p, v in doc["expected_h"].items():
+        need(p.isdecimal(), f"'expected_h' is keyed by primes, got {p!r}")
+        expected_h[int(p)] = frac(f"'expected_h' at {p}", v)
+    need(("row" in doc) != ("four_points" in doc), "exactly one of 'row' and 'four_points' must name its Table 1 row")
+    key = "row" if "row" in doc else "four_points"
+    need(isinstance(doc[key], list), f"{key!r} must be a list of indices, got {doc[key]!r}")
     try:
-        m = [math.inf if x is None else x for x in doc["row" if "row" in doc else "four_points"]]  # JSON null is a cusp
+        m = [math.inf if x is None else x for x in doc[key]]  # JSON null is a cusp
         indices, correction = (m, LogCombo()) if "row" in doc else _fold_four_points(m)
         row = table1_row(*indices)
     except (KeyError, ValueError) as exc:
@@ -185,24 +209,23 @@ def _parse_case(doc: dict) -> ShimuraCase:
     optimal = row.pet_height() + correction
     if doc.get("printed"):
         label = f"table1:({','.join(map(str, indices))})"
-        if label not in PRINTED_DEVIATIONS:
-            raise ValueError(f"case {doc['id']!r}: no printed variant of {label} is recorded")
+        need(label in PRINTED_DEVIATIONS, f"no printed variant of {label} is recorded")
         optimal += PRINTED_DEVIATIONS[label] - row.constant
     return ShimuraCase(
         id=doc["id"],
         field_id=row.field_id,
-        ramified=ramified,
+        ramified=tuple(ramified),
         optimal=optimal,
-        k_degree=frac(doc["k_degree"]),
-        expected_h={int(p): frac(v) for p, v in doc["expected_h"].items()},
-        h_scale=frac(doc["h_scale"]) if "h_scale" in doc else None,
+        k_degree=k_degree,
+        expected_h=expected_h,
+        h_scale=h_scale,
     )
 
 
 @cache
 def _builtin() -> dict[str, ShimuraCase]:
     text = resources.files("orbiheight.data").joinpath("shimura_cases.json").read_text()
-    return {doc["id"]: _parse_case(doc) for doc in json.loads(text)}
+    return {case.id: case for case in map(_parse_case, json.loads(text))}
 
 
 def builtin_cases() -> dict[str, ShimuraCase]:

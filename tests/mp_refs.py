@@ -131,6 +131,12 @@ def epsilon(m: int) -> mpmath.mpf:
     return (4 * mpmath.log(a) + 1) / a + mpmath.log(mpmath.mpf(a) / m**2) / 2
 
 
+def arakelov_gap(m: int) -> mpmath.mpf:
+    """(1/2) [(4 ln(2g - 2) + 1)/(g - 1) + ln(pi (g - 1))], g = (m - 1)(m - 2)/2."""
+    n = (m - 1) * (m - 2) // 2 - 1
+    return ((4 * mpmath.log(2 * n) + 1) / n + mpmath.log(mpmath.pi * n)) / 2
+
+
 def dedekind_log_deriv(characters) -> mpmath.mpf:
     """The sum of L'(-1)/L(-1) over (modulus f, {a: k}) pairs, chi(a) = e^(2 pi i k),
     L(s) = f^-s sum_a chi(a) zeta(s, a/f), differentiated by mpmath.diff."""

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -104,6 +105,22 @@ def test_fermat_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,h_can,gap,bound1,bound2,epsilon"
     assert len(lines) == 4
+
+
+# sha256 of `fermat --m 4 --m-to 60` in each format, recorded before the
+# diagonal heights were cached per degree: the cache changes no byte
+_FERMAT_TABLE_SHA256 = {
+    "text": "c6d52b999a00b810e53169a1604541a2d5be1e7e21933f77985777846d1c381a",
+    "json": "7d37faa3b2e99095730e006c22ebf8af8c3969ea05dbfe98058ab1bfec140bb9",
+    "csv": "9924ab0e263abf6afbac6f27dae9bbcdbcd1767caeec0650d861f4fa5e46280c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FERMAT_TABLE_SHA256))
+def test_fermat_table_prints_pinned_bytes(capsys, fmt):
+    code, out, err = run(capsys, "fermat", "--m", "4", "--m-to", "60", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _FERMAT_TABLE_SHA256[fmt]
 
 
 def test_fermat_degrees_below_four_name_one_bound(capsys):

@@ -7,6 +7,7 @@ import mp_refs
 import mpmath
 import pytest
 
+from orbiheight import fermat
 from orbiheight.fermat import (
     FermatSpec,
     arakelov_gap,
@@ -154,9 +155,14 @@ def test_first_bound_is_valid_for_arakelov():
 # log-spaced up to the last admitted degree, with 1 - 1/m inexact in binary
 # (2^k + 1) and rounded to 1 itself (from 2^53 on)
 _LOG_SPACED = (65, 1001, 3**13, 2**20 + 1, 2**52 + 3, 2**53 + 1, 10**17 + 1, 2**60 + 1, 2**100 + 1, 3**100, 2**200 + 1, 10**120 + 1, 2**300 - 1, 2**400 + 1, 2**510 + 1, 2**511 - 1)
+_TWISTS = ((-1, 1, 1), (8, 1, 1), (-2, 3, 10**30))
 
 
-@pytest.mark.parametrize("m", [*range(4, 61), *_LOG_SPACED], ids=lambda m: str(m) if m < 10**4 else f"2^{math.log2(m):.2f}")
+def _degree_id(m: int) -> str:
+    return str(m) if m < 10**4 else f"2^{math.log2(m):.2f}"
+
+
+@pytest.mark.parametrize("m", [*range(4, 61), *_LOG_SPACED], ids=_degree_id)
 def test_diagonal_err_covers_the_exact_weight(m):
     # fermat_h_can once added an underived 4e-16 m (err 461 at m = 2^60), and
     # the first bound added 2 ln m and eps_m without their rounding (actual
@@ -165,10 +171,81 @@ def test_diagonal_err_covers_the_exact_weight(m):
     with mpmath.workprec(200 + m.bit_length()):
         t = 1 - mpmath.mpf(1) / m
         f = mp_refs.height((t, t, t))
-        for a in ((-1, 1, 1), (8, 1, 1), (-2, 3, 10**30)):
+        for a in _TWISTS:
             r = fermat_h_can(FermatSpec(m, a))
             exact = f + mpmath.log(m) + mpmath.mpf(m - 1) / (2 * m) * sum(mpmath.log(abs(x)) for x in a)
             assert abs(r.value - exact) <= r.err <= 1e-12, a
         first = arakelov_upper_bound(m).first
         exact = f + mpmath.log(mpmath.pi) / 2 + 2 * mpmath.log(m) + mp_refs.epsilon(m)
         assert abs(first.value - exact) <= first.err <= 1e-12
+
+
+_EPS = 2.0**-52
+
+
+def _gap_rounding(gap: float) -> float:
+    """A bound on |arakelov_gap(m) - its exact value|, from gap = (T1 + T2)/2.
+
+    T1 = (4 ln A + 1)/(g - 1) <= 3.3 (m = 4): ln A is off by eps/2 (A as a
+    double) and an ulp, the + 1 and the division by half an ulp, g - 1 as a
+    double by eps/2 of it, in all less than 3 eps T1.  T2 = ln(pi (g - 1)):
+    pi, g - 1 and their product as doubles are off by 3 eps/2 of it, which
+    ln turns into 3 eps/2, plus an ulp of T2 <= 2 gap.  The sum adds half an
+    ulp of 2 gap; halving is exact.
+    """
+    return 0.5 * _EPS * (3.0 * 3.3 + 1.5 + 2.0 * gap + gap)
+
+
+@pytest.mark.parametrize("m", [*range(4, 61), *_LOG_SPACED], ids=_degree_id)
+def test_gap_rounding_covers_the_exact_gap(m):
+    with mpmath.workprec(200 + m.bit_length()):
+        gap = arakelov_gap(m)
+        assert abs(gap - mp_refs.arakelov_gap(m)) <= _gap_rounding(gap)
+
+
+@pytest.mark.parametrize("m", _LOG_SPACED, ids=_degree_id)
+def test_first_bound_exceeds_the_gap_route_by_half_ln2_beyond_60(m):
+    # first - (h_can + gap) = (1/2) ln 2 exactly: eps_m and the gap share
+    # (4 ln A + 1)/A, and the logs leave (1/2) ln(A/(g - 1)).  The floats are
+    # each within their err (or the gap's rounding) of the exact terms, and
+    # the difference is taken in mpmath, so nothing else rounds.  Sampled
+    # degrees, not a proof for every m.
+    h, b, gap = fermat_h_can(FermatSpec(m)), arakelov_upper_bound(m), arakelov_gap(m)
+    with mpmath.workprec(200):
+        residual = mpmath.mpf(b.first.value) - mpmath.mpf(h.value) - mpmath.mpf(gap) - mpmath.log(2) / 2
+        assert abs(residual) <= b.first.err + h.err + _gap_rounding(gap)
+    assert b.first.value + b.first.err <= b.second
+
+
+def _bits(m: int) -> list[tuple[str, str]]:
+    """float.hex of value and err of the three twisted heights and the first bound."""
+    out = [fermat_h_can(FermatSpec(m, a)) for a in _TWISTS] + [arakelov_upper_bound(m).first]
+    return [(r.value.hex(), r.err.hex()) for r in out]
+
+
+def test_diagonal_cache_returns_the_uncached_bits(monkeypatch):
+    # the per-degree cache changes no bit of any height or bound, whether the
+    # degree is computed (cold), read (warm) or computed again after eviction
+    degrees = [*range(4, 61), *_LOG_SPACED]
+    cache = fermat._diagonal
+    cold = []
+    for m in degrees:
+        cache.cache_clear()
+        cold.append(_bits(m))
+    warm = []
+    for m in degrees:
+        cache(m)
+        hits = cache.cache_info().hits
+        warm.append(_bits(m))
+        assert cache.cache_info().hits == hits + len(_TWISTS) + 1
+    size = cache.cache_info().maxsize
+    for m in range(10**6, 10**6 + size + 1):
+        cache(m)
+    evicted = []
+    for m in degrees:
+        misses = cache.cache_info().misses
+        evicted.append(_bits(m))
+        assert cache.cache_info().misses == misses + 1
+    monkeypatch.setattr(fermat, "_diagonal", cache.__wrapped__)
+    uncached = [_bits(m) for m in degrees]
+    assert cold == warm == evicted == uncached

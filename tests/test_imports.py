@@ -109,7 +109,7 @@ for m in ("orbiheight", "numpy", "scipy"):
 import mp_refs
 mp_refs.primitive(0.3), mp_refs.zeta_ds(1), mp_refs.zeta_log_deriv(), mp_refs.gamma_integral(0.1, 0.7), mp_refs.q_by_primitive(0.3)
 mp_refs.q_by_quadrature(0.3), mp_refs.ln_l(-0.3), mp_refs.wall((0.6, 0.7, 0.7)), mp_refs.height((0.8, 0.8, 0.8))
-mp_refs.height_series((0.4, 0.5, 0.6)), mp_refs.epsilon(4), mp_refs.log_z(3, (0.5, 0.5, 0.5))
+mp_refs.height_series((0.4, 0.5, 0.6)), mp_refs.epsilon(4), mp_refs.arakelov_gap(4), mp_refs.log_z(3, (0.5, 0.5, 0.5))
 mp_refs.dedekind_log_deriv([(1, {1: Fraction(0)}), (3, {1: Fraction(0), 2: Fraction(1, 2)})])
 """
     assert loaded_after(code, ("mpmath",)) == [True]
@@ -265,3 +265,40 @@ def test_benchmark_cli_arguments_succeed(seed, capsys):
     for argv in cli_args(seed).values():
         assert main([*argv, "--format", "json"]) == 0, argv
     capsys.readouterr()
+
+
+# Every functools cache in the package, with its maxsize (None: unbounded).
+# A cache whose function takes arguments is bounded, or _FINITE_KEYS says
+# why its keys are finite, so no per-argument cache grows memory unseen.
+_CACHES = {
+    "_pairquad._theta_nodes": None,
+    "_pairquad.tanh_sinh_01": None,
+    "fermat._diagonal": 1 << 10,
+    "fermat._second_constant_value": None,
+    "fields._builtin": None,
+    "fields.dedekind_log_deriv": 128,
+    "heights._gamma": 1 << 12,
+    "shimura._builtin": None,
+}
+_FINITE_KEYS = {
+    "_pairquad._theta_nodes": "the three patches at the angle counts of pair_integral's two fixed levels",
+    "_pairquad.tanh_sinh_01": "the radial and angular node counts of pair_integral's two fixed levels",
+}
+
+
+def test_every_cache_is_bounded_or_has_finite_keys():
+    import orbiheight
+
+    found = {}
+    for path in Path(orbiheight.__file__).parent.glob("*.py"):
+        mod = importlib.import_module(f"orbiheight.{path.stem}") if path.stem != "__init__" else orbiheight
+        for node in ast.walk(ast.parse(path.read_text())):
+            for d in getattr(node, "decorator_list", []):
+                f = d.func if isinstance(d, ast.Call) else d
+                if getattr(f, "attr", getattr(f, "id", None)) in ("cache", "lru_cache"):
+                    found[f"{path.stem}.{node.name}"] = getattr(mod, node.name)
+        # a cache made by a call rather than a decorator
+        found |= {f"{path.stem}.{n}": f for n, f in vars(mod).items() if hasattr(f, "cache_parameters") and f.__module__ == mod.__name__}
+    assert {name: f.cache_parameters()["maxsize"] for name, f in sorted(found.items())} == _CACHES
+    takes_args = {name for name, f in found.items() if inspect.signature(f.__wrapped__).parameters}
+    assert sorted(name for name in takes_args if _CACHES[name] is None) == sorted(_FINITE_KEYS)

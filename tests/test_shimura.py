@@ -97,6 +97,10 @@ def _fixture(**changes) -> dict:
     return {**doc, **changes}
 
 
+def _without(key: str) -> dict:
+    return {k: v for k, v in _fixture().items() if k != key}
+
+
 def test_loader_refuses_rows_it_cannot_name():
     assert _parse_case(_fixture()).optimal == table1_row(6, 2, 6).pet_height()
     with pytest.raises(ValueError, match="'probe'.*no Table 1 row"):
@@ -106,7 +110,7 @@ def test_loader_refuses_rows_it_cannot_name():
     with pytest.raises(ValueError, match=r"'probe'.*no printed variant of table1:\(6,2,6\)"):
         _parse_case(_fixture(printed=True))
     # a missing key is named as missing, not as a failed table lookup
-    no_row = {k: v for k, v in _fixture().items() if k != "row"}
+    no_row = _without("row")
     with pytest.raises(ValueError, match="'probe': exactly one of 'row' and 'four_points'"):
         _parse_case(no_row)
     with pytest.raises(ValueError, match="'probe': exactly one of 'row' and 'four_points'"):
@@ -116,6 +120,28 @@ def test_loader_refuses_rows_it_cannot_name():
         _parse_case({**no_row, "four_points": [3, 2, 3]})
     with pytest.raises(ValueError, match="'probe': no Table 1 row has indices \\(4, 2, 4\\)"):
         _parse_case({**no_row, "four_points": [2, 2, 2, 2]})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_without("id"), 'a case is an object with a string "id"'),
+        (_without("k_degree"), "'probe': 'k_degree' is missing"),
+        (_without("expected_h"), "'probe': 'expected_h' is missing"),
+        (_fixture(ramified=[{"residue_degree": 1}]), "'probe': a ramified prime is an object with 'prime' and 'residue_degree'"),
+        (_fixture(k_degree=[1, 0]), "'probe': 'k_degree' must be \\[p, q\\], integers with q != 0, got \\[1, 0\\]"),
+        (_fixture(expected_h={"2": [1, 0]}), "'probe': 'expected_h' at 2 must be \\[p, q\\], .* got \\[1, 0\\]"),
+        (_fixture(ramified=[{"prime": [2], "residue_degree": 1}]), "'probe': 'prime' must be an integer, got \\[2\\]"),
+        (_fixture(k_degree=[1.5, 2]), "'probe': 'k_degree' must be \\[p, q\\], .* got \\[1.5, 2\\]"),
+        (_fixture(ramified=[{"prime": 1, "residue_degree": 1}]), "'probe': a ramified prime needs prime >= 2"),
+        (_fixture(row=6), "'probe': 'row' must be a list of indices, got 6"),
+    ],
+    ids=["no id", "no k_degree", "no expected_h", "no prime", "k_degree 1/0", "expected_h 1/0", "prime [2]", "k_degree 1.5/2", "prime 1", "row 6"],
+)
+def test_loader_names_the_case_and_key_of_a_malformed_field(doc, message):
+    # once KeyError, ZeroDivisionError and TypeError escaped the loader
+    with pytest.raises(ValueError, match=message):
+        _parse_case(doc)
 
 
 def test_fold_of_four_points():
