@@ -12,8 +12,8 @@ explicit genus-dependent gap, giving fully explicit Parshin-type bounds
 The height and the first bound of a degree both start from the diagonal
 value f((1-1/m)^3), and a table of degrees asks for both at every m, so
 ``_diagonal`` computes it once per degree with its err and caches it, up to
-1,024 degrees (least recently used out), as ``heights._gamma`` caches its
-terms; the terms added to it are computed at each call.
+1,024 degrees (least recently used out), as ``heights._signed_height``
+caches its heights; the terms added to it are computed at each call.
 
 The second (Dedekind-zeta) bound is the first one with f((1-1/m)^3) replaced
 by its value at m = 4, which is the largest along the diagonal.  Its
@@ -85,7 +85,8 @@ class FermatSpec:
 @lru_cache(maxsize=1 << 10)
 def _diagonal(m: int) -> tuple[float, float]:
     """(value, err) of f((1-1/m)^3) at the exact weight 1 - 1/m (f =
-    :func:`h_can_positive`), one entry per degree, bounded like ``_gamma``.
+    :func:`h_can_positive`), one entry per degree, bounded like
+    ``heights._signed_height``.
 
     err adds the closed form's and that of rounding t = 1 - 1/m through |f'|.
     On the diagonal V = 3t - 2 >= 1/4 and, with L(x) = ln(Gamma(x)/Gamma(1-x))

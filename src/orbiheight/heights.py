@@ -10,8 +10,9 @@ which the sign of V picks the polarity.  It is built from
     gamma(a, b) = integral over [a, b] of ln(Gamma(x)/Gamma(1-x)) dx,
 
 evaluated as Q(b) - Q(a) via the odd-zeta series of :mod:`orbiheight.specfun`.
-Each height sums four such terms, which ``_gamma`` caches with their error
-bounds: the one cache of the kernel.  The wall V = 0 is excluded from the
+Each height sums four such terms, seven Q values in all, and
+``_signed_height`` caches the whole height with its error bound: the one
+cache of the kernel.  The wall V = 0 is excluded from the
 closed form; its value is the log-Calabi-Yau normalization integral
 (:func:`faltings_log_cy`), which the signed height approaches from both
 sides.  That integral is the N = 1 case of the Dotsenko-Fateev Gamma product
@@ -147,34 +148,31 @@ def _closed_form_weights(w, caller: str, sign: int = 0) -> tuple[float, float, f
 
 
 @lru_cache(maxsize=1 << 12)
-def _gamma(a: float, b: float) -> tuple[float, float, float]:
-    """(gamma(a, b), |Q(b)| + |Q(a)|, err) of one term of :func:`h_can`, for
-    a and b in [0, 1], with Q taken as Q - Q(0); err adds the two series
-    bounds and the input rounding of the upper end b (see :func:`h_can`).
-
-    The cache serves repeated weights (grids, tables), so a cached height
-    adds four terms and takes no Q; a sweep of fresh weights misses it.  The
-    Fermat diagonals come from ``fermat._diagonal``, which caches the whole
-    height per degree.
-    """
-    qb, eb, ln_inv = _q(b)
-    qa, ea, _ = _q(a)
-    d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
-    return qb - qa, abs(qb) + abs(qa), eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
-
-
 def _signed_height(w1: float, w2: float, w3: float, v: float) -> tuple[float, float]:
     """(s h, err) of :func:`h_can` for s = sign V, on weights that
     :func:`_closed_form_weights` has checked; plain floats, no result object.
+
+    The bracket is seven Q values taken as Q - Q(0): Q(|V|/2), then
+    Q(w_i - V/2) - Q(w_i) for each weight.  Each upper end b adds its two
+    series bounds and its input rounding (see :func:`h_can`) to err.  The
+    cache holds whole heights, so a repeated height (a grid, a table) is one
+    lookup and a fresh one takes seven Q; the Fermat diagonals are also
+    cached per degree, by ``fermat._diagonal``.
     """
     half = v / 2.0
-    bracket, mag, err = _gamma(0.0, abs(half))
+    y = abs(half)
+    bracket, err, ln_inv = _q(y)
+    mag = abs(bracket)
+    err += _EPS * (y + 1.0) * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
     for a in (w1, w2, w3):
-        g, m, e = _gamma(a, a - half)
-        bracket += g
-        mag += m
-        err += e
-    log_half = math.log(abs(half))
+        b = a - half
+        qb, eb, ln_inv = _q(b)
+        qa, ea, _ = _q(a)
+        bracket += qb - qa
+        mag += abs(qb) + abs(qa)
+        d = _EPS * (b + 1.0)  # eps b for b itself, half of dV = 2 eps for V
+        err += eb + ea + d * (_D_SLOPE + min(ln_inv, _LN_INV_EPS))
+    log_half = math.log(y)
     tail = bracket / v
     signed = _NEG_HALF_LN_PI + 0.5 * math.copysign(1.0, v) * (1.0 - log_half) - tail
     # eight additions of at most half an ulp of mag each; dV moves ln|V|/2 and bracket/V
@@ -202,7 +200,7 @@ def h_can(w) -> EvalResult:
     w_i = 1 are allowed; V = 0 is not.  Every closed-form height here is
     this one float kernel, with one result object built per public call.
 
-    err, over |V|, adds the eight series bounds, the rounding of the bracket's
+    err, over |V|, adds the seven series bounds, the rounding of the bracket's
     additions and the rounding of each upper end b: fsum(w) - 2 is off V by
     at most 2 eps, and b = w_i - V/2 by eps b plus half that.  A shift d of b
     moves gamma by at most d (3 + ln 2 + min(-ln x, -ln eps)), x = min(b, 1 - b),

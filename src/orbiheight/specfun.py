@@ -18,8 +18,8 @@ odd zeta values as coefficients, Chebyshev-economized on [0, 1/2] to 13
 literals and reflected by Q(x) = Q(1 - x).
 
 ``_q``, the float kernel of Q(x) - Q(0), is the one zeta'(-1, x) kernel: the
-heights sum it (and cache the differences Q(b) - Q(a) they take of it, not
-Q), :mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l``
+heights sum seven values of it (and cache the height, not Q),
+:mod:`orbiheight.fields` takes L'(-1, chi) from it, and ``_ln_l``
 (array form ``periods._log_l``) sums its derivative ln(Gamma(x)/Gamma(1-x)) from
 the same 13 odd-zeta literals.  The antisymmetric half A(x) = P(x) - P(1-x) is Clausen's
 function Cl_2(2 pi x)/(2 pi), one log (the one ``_q`` takes) plus a series in
@@ -200,7 +200,7 @@ def _q(x: float) -> tuple[float, float, float]:
     subnormal and the eps terms underflow.  The heights' err reuses -ln x
     for the input rounding of x, so each point takes one log.  Plain floats
     keep result objects off the per-point path.  It has no cache: the
-    heights cache the gamma terms they build from it, and its other callers
+    heights cache the height they build from it, and its other callers
     run once per field or per point.
     """
     if x > 0.5:

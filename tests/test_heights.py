@@ -210,9 +210,9 @@ def test_h_can_matches_the_two_log_oracle(w):
 
 
 def _seven_q_signed_height(w1, w2, w3, v) -> tuple[float, float]:
-    """(s h, err) of h_can assembled from seven Q values, as before its gamma
-    terms were cached: Q(|V|/2), then Q(b) - Q(a) for each weight, in the
-    kernel's order of operations."""
+    """(s h, err) of h_can assembled from seven Q values: Q(|V|/2), then
+    Q(b) - Q(a) for each weight, in the kernel's order of operations; the
+    reference the cached kernel is held to bit for bit."""
     eps = math.ulp(1.0)
     d_slope, ln_inv_eps = 3.0 + math.log(2.0), -math.log(eps)
     half = v / 2.0
@@ -273,14 +273,48 @@ def test_cached_gamma_terms_match_the_seven_q_assembly_on_grid_and_fermat_diagon
 
 
 def test_gamma_cache_serves_a_repeated_grid():
-    heights._gamma.cache_clear()
+    # the cache holds whole heights: a first pass misses once per point, a
+    # second pass is one hit per point
+    cache = heights._signed_height
+    cache.cache_clear()
     grid = list(semistable_grid(20))
     first = [h_can(w) for w in grid]
-    misses = heights._gamma.cache_info().misses
+    info = cache.cache_info()
+    assert info.misses == info.currsize == len(grid) == 3800 and info.hits == 0
     assert [h_can(w) for w in grid] == first
-    info = heights._gamma.cache_info()
-    assert info.misses == misses and info.hits >= 4 * len(grid)
-    assert info.currsize == misses <= info.maxsize
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(grid), len(grid), len(grid))
+
+
+def test_height_cache_holds_the_grid_and_the_fermat_diagonals():
+    # why maxsize is 4,096: the registry checks the 20^3 grid and the 57
+    # Fermat diagonals (m = 4..60), and together they fit, so no check evicts
+    # the heights of another
+    diagonals = {heights._closed_form_weights((1.0 - 1.0 / m,) * 3, "test") for m in range(4, 61)}
+    grid = {heights._closed_form_weights(w, "test") for w in semistable_grid(20)}
+    assert len(diagonals) == 57 and len(grid) == 3800
+    assert len(diagonals | grid) <= heights._signed_height.cache_info().maxsize == 1 << 12
+
+
+def test_a_fresh_height_takes_seven_q_and_a_repeated_one_none(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _q(x)
+
+    monkeypatch.setattr(heights, "_q", counted)
+    cache = heights._signed_height
+    for w in ((0.75, 0.75, 0.75), (0.25, 0.25, 0.25), (1.0, 0.5, 0.75), (0.7, 0.7, 0.6 + 1e-4)):
+        args = heights._closed_form_weights(w, "test")
+        cache.cache_clear()
+        calls.clear()
+        cold = cache(*args)
+        assert len(calls) == 7, w
+        warm = cache(*args)
+        assert len(calls) == 7 and cache.cache_info().hits == 1, w
+        uncached = cache.__wrapped__(*args)
+        assert [x.hex() for x in cold] == [x.hex() for x in warm] == [x.hex() for x in uncached], w
 
 
 def test_each_closed_form_height_builds_one_result(monkeypatch):

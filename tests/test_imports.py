@@ -277,7 +277,7 @@ _CACHES = {
     "fermat._second_constant_value": None,
     "fields._builtin": None,
     "fields.dedekind_log_deriv": 128,
-    "heights._gamma": 1 << 12,
+    "heights._signed_height": 1 << 12,
     "shimura._builtin": None,
 }
 _FINITE_KEYS = {

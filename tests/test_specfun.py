@@ -155,16 +155,16 @@ def test_heights_from_q_series_match_general_s_route(monkeypatch):
         near = min(x, 1.0 - x)
         return general_s_primitive(x) + general_s_primitive(1.0 - x) - 2.0 * p1, 0.0, -math.log(near) if near else math.inf
 
-    # the gamma terms of the hot pass are cached: clear them, or the reference
-    # is never called; clear them again after, so that no term built from
+    # the heights of the hot pass are cached: clear them, or the reference is
+    # never called; clear them again after, so that no height built from
     # mpmath serves a later test
     monkeypatch.setattr(heights, "_q", general_s_q)
-    heights._gamma.cache_clear()
+    heights._signed_height.cache_clear()
     try:
         for w, h in zip(sample, hot):
             assert abs(h_can(w).value - h) <= 1e-12 / min(1.0, abs(sum(w) - 2.0))
     finally:
-        heights._gamma.cache_clear()
+        heights._signed_height.cache_clear()
     assert {x for w in sample for x in w} <= set(calls)  # every weight went through the reference
 
 
